@@ -15,7 +15,7 @@
 //                       snapshot carries the codegen.* kernel-cache counters)
 //
 // Execution engine (alt/alt-ol/alt-wp methods only):
-//   --engine auto|affine|generic|native or ALT_ENGINE=<name>
+//   --engine affine|generic|native or ALT_ENGINE=<name> (default affine)
 //     Engine for serving (runtime::ExecEngine). With `native`, tuning+save
 //     embeds the JIT-compiled kernel objects in the artifact and serving
 //     prefers them; a reloaded artifact then serves with zero recompiles
@@ -26,12 +26,13 @@
 //     (bit-identical results at any n). <= 0 uses one per hardware core;
 //     1 keeps execution serial.
 //
-// Deployment (alt/alt-ol/alt-wp methods only):
+// Deployment (alt/alt-ol/alt-wp methods only; with a baseline method the
+// CLI exits 2, since baselines produce no artifact):
 //   --artifact <path> or ALT_ARTIFACT=<path>
 //     When the file exists: skip tuning, load the artifact, and serve one
 //     request through runtime::InferenceSession (printing its provenance).
 //     Otherwise: tune as usual, then save the artifact to that path.
-//   --serve <n> (with an existing --artifact)
+//   --serve <n> (requires an existing --artifact; exits 2 otherwise)
 //     Instead of one direct request, run n randomly-filled requests through
 //     the serving::Server front-end — dynamic batching under the default
 //     size/timeout policy — and print the operator metrics (per-model
@@ -50,6 +51,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,9 +66,7 @@
 namespace {
 
 bool ParseEngine(const std::string& name, alt::runtime::ExecEngine* out) {
-  if (name == "auto") {
-    *out = alt::runtime::ExecEngine::kAuto;
-  } else if (name == "affine") {
+  if (name == "affine") {
     *out = alt::runtime::ExecEngine::kAffine;
   } else if (name == "generic") {
     *out = alt::runtime::ExecEngine::kGeneric;
@@ -76,6 +76,24 @@ bool ParseEngine(const std::string& name, alt::runtime::ExecEngine* out) {
     return false;
   }
   return true;
+}
+
+// The baseline a method name selects; nullopt for the ALT methods.
+std::optional<alt::baselines::BaselineKind> BaselineFor(const std::string& method) {
+  using alt::baselines::BaselineKind;
+  if (method == "ansor") {
+    return BaselineKind::kAnsor;
+  }
+  if (method == "autotvm") {
+    return BaselineKind::kAutoTvm;
+  }
+  if (method == "flextensor") {
+    return BaselineKind::kFlexTensor;
+  }
+  if (method == "vendor") {
+    return BaselineKind::kVendor;
+  }
+  return std::nullopt;
 }
 
 // ALT_METRICS honored on the serving paths too: the process-global snapshot
@@ -211,7 +229,7 @@ int main(int argc, char** argv) {
   std::string artifact_path = std::getenv("ALT_ARTIFACT") ? std::getenv("ALT_ARTIFACT") : "";
   std::string tuning_db_path = std::getenv("ALT_TUNING_DB") ? std::getenv("ALT_TUNING_DB") : "";
   int workers = std::getenv("ALT_WORKERS") ? std::atoi(std::getenv("ALT_WORKERS")) : 0;
-  std::string engine_name = std::getenv("ALT_ENGINE") ? std::getenv("ALT_ENGINE") : "auto";
+  std::string engine_name = std::getenv("ALT_ENGINE") ? std::getenv("ALT_ENGINE") : "affine";
   int intra_threads =
       std::getenv("ALT_INTRA_THREADS") ? std::atoi(std::getenv("ALT_INTRA_THREADS")) : 0;
   int serve_requests = 0;
@@ -233,9 +251,9 @@ int main(int argc, char** argv) {
       pos.push_back(argv[i]);
     }
   }
-  runtime::ExecEngine engine = runtime::ExecEngine::kAuto;
+  runtime::ExecEngine engine = runtime::ExecEngine::kAffine;
   if (!ParseEngine(engine_name, &engine)) {
-    std::fprintf(stderr, "unknown engine '%s' (auto|affine|generic|native)\n",
+    std::fprintf(stderr, "unknown engine '%s' (affine|generic|native)\n",
                  engine_name.c_str());
     return 2;
   }
@@ -244,6 +262,22 @@ int main(int argc, char** argv) {
   std::string method = pos.size() > 2 ? pos[2] : "alt";
   int budget = pos.size() > 3 ? std::atoi(pos[3].c_str()) : 400;
 
+  // Refuse flag combinations the run would otherwise silently ignore.
+  const std::optional<baselines::BaselineKind> baseline = BaselineFor(method);
+  if (baseline && !artifact_path.empty()) {
+    std::fprintf(stderr,
+                 "--artifact needs an ALT method (alt|alt-ol|alt-wp): baseline '%s' "
+                 "produces no artifact\n",
+                 method.c_str());
+    return 2;
+  }
+  const bool artifact_exists = !artifact_path.empty() && FileExists(artifact_path);
+  if (serve_requests > 0 && !artifact_exists) {
+    std::fprintf(stderr, "--serve needs an existing artifact (--artifact <path> of a saved "
+                         "network)\n");
+    return 2;
+  }
+
   // One flag set drives every serving path: ToSessionOptions maps the facade
   // options (engine, intra-op budget) onto session options.
   core::AltOptions serve_options;
@@ -251,7 +285,7 @@ int main(int argc, char** argv) {
   serve_options.intra_threads = intra_threads;
   const runtime::SessionOptions session_options = core::ToSessionOptions(serve_options);
 
-  if (!artifact_path.empty() && FileExists(artifact_path)) {
+  if (artifact_exists) {
     auto loaded = core::LoadArtifact(artifact_path);
     if (!loaded.ok()) {
       std::fprintf(stderr, "artifact load failed: %s\n",
@@ -270,15 +304,10 @@ int main(int argc, char** argv) {
               machine.name.c_str(), method.c_str(), budget);
 
   StatusOr<autotune::CompiledNetwork> compiled = Status::Ok();
-  if (method == "ansor") {
-    compiled = baselines::RunBaseline(baselines::BaselineKind::kAnsor, g, machine, budget);
-  } else if (method == "autotvm") {
-    compiled = baselines::RunBaseline(baselines::BaselineKind::kAutoTvm, g, machine, budget);
-  } else if (method == "flextensor") {
-    compiled =
-        baselines::RunBaseline(baselines::BaselineKind::kFlexTensor, g, machine, budget);
-  } else if (method == "vendor") {
-    compiled = baselines::RunBaseline(baselines::BaselineKind::kVendor, g, machine, 0);
+  if (baseline) {
+    // The vendor baseline is a fixed heuristic: it spends no budget.
+    const bool vendor = *baseline == baselines::BaselineKind::kVendor;
+    compiled = baselines::RunBaseline(*baseline, g, machine, vendor ? 0 : budget);
   } else {
     core::AltOptions options;
     options.budget = budget;

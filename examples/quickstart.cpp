@@ -76,11 +76,18 @@ int main() {
     }
   }
 
-  // 4. Execute on the interpreter and compare against the reference.
+  // 4. Serve one request through an InferenceSession and compare against the
+  // reference.
+  auto session = runtime::InferenceSession::Create(g, la, *net);
+  if (!session.ok()) {
+    std::fprintf(stderr, "session creation failed: %s\n",
+                 session.status().ToString().c_str());
+    return 1;
+  }
   Rng rng(1);
   runtime::TensorDataMap data;
   runtime::FillGraphInputs(g, rng, data);
-  auto out = runtime::RunLoweredNetwork(g, la, *net, data);
+  auto out = session->Run(data);
   if (!out.ok()) {
     std::fprintf(stderr, "execution failed: %s\n", out.status().ToString().c_str());
     return 1;
@@ -88,9 +95,8 @@ int main() {
   if (!runtime::ExecuteReference(g, data).ok()) {
     return 1;
   }
-  int out_id = net->groups.back().OutputTensor(g);
   std::printf("max |lowered - reference| = %.2e\n",
-              runtime::MaxAbsDiff(*out, data[out_id]));
+              runtime::MaxAbsDiff(*out, data[session->output_tensor()]));
 
   // 5. Estimate performance on a machine profile.
   auto perf = sim::EstimatePrograms(net->programs, sim::Machine::IntelCpu());

@@ -93,14 +93,6 @@ MeasureEngine::MeasureEngine(const sim::Machine& machine, MeasureEngineConfig co
       injector_(config_.faults),
       pool_(ResolveThreads(config_.threads)) {}
 
-MeasureEngine::MeasureEngine(const sim::Machine& machine, int threads, bool cache_enabled)
-    : MeasureEngine(machine, [&] {
-        MeasureEngineConfig c;
-        c.threads = threads;
-        c.cache_enabled = cache_enabled;
-        return c;
-      }()) {}
-
 int64_t MeasureEngine::cache_size() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
   return static_cast<int64_t>(cache_.size());

@@ -215,9 +215,6 @@ class MeasureEngine {
  public:
   explicit MeasureEngine(const sim::Machine& machine, MeasureEngineConfig config = {});
 
-  // Legacy convenience constructor (threads <= 0 means one per core).
-  MeasureEngine(const sim::Machine& machine, int threads, bool cache_enabled);
-
   // Lowers and estimates every schedule for `group`; result i corresponds to
   // schedules[i]. With the cache enabled, duplicate schedules within one call
   // are measured once and later occurrences report as cache hits; with it

@@ -124,7 +124,7 @@ std::vector<double> RelationState(const graph::Graph& graph, const graph::Op& op
                                   const DecodedLayouts& d) {
   auto one = [&](const layout::LayoutSeq& seq, int tensor_id) {
     auto rel = layout::LayoutRelation::FromSeq(seq, graph.tensor(tensor_id).shape);
-    return rel.ok() ? rel->CanonicalState() : seq.StateVector();
+    return rel.ok() ? rel->CanonicalState() : std::vector<double>();
   };
   std::vector<double> state = one(d.output, op.output);
   auto si = one(d.input, op.inputs[0]);

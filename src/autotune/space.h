@@ -44,9 +44,8 @@ struct DecodedLayouts {
 // RL state of a decoded candidate: the concatenated
 // layout::LayoutRelation::CanonicalState() of output/input/weight over the
 // op's tensor shapes, so two primitive spellings of the same physical layout
-// feed the agent identical states. Falls back to the legacy order-sensitive
-// LayoutSeq::StateVector() for a sequence whose relation is inapplicable to
-// its shape.
+// feed the agent identical states. A sequence inapplicable to its shape
+// (which the templates never produce) contributes nothing.
 std::vector<double> RelationState(const graph::Graph& graph, const graph::Op& op,
                                   const DecodedLayouts& d);
 

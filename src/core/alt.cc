@@ -69,7 +69,7 @@ autotune::TuningOptions ToTuningOptions(const AltOptions& options,
 
 runtime::SessionOptions ToSessionOptions(const AltOptions& options) {
   runtime::SessionOptions session;
-  session.exec.engine = options.engine;
+  session.engine = options.engine;
   session.intra_threads = options.intra_threads;
   return session;
 }

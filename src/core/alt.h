@@ -18,11 +18,10 @@
 //                      metrics, atomic hot-swap to a retuned artifact)
 //   LAYOUT ALGEBRA     layout::LayoutRelation (layout/relation.h — the
 //                      first-class invertible index relation a primitive
-//                      sequence denotes: Compose / Inverse / ApplyToShape,
-//                      canonical Fingerprint() for semantic equality and
-//                      candidate dedup, coalescing and divisibility queries;
-//                      LayoutSeq::MapRead / MapInverse are thin wrappers
-//                      over it)
+//                      sequence denotes: MapRead / MapInverse access maps,
+//                      Compose / Inverse / ApplyToShape, canonical
+//                      Fingerprint() for semantic equality and candidate
+//                      dedup, DigitExtents divisibility queries)
 //
 //   graph::Graph g = graph::BuildResNet18(1);
 //   core::AltOptions options;
@@ -106,7 +105,7 @@ struct AltOptions {
   // Execution engine for serving the compiled network (runtime/interpreter.h).
   // kNative additionally makes SaveArtifact embed the JIT-compiled kernel
   // objects so a loaded artifact serves without recompiling.
-  runtime::ExecEngine engine = runtime::ExecEngine::kAuto;
+  runtime::ExecEngine engine = runtime::ExecEngine::kAffine;
   // Intra-op threads for executing the compiled network: root loops the
   // schedule marked ForKind::kParallel shard across this many threads when
   // provably safe (runtime::SessionOptions::intra_threads). <= 0 selects

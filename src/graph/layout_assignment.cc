@@ -13,29 +13,12 @@ StatusOr<std::vector<int64_t>> LayoutAssignment::PhysicalShape(const Graph& grap
   return shape;
 }
 
-bool SameLayout(const layout::LayoutSeq& a, const layout::LayoutSeq& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    const auto& pa = a.primitives()[i];
-    const auto& pb = b.primitives()[i];
-    if (pa.kind != pb.kind || pa.dim != pb.dim || pa.factors != pb.factors ||
-        pa.perm != pb.perm || pa.num_dims != pb.num_dims || pa.tile_size != pb.tile_size ||
-        pa.stride != pb.stride || pa.pad_before != pb.pad_before ||
-        pa.pad_after != pb.pad_after || pa.store_src_tensor != pb.store_src_tensor) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool SameLayout(const layout::LayoutSeq& a, const layout::LayoutSeq& b,
                 const std::vector<int64_t>& shape) {
   auto ra = layout::LayoutRelation::FromSeq(a, shape);
   auto rb = layout::LayoutRelation::FromSeq(b, shape);
   if (!ra.ok() || !rb.ok()) {
-    return SameLayout(a, b);  // inapplicable sequence: fall back to syntax
+    return a.ToString() == b.ToString();  // inapplicable sequence: compare syntax
   }
   return ra->Fingerprint() == rb->Fingerprint();
 }

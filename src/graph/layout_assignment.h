@@ -81,14 +81,10 @@ InputSatisfaction RequestInputLayout(Graph& graph, LayoutAssignment& assignment,
 // appended out of order).
 std::vector<int> TopoOrder(const Graph& graph);
 
-// Syntactic equality: identical primitive step lists. Sufficient (never
-// necessary) for denoting the same layout; prefer the semantic overload when
-// the tensor shape is at hand.
-bool SameLayout(const layout::LayoutSeq& a, const layout::LayoutSeq& b);
-
 // Semantic equality over `shape`: equal normalized relation fingerprints
 // (layout/relation.h), so differently-spelled sequences denoting the same
 // layout compare equal and no-op conversions are never inserted for them.
+// A sequence inapplicable to `shape` equals only its own spelling.
 bool SameLayout(const layout::LayoutSeq& a, const layout::LayoutSeq& b,
                 const std::vector<int64_t>& shape);
 

@@ -52,7 +52,7 @@ struct AffineForm {
 
 // Exact piecewise decomposition of the overlapped-tiling clamp. The layout
 // relation's canonical-representative unfold rewrite (layout/relation.h,
-// LayoutRelation::UnfoldAccess) emits accesses in a single-clamp normal form:
+// LayoutRelation::MapRead) emits accesses in a single-clamp normal form:
 // the only non-affine residue is one shared node Min(g, c) with g affine over
 // the loops and c a constant (the tile index clamped to tiles-1). Such an
 // expression is affine on each side of the clamp boundary:

@@ -2,12 +2,9 @@
 
 #include <sstream>
 
-#include "src/layout/relation.h"
 #include "src/support/string_util.h"
 
 namespace alt::layout {
-
-using ir::Expr;
 
 Primitive Primitive::Split(int dim, std::vector<int64_t> factors) {
   Primitive p;
@@ -71,39 +68,6 @@ bool Primitive::IsNontrivialAdvanced() const {
     default:
       return false;
   }
-}
-
-std::vector<double> Primitive::StateVector() const {
-  std::vector<double> s;
-  s.push_back(static_cast<double>(kind));
-  s.push_back(dim);
-  switch (kind) {
-    case PrimitiveKind::kSplit:
-      for (int64_t f : factors) {
-        s.push_back(static_cast<double>(f));
-      }
-      break;
-    case PrimitiveKind::kReorder:
-      for (int d : perm) {
-        s.push_back(d);
-      }
-      break;
-    case PrimitiveKind::kFuse:
-      s.push_back(num_dims);
-      break;
-    case PrimitiveKind::kUnfold:
-      s.push_back(static_cast<double>(tile_size));
-      s.push_back(static_cast<double>(stride));
-      break;
-    case PrimitiveKind::kPad:
-      s.push_back(static_cast<double>(pad_before));
-      s.push_back(static_cast<double>(pad_after));
-      break;
-    case PrimitiveKind::kStoreAt:
-      s.push_back(store_src_tensor);
-      break;
-  }
-  return s;
 }
 
 std::string Primitive::ToString() const {
@@ -231,86 +195,11 @@ Status ApplyPrimitiveToShape(const Primitive& p, std::vector<int64_t>& shape) {
 
 using detail::ApplyPrimitiveToShape;
 
-bool LayoutSeq::HasNontrivialAdvanced() const {
-  for (const auto& p : prims_) {
-    if (p.IsNontrivialAdvanced()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 Status LayoutSeq::ApplyToShape(std::vector<int64_t>& shape) const {
   for (const auto& p : prims_) {
     ALT_RETURN_IF_ERROR(ApplyPrimitiveToShape(p, shape));
   }
   return Status::Ok();
-}
-
-StatusOr<std::vector<Expr>> LayoutSeq::MapRead(
-    const std::vector<int64_t>& original_shape, const std::vector<Expr>& indices,
-    const std::vector<std::optional<WindowPattern>>& patterns) const {
-  // Thin deprecated wrapper: the relation carries the access-map emission
-  // (bit-identical to the historical in-place walk; see relation.cc).
-  auto rel = LayoutRelation::FromSeq(*this, original_shape);
-  ALT_RETURN_IF_ERROR(rel.status());
-  return rel->MapRead(indices, patterns);
-}
-
-StatusOr<std::vector<Expr>> LayoutSeq::MapInverse(const std::vector<int64_t>& original_shape,
-                                                  const std::vector<Expr>& new_indices) const {
-  // Thin deprecated wrapper over LayoutRelation::MapInverse.
-  auto rel = LayoutRelation::FromSeq(*this, original_shape);
-  ALT_RETURN_IF_ERROR(rel.status());
-  return rel->MapInverse(new_indices);
-}
-
-StatusOr<LayoutSeq> LayoutSeq::Inverted(const std::vector<int64_t>& original_shape) const {
-  // Record the shape before each primitive, then invert back-to-front.
-  std::vector<std::vector<int64_t>> shapes;
-  std::vector<int64_t> shape = original_shape;
-  for (const auto& p : prims_) {
-    shapes.push_back(shape);
-    ALT_RETURN_IF_ERROR(ApplyPrimitiveToShape(p, shape));
-  }
-  LayoutSeq inverse;
-  for (int i = static_cast<int>(prims_.size()) - 1; i >= 0; --i) {
-    const Primitive& p = prims_[i];
-    const std::vector<int64_t>& before = shapes[i];
-    switch (p.kind) {
-      case PrimitiveKind::kSplit:
-        inverse.Append(Primitive::Fuse(p.dim, static_cast<int>(p.factors.size())));
-        break;
-      case PrimitiveKind::kFuse: {
-        std::vector<int64_t> extents(before.begin() + p.dim,
-                                     before.begin() + p.dim + p.num_dims);
-        inverse.Append(Primitive::Split(p.dim, std::move(extents)));
-        break;
-      }
-      case PrimitiveKind::kReorder: {
-        std::vector<int> inv(p.perm.size());
-        for (size_t d = 0; d < p.perm.size(); ++d) {
-          inv[p.perm[d]] = static_cast<int>(d);
-        }
-        inverse.Append(Primitive::Reorder(std::move(inv)));
-        break;
-      }
-      default:
-        return Status::Unimplemented(
-            "advanced primitives invert via MapInverse / Canonicalize, not as "
-            "forward primitives");
-    }
-  }
-  return inverse;
-}
-
-std::vector<double> LayoutSeq::StateVector() const {
-  std::vector<double> s;
-  for (const auto& p : prims_) {
-    auto ps = p.StateVector();
-    s.insert(s.end(), ps.begin(), ps.end());
-  }
-  return s;
 }
 
 std::string LayoutSeq::ToString() const {
@@ -322,6 +211,13 @@ std::string LayoutSeq::ToString() const {
     oss << prims_[i].ToString();
   }
   return oss.str();
+}
+
+const Primitive* HostedStoreAt(const LayoutSeq& seq) {
+  if (seq.size() != 1 || seq.primitives()[0].kind != PrimitiveKind::kStoreAt) {
+    return nullptr;
+  }
+  return &seq.primitives()[0];
 }
 
 }  // namespace alt::layout

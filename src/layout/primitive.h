@@ -1,21 +1,16 @@
 // Layout transformation primitives (paper §4.1, Table 1).
 //
 // Basic primitives: split, reorder, fuse. Advanced primitives: unfold
-// (overlapped tiling, Fig. 2 / Eq. (1)), pad, store_at. Each primitive has an
-// inverse (fold, unpad, decouple_at are the advanced inverses); LayoutSeq
-// composes primitives and exposes:
-//
-//   * the forward shape transform,
-//   * the forward access-expression rewrite (how reads of the tensor written
-//     with ORIGINAL indices are redirected into the NEW physical layout),
-//   * the inverse access map (how canonical indices are reconstructed from
-//     new-layout loop variables — the S^-1 of paper §6).
+// (overlapped tiling, Fig. 2 / Eq. (1)), pad, store_at. A LayoutSeq is the
+// syntax of a layout: the ordered primitive steps applied to one tensor, plus
+// the forward shape transform. What the steps denote — the access rewrite,
+// its inverse (the S^-1 of paper §6), equality, composition — lives in
+// layout::LayoutRelation (layout/relation.h).
 
 #ifndef ALT_LAYOUT_PRIMITIVE_H_
 #define ALT_LAYOUT_PRIMITIVE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,10 +59,6 @@ struct Primitive {
   // propagation stops at "non-trivial advanced primitives").
   bool IsNontrivialAdvanced() const;
 
-  // Flattened numeric description of the primitive's current parameters; the
-  // concatenation over a sequence forms the RL state (paper §5.2.1).
-  std::vector<double> StateVector() const;
-
   std::string ToString() const;
 };
 
@@ -85,48 +76,22 @@ class LayoutSeq {
   size_t size() const { return prims_.size(); }
   const std::vector<Primitive>& primitives() const { return prims_; }
 
-  bool HasNontrivialAdvanced() const;
-
   // Applies the sequence to a shape. Fails when a primitive is inapplicable
   // (e.g. split factors do not divide the extent).
   Status ApplyToShape(std::vector<int64_t>& shape) const;
-
-  // DEPRECATED: thin wrapper over LayoutRelation::MapRead (layout/relation.h,
-  // the first-class relation API new call sites should construct directly).
-  // Forward access rewrite: given the indices a consumer uses against the
-  // ORIGINAL layout (optionally annotated with window patterns, parallel to
-  // the index vector), returns indices into the NEW layout.
-  StatusOr<std::vector<ir::Expr>> MapRead(
-      const std::vector<int64_t>& original_shape, const std::vector<ir::Expr>& indices,
-      const std::vector<std::optional<WindowPattern>>& patterns = {}) const;
-
-  // DEPRECATED: thin wrapper over LayoutRelation::MapInverse.
-  // Inverse access map: given loop vars / exprs over the NEW layout dims,
-  // reconstructs the canonical (original-layout) indices. Sequences with
-  // unfold are inverted via old = tile * S + offset (any duplicate maps back
-  // to the same canonical element).
-  StatusOr<std::vector<ir::Expr>> MapInverse(const std::vector<int64_t>& original_shape,
-                                             const std::vector<ir::Expr>& new_indices) const;
-
-  // Inverse sequence built from forward primitives (split <-> fuse, reorder
-  // <-> inverse permutation): applying Inverted() to the transformed shape
-  // recovers the original layout. Only defined for BASIC primitive sequences;
-  // the advanced primitives' inverses (fold / unpad / decouple_at) are
-  // realized functionally by MapInverse / runtime::Canonicalize, since they
-  // drop duplicated or padded data and are not shape-preserving rewrites.
-  StatusOr<LayoutSeq> Inverted(const std::vector<int64_t>& original_shape) const;
-
-  // DEPRECATED compat shim: raw per-primitive RL state (paper §5.2.1),
-  // order-sensitive — two sequences denoting the same relation can encode
-  // differently. The tuner feeds the agent LayoutRelation::CanonicalState()
-  // instead; this remains for the shim test and legacy callers.
-  std::vector<double> StateVector() const;
 
   std::string ToString() const;
 
  private:
   std::vector<Primitive> prims_;
 };
+
+// store_at hosting (paper §4.1.2): a tensor whose sequence is exactly
+// [store_at(src, dim)] carries tensor `src` in the slice appended to `dim`,
+// at index extent_dim. Returns that primitive, or nullptr for any other
+// sequence. Lowering redirects loads of `src` into the slice and the runtime
+// fills it, both by this one rule.
+const Primitive* HostedStoreAt(const LayoutSeq& seq);
 
 }  // namespace alt::layout
 

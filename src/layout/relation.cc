@@ -79,6 +79,45 @@ std::optional<std::vector<PhysDim>> SplitDigits(const PhysDim& dim,
   return out;
 }
 
+// Per-primitive RL encoding (kind, dim, then the kind's parameters),
+// concatenated over the steps. CanonicalState applies it to synthesized and
+// opaque step lists; the PPO agent consumes exactly these numbers, so any
+// change here alters every tuning trajectory.
+std::vector<double> StepState(const LayoutSeq& seq) {
+  std::vector<double> s;
+  for (const Primitive& p : seq.primitives()) {
+    s.push_back(static_cast<double>(p.kind));
+    s.push_back(p.dim);
+    switch (p.kind) {
+      case PrimitiveKind::kSplit:
+        for (int64_t f : p.factors) {
+          s.push_back(static_cast<double>(f));
+        }
+        break;
+      case PrimitiveKind::kReorder:
+        for (int d : p.perm) {
+          s.push_back(d);
+        }
+        break;
+      case PrimitiveKind::kFuse:
+        s.push_back(p.num_dims);
+        break;
+      case PrimitiveKind::kUnfold:
+        s.push_back(static_cast<double>(p.tile_size));
+        s.push_back(static_cast<double>(p.stride));
+        break;
+      case PrimitiveKind::kPad:
+        s.push_back(static_cast<double>(p.pad_before));
+        s.push_back(static_cast<double>(p.pad_after));
+        break;
+      case PrimitiveKind::kStoreAt:
+        s.push_back(p.store_src_tensor);
+        break;
+    }
+  }
+  return s;
+}
+
 uint64_t Fnv1a(const std::string& s) {
   uint64_t h = 1469598103934665603ull;
   for (char c : s) {
@@ -111,27 +150,6 @@ StatusOr<LayoutRelation> LayoutRelation::FromSeq(const LayoutSeq& seq,
     // the digit update below may then index freely.
     ALT_RETURN_IF_ERROR(detail::ApplyPrimitiveToShape(p, shape));
     r.expands_data_ = r.expands_data_ || p.IsNontrivialAdvanced();
-
-    auto shift_unfolds = [&](int at, int delta, int invalidate_lo, int invalidate_hi) {
-      auto& u = r.unfolds_;
-      u.erase(std::remove_if(u.begin(), u.end(),
-                             [&](const UnfoldAccess& a) {
-                               return (a.phys_tile_dim >= invalidate_lo &&
-                                       a.phys_tile_dim < invalidate_hi) ||
-                                      (a.phys_offset_dim >= invalidate_lo &&
-                                       a.phys_offset_dim < invalidate_hi);
-                             }),
-              u.end());
-      for (UnfoldAccess& a : u) {
-        if (a.phys_tile_dim >= at) {
-          a.phys_tile_dim += delta;
-        }
-        if (a.phys_offset_dim >= at) {
-          a.phys_offset_dim += delta;
-        }
-      }
-    };
-
     if (r.opaque_) {
       continue;
     }
@@ -142,7 +160,6 @@ StatusOr<LayoutRelation> LayoutRelation::FromSeq(const LayoutSeq& seq,
           r.opaque_ = true;
           break;
         }
-        shift_unfolds(p.dim + 1, static_cast<int>(p.factors.size()) - 1, p.dim, p.dim + 1);
         r.dims_.erase(r.dims_.begin() + p.dim);
         r.dims_.insert(r.dims_.begin() + p.dim, parts->begin(), parts->end());
         break;
@@ -150,16 +167,10 @@ StatusOr<LayoutRelation> LayoutRelation::FromSeq(const LayoutSeq& seq,
       case PrimitiveKind::kReorder: {
         int rank = static_cast<int>(p.perm.size());
         std::vector<PhysDim> out(rank);
-        std::vector<int> new_pos(rank);
         for (int d = 0; d < rank; ++d) {
           out[d] = std::move(r.dims_[p.perm[d]]);
-          new_pos[p.perm[d]] = d;
         }
         r.dims_ = std::move(out);
-        for (UnfoldAccess& a : r.unfolds_) {
-          a.phys_tile_dim = new_pos[a.phys_tile_dim];
-          a.phys_offset_dim = new_pos[a.phys_offset_dim];
-        }
         break;
       }
       case PrimitiveKind::kFuse: {
@@ -170,7 +181,6 @@ StatusOr<LayoutRelation> LayoutRelation::FromSeq(const LayoutSeq& seq,
           fused.extent *= part.extent;
           fused.digits.insert(fused.digits.end(), part.digits.begin(), part.digits.end());
         }
-        shift_unfolds(p.dim + p.num_dims, 1 - p.num_dims, p.dim, p.dim + p.num_dims);
         r.dims_.erase(r.dims_.begin() + p.dim, r.dims_.begin() + p.dim + p.num_dims);
         r.dims_.insert(r.dims_.begin() + p.dim, std::move(fused));
         break;
@@ -187,17 +197,10 @@ StatusOr<LayoutRelation> LayoutRelation::FromSeq(const LayoutSeq& seq,
         PhysDim tile, off;
         tile.extent = tiles;
         off.extent = p.tile_size;
-        // Invalidate/shift existing terms first: the shift's invalidation
-        // range covers p.dim and must not swallow the term recorded below.
-        shift_unfolds(p.dim + 1, 1, p.dim, p.dim + 1);
         if (!r.dims_[p.dim].digits.empty()) {
           Digit base = r.dims_[p.dim].digits[0];
           tile.digits.push_back({base.target, tiles, p.stride * base.stride});
           off.digits.push_back({base.target, p.tile_size, base.stride});
-          if (p.stride < p.tile_size) {
-            r.unfolds_.push_back(
-                {p.dim, p.dim + 1, base.target, p.tile_size, p.stride, tiles});
-          }
         }
         r.dims_.erase(r.dims_.begin() + p.dim);
         r.dims_.insert(r.dims_.begin() + p.dim, {std::move(tile), std::move(off)});
@@ -215,14 +218,12 @@ StatusOr<LayoutRelation> LayoutRelation::FromSeq(const LayoutSeq& seq,
           d.extent += p.pad_before + p.pad_after;
           r.offsets_[d.target] += p.pad_before * d.stride;
         }
-        shift_unfolds(p.dim, 0, p.dim, p.dim + 1);
         break;
       }
       case PrimitiveKind::kStoreAt: {
         // The attached slice holds foreign data; no digit form describes it.
         r.dims_[p.dim].extent += 1;
         r.opaque_ = true;
-        r.has_store_at_ = true;
         break;
       }
     }
@@ -233,7 +234,6 @@ StatusOr<LayoutRelation> LayoutRelation::FromSeq(const LayoutSeq& seq,
   }
   if (r.opaque_) {
     r.dims_.clear();
-    r.unfolds_.clear();
   }
   return r;
 }
@@ -488,50 +488,6 @@ uint64_t LayoutRelation::Fingerprint() const {
   return Fnv1a(oss.str());
 }
 
-int64_t LayoutRelation::InnerStrideOf(int dim) const {
-  if (opaque_) {
-    return 0;
-  }
-  std::vector<int64_t> pstrides(dims_.size(), 1);
-  for (int i = static_cast<int>(dims_.size()) - 2; i >= 0; --i) {
-    pstrides[i] = pstrides[i + 1] * dims_[i + 1].extent;
-  }
-  for (size_t p = 0; p < dims_.size(); ++p) {
-    int64_t pos = 1;
-    for (int j = static_cast<int>(dims_[p].digits.size()) - 1; j >= 0; --j) {
-      const Digit& g = dims_[p].digits[j];
-      if (g.target == dim && g.stride == 1) {
-        return pstrides[p] * pos;
-      }
-      pos *= g.extent;
-    }
-  }
-  return 0;
-}
-
-int64_t LayoutRelation::CoalescedRun(int dim) const {
-  if (opaque_) {
-    return 1;
-  }
-  // Flatten digits innermost-first across the physical row-major order; a
-  // canonical run stays contiguous while the trailing digits continue the
-  // radix of `dim`.
-  std::vector<Digit> flat;
-  for (const PhysDim& d : dims_) {
-    for (const Digit& g : d.digits) {
-      flat.push_back(g);
-    }
-  }
-  int64_t run = 1;
-  for (auto it = flat.rbegin(); it != flat.rend(); ++it) {
-    if (it->target != dim || it->stride != run) {
-      break;
-    }
-    run *= it->extent;
-  }
-  return run;
-}
-
 std::vector<int64_t> LayoutRelation::DigitExtents(int dim) const {
   std::vector<Digit> digits;
   for (const PhysDim& d : dims_) {
@@ -554,7 +510,7 @@ std::vector<double> LayoutRelation::CanonicalState() const {
   if (!opaque_ && IsBijective()) {
     auto steps = SynthesizeSteps();
     if (steps.ok()) {
-      return steps->StateVector();
+      return StepState(*steps);
     }
   }
   if (!opaque_) {
@@ -576,7 +532,7 @@ std::vector<double> LayoutRelation::CanonicalState() const {
     }
     return s;
   }
-  return steps_.StateVector();
+  return StepState(steps_);
 }
 
 std::string LayoutRelation::ToString() const {
@@ -604,11 +560,12 @@ std::string LayoutRelation::ToString() const {
 }
 
 // ---------------------------------------------------------------------------
-// Access-map emission. These walks are the legacy LayoutSeq::MapRead /
-// MapInverse algorithms moved verbatim (LayoutSeq now delegates here): the
-// differential corpus in layout_relation_test pins them expression-for-
-// expression, so lowered programs — and every downstream structural key and
-// perf estimate — are unchanged by the relation layer.
+// Access-map emission: a walk over the originating steps. The digit form
+// cannot stand in for it — relations it cannot express (fuse then a
+// misaligned split, unfold or pad, as in the §4.1.1 spatial-packing
+// example) still lower here. Every emitted expression feeds the programs'
+// structural keys, kernel-cache keys and perf estimates, so a change to
+// these walks is a change to every tuned program.
 // ---------------------------------------------------------------------------
 
 StatusOr<std::vector<Expr>> LayoutRelation::MapRead(

@@ -6,7 +6,7 @@
 // LayoutSeq is syntax — an ordered list of rewrite steps — the relation is
 // the function those steps denote, normalized so two sequences denoting the
 // same relation compare equal (`Fingerprint()`), compose (`Compose`), invert
-// (`Inverse`), and answer coalescing / divisibility / stride queries without
+// (`Inverse`), and answer divisibility queries (`DigitExtents`) without
 // primitive-kind dispatch.
 //
 // Canonical form. The inverse map physical → canonical of every primitive
@@ -25,18 +25,22 @@
 //   * composition substitutes one relation's digit decomposition into the
 //     other's extractions, splitting digits at aligned radix boundaries.
 //
-// Sequences whose advanced primitives act on a dimension that is not a
-// single merged digit (e.g. pad after an interleaving fuse) fall back to an
-// *opaque* relation: access maps, shape transforms and data-expansion flags
-// stay exact, but the fingerprint hashes the step serialization instead of
-// the digit form, so only textually identical sequences deduplicate.
+// Sequences the digit form cannot express — a split that cuts a fused
+// dimension between its digits, or an advanced primitive on a dimension that
+// is not a single merged digit (e.g. pad after an interleaving fuse) — fall
+// back to an *opaque* relation: access maps, shape transforms and
+// data-expansion flags stay exact, but the fingerprint hashes the step
+// serialization instead of the digit form, so only textually identical
+// sequences deduplicate.
 //
-// Access-map emission is bit-identical to the legacy LayoutSeq path by
-// construction: the relation keeps the originating steps and emits
-// MapRead / MapInverse expressions with the exact historical algorithm
-// (gated by the randomized differential corpus in layout_relation_test).
-// The normalized form feeds only the algebra: Compose / Inverse /
-// Fingerprint / queries / CanonicalState.
+// Access maps (MapRead / MapInverse) are emitted by walking the relation's
+// originating steps, not from the digit form: a fuse followed by a split,
+// unfold or pad that cuts across the fused digits (the paper's own §4.1.1
+// spatial-packing example) has no digit form, yet must still lower. The
+// randomized differential corpus in layout_relation_test checks the walk
+// pointwise against an independent numeric simulator. The normalized form
+// feeds the algebra: Compose / Inverse / Fingerprint / DigitExtents /
+// CanonicalState.
 
 #ifndef ALT_LAYOUT_RELATION_H_
 #define ALT_LAYOUT_RELATION_H_
@@ -66,21 +70,6 @@ class LayoutRelation {
     std::vector<Digit> digits;  // outer-to-inner mixed radix; empty: constant
   };
 
-  // One overlapped-tiling (unfold, S < B) term of the relation: physical dims
-  // `phys_tile_dim` / `phys_offset_dim` jointly cover canonical dim
-  // `canonical_dim` as tile * stride + offset. This is the precise metadata
-  // behind the single-clamp normal form Min(FloorDiv(e, stride), tiles - 1)
-  // the forward access rewrite emits, which ir::AffineAnalyzer
-  // ::DecomposeClamped consumes exactly (see src/ir/affine.h).
-  struct UnfoldAccess {
-    int phys_tile_dim = -1;
-    int phys_offset_dim = -1;
-    int canonical_dim = -1;
-    int64_t tile_size = 0;
-    int64_t stride = 0;
-    int64_t tiles = 0;
-  };
-
   // Builds the relation denoted by `seq` over `canonical_shape`. Fails
   // exactly when the sequence is inapplicable to the shape (same statuses as
   // LayoutSeq::ApplyToShape).
@@ -97,11 +86,17 @@ class LayoutRelation {
   // Forward shape transform: the canonical shape mapped through the relation.
   const std::vector<int64_t>& ApplyToShape() const { return physical_shape_; }
 
-  // Forward access rewrite / inverse access map, bit-identical to the legacy
-  // LayoutSeq::MapRead / MapInverse (which now delegate here).
+  // Forward access rewrite: given the indices a consumer uses against the
+  // canonical layout (optionally annotated with window patterns, parallel to
+  // the index vector), returns indices into the physical layout. Unfold reads
+  // take the Eq. (1) window form when a pattern allows it, otherwise the
+  // canonical representative Min(FloorDiv(e, S), tiles - 1).
   StatusOr<std::vector<ir::Expr>> MapRead(
       const std::vector<ir::Expr>& indices,
       const std::vector<std::optional<WindowPattern>>& patterns = {}) const;
+  // Inverse access map: reconstructs canonical indices from physical ones
+  // (unfold inverts as tile * S + offset, so every duplicate maps back to the
+  // same canonical element).
   StatusOr<std::vector<ir::Expr>> MapInverse(
       const std::vector<ir::Expr>& physical_indices) const;
 
@@ -111,7 +106,7 @@ class LayoutRelation {
 
   // Data expansion (paper §4.2 constraint 1): overlapping unfold (S < B),
   // nonzero pad, or store_at duplicates/extends data, so propagation must
-  // stop. Matches LayoutSeq::HasNontrivialAdvanced exactly.
+  // stop. True iff some step IsNontrivialAdvanced().
   bool ExpandsData() const { return expands_data_; }
 
   // True when the relation is a bijection between canonical and physical
@@ -123,7 +118,7 @@ class LayoutRelation {
 
   // The inverse relation (physical → canonical). Defined iff IsBijective();
   // the result carries a synthesized primitive realization so its access
-  // maps emit through the same legacy path.
+  // maps emit through the same step walk.
   StatusOr<LayoutRelation> Inverse() const;
 
   // Relation composition: `second ∘ first` — `first` maps canonical → mid,
@@ -140,30 +135,16 @@ class LayoutRelation {
   // canonical shape (parameters are shape-dependent).
   uint64_t Fingerprint() const;
 
-  // --- Coalescing / divisibility / stride queries (exact relations). ---
-
-  // Physical row-major stride at which canonical dimension `dim` advances in
-  // its unit-stride digit (0 when the dim has no unit digit or the relation
-  // is opaque). The innermost-loop coalescing question: stride 1 means
-  // consecutive canonical elements along `dim` are physically adjacent.
-  int64_t InnerStrideOf(int dim) const;
-
-  // Length of the physically contiguous run along canonical dimension `dim`:
-  // how many consecutive canonical elements land in consecutive physical
-  // slots before the layout jumps. 1 when scattered, extent when dense.
-  int64_t CoalescedRun(int dim) const;
-
   // The factors canonical dimension `dim` is partitioned into, innermost
   // first (the divisibility structure a vectorizer / tiler must respect).
+  // Empty for opaque relations.
   std::vector<int64_t> DigitExtents(int dim) const;
 
-  // Overlapped-tiling terms (see UnfoldAccess). Empty for bijective layouts.
-  const std::vector<UnfoldAccess>& UnfoldAccesses() const { return unfolds_; }
-
-  // Relation-derived RL state (paper §5.2.1): the legacy per-primitive state
-  // of the *canonical synthesized sequence*, so any two sequences denoting
-  // the same relation feed the PPO agent identical states. Opaque relations
-  // fall back to the raw step state.
+  // Relation-derived RL state (paper §5.2.1), the PPO agent's input. For a
+  // bijective relation: the per-primitive encoding of its canonical
+  // synthesized sequence; for another exact relation: a flat encoding of
+  // the digit form. Either way any two sequences denoting the same relation
+  // feed the agent identical states. Opaque relations encode their steps.
   std::vector<double> CanonicalState() const;
 
   std::string ToString() const;
@@ -181,10 +162,8 @@ class LayoutRelation {
 
   std::vector<PhysDim> dims_;     // normalized digit form (exact case)
   std::vector<int64_t> offsets_;  // per canonical dim: canonical = Σ digits − offset
-  std::vector<UnfoldAccess> unfolds_;
   bool opaque_ = false;
   bool expands_data_ = false;
-  bool has_store_at_ = false;
 };
 
 }  // namespace alt::layout

@@ -534,19 +534,17 @@ StatusOr<ir::Program> LowerGroup(const Graph& graph, const LayoutAssignment& ass
     subst[body.reduction_vars[k]->var_id] = red_idx[k];
   }
 
-  // store_at hosting (paper §4.1.2): when another tensor W's sequence is
-  // exactly [store_at(S, k)], loads of S are redirected into W's appended
-  // slice at index extent_k. Returns the host tensor id or -1.
+  // store_at hosting (layout::HostedStoreAt): loads of a tensor another
+  // tensor hosts are redirected into the host's appended slice at index
+  // extent_dim. Returns the host tensor id or -1.
   auto store_at_host = [&](int src_tensor, int* dim_out, int64_t* index_out) -> int {
     for (const auto& [host_id, seq] : assignment.all()) {
-      if (seq.size() != 1 ||
-          seq.primitives()[0].kind != layout::PrimitiveKind::kStoreAt ||
-          seq.primitives()[0].store_src_tensor != src_tensor) {
+      const layout::Primitive* store = layout::HostedStoreAt(seq);
+      if (store == nullptr || store->store_src_tensor != src_tensor) {
         continue;
       }
-      int dim = seq.primitives()[0].dim;
-      *dim_out = dim;
-      *index_out = graph.tensor(host_id).shape[dim];
+      *dim_out = store->dim;
+      *index_out = graph.tensor(host_id).shape[store->dim];
       return host_id;
     }
     return -1;

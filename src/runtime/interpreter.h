@@ -52,8 +52,7 @@ class BufferStore {
 };
 
 enum class ExecEngine {
-  kAuto,     // affine engine with per-store generic fallback (the default)
-  kAffine,   // same as kAuto (the affine engine always embeds the fallback)
+  kAffine,   // affine engine with per-store generic fallback (the default)
   kGeneric,  // force the recursive tree-walking engine
   kNative,   // JIT-compiled kernels with per-leaf interpreter fallback;
              // degrades to kAffine when compilation is unavailable
@@ -93,7 +92,7 @@ class IntraOpPool {
 };
 
 struct ExecOptions {
-  ExecEngine engine = ExecEngine::kAuto;
+  ExecEngine engine = ExecEngine::kAffine;
   // Intra-op threads for sharding a root ForKind::kParallel loop whose
   // iterations provably write disjoint regions (ir::ParallelRootWritesDisjoint).
   // <= 0 selects HardwareThreads(); 1 keeps execution serial. Results are

@@ -29,9 +29,9 @@ struct FeedSpec {
   ConversionPlan plan;
 };
 
-// store_at materialization (paper §4.1.2): a host tensor whose sequence is
-// exactly [store_at(src, k)] carries the source's values in its appended
-// slice. `host_offsets[i]` is the host physical offset of source element i.
+// store_at materialization (layout::HostedStoreAt): a host tensor carries
+// the source's values in its appended slice. `host_offsets[i]` is the host
+// physical offset of source element i.
 struct StoreAtSpec {
   int host_id = -1;
   int src_id = -1;
@@ -78,10 +78,9 @@ struct InferenceSession::Impl {
     for (const FeedSpec& f : feeds) {
       arena->store.Get(f.tensor_id).assign(f.plan.physical_size, 0.0f);
     }
-    ExecOptions exec = options.exec;
-    if (!exec.intra_pool) {
-      exec.intra_pool = intra_pool;
-    }
+    ExecOptions exec;
+    exec.engine = options.engine;
+    exec.intra_pool = intra_pool;
     // Prepare in execution order: each program allocates its outputs, which
     // later programs validate as their inputs.
     for (const auto& program : net.programs) {
@@ -110,8 +109,8 @@ StatusOr<InferenceSession> InferenceSession::Create(const graph::Graph& graph,
   impl->net = net;
   impl->options = options;
 
-  // Cache a conversion plan per graph input / constant (tensor order — the
-  // same order the deprecated free function checked for missing data).
+  // Cache a conversion plan per graph input / constant, in tensor order (the
+  // order Run reports missing data in).
   for (const auto& t : graph.tensors()) {
     if (!graph.IsGraphInput(t.id) && !graph.IsConstant(t.id)) {
       continue;
@@ -125,14 +124,14 @@ StatusOr<InferenceSession> InferenceSession::Create(const graph::Graph& graph,
 
   // Precompute host offsets for store_at slices.
   for (const auto& t : graph.tensors()) {
-    const layout::LayoutSeq& seq = assignment.Get(t.id);
-    if (seq.size() != 1 || seq.primitives()[0].kind != layout::PrimitiveKind::kStoreAt) {
+    const layout::Primitive* store = layout::HostedStoreAt(assignment.Get(t.id));
+    if (store == nullptr) {
       continue;
     }
     StoreAtSpec spec;
     spec.host_id = t.id;
-    spec.src_id = seq.primitives()[0].store_src_tensor;
-    int dim = seq.primitives()[0].dim;
+    spec.src_id = store->store_src_tensor;
+    int dim = store->dim;
     std::vector<int64_t> phys_shape = t.shape;
     phys_shape[dim] += 1;
     auto strides = ir::RowMajorStrides(phys_shape);
@@ -179,9 +178,7 @@ StatusOr<InferenceSession> InferenceSession::Create(const graph::Graph& graph,
   // Resolve the intra-op budget before the first arena so its programs bind
   // the shared pool. The gauge reports the resolved per-session width even
   // when no program ever shards (workers spawn lazily on first use).
-  impl->intra_pool = options.exec.intra_pool
-                         ? options.exec.intra_pool
-                         : std::make_shared<IntraOpPool>(options.intra_threads);
+  impl->intra_pool = std::make_shared<IntraOpPool>(options.intra_threads);
   MetricsRegistry::Global()
       .gauge("session.intra_threads")
       .Set(impl->intra_pool->threads());
@@ -363,35 +360,5 @@ int InferenceSession::arena_count() const {
 }
 
 int InferenceSession::max_arenas() const { return impl_->max_arenas; }
-
-StatusOr<std::vector<float>> RunLoweredNetwork(const graph::Graph& graph,
-                                               const graph::LayoutAssignment& assignment,
-                                               const loop::LoweredNetwork& net,
-                                               const TensorDataMap& canonical_data) {
-  auto session = InferenceSession::Create(graph, assignment, net);
-  if (!session.ok()) {
-    return session.status();
-  }
-  return session->Run(canonical_data);
-}
-
-StatusOr<double> ValidateAgainstReference(const graph::Graph& graph,
-                                          const graph::LayoutAssignment& assignment,
-                                          const ValidateOptions& options) {
-  auto net = loop::LowerNetworkNaive(graph, assignment, options.enable_fusion);
-  if (!net.ok()) {
-    return net.status();
-  }
-  Rng rng(options.seed);
-  TensorDataMap data;
-  FillGraphInputs(graph, rng, data);
-  auto lowered_out = RunLoweredNetwork(graph, assignment, *net, data);
-  if (!lowered_out.ok()) {
-    return lowered_out.status();
-  }
-  ALT_RETURN_IF_ERROR(ExecuteReference(graph, data));
-  int out_id = net->groups.back().OutputTensor(graph);
-  return MaxAbsDiff(*lowered_out, data[out_id]);
-}
 
 }  // namespace alt::runtime

@@ -17,10 +17,6 @@
 // session.arena_wait_us), so a request burst costs queueing, not unbounded
 // memory. RunBatch() fans a vector of requests across a ThreadPool with
 // exactly that mechanism.
-//
-// The free functions RunLoweredNetwork / ValidateAgainstReference predate
-// the session and are DEPRECATED: they are thin wrappers that build a
-// throwaway session per call (bit-identical results, none of the reuse).
 
 #ifndef ALT_RUNTIME_SESSION_H_
 #define ALT_RUNTIME_SESSION_H_
@@ -37,8 +33,8 @@
 namespace alt::runtime {
 
 struct SessionOptions {
-  // Engine selection for every prepared program (affine by default).
-  ExecOptions exec;
+  // Engine for every prepared program (runtime/interpreter.h).
+  ExecEngine engine = ExecEngine::kAffine;
   // Upper bound on arenas the session may materialize (i.e. on concurrent
   // in-flight Run calls before borrowers block). <= 0 selects the default:
   // 2x hardware threads (at least 2) — enough that a worker-per-core server
@@ -50,8 +46,7 @@ struct SessionOptions {
   // every program serial. All arenas share ONE IntraOpPool built at Create,
   // whose single-holder budget keeps batch fan-out from multiplying with
   // intra-op sharding: with fan-out F, peak live threads are F +
-  // intra_threads - 1, never F * intra_threads. Ignored when
-  // exec.intra_pool is set explicitly.
+  // intra_threads - 1, never F * intra_threads.
   int intra_threads = 0;
 };
 
@@ -67,8 +62,8 @@ class InferenceSession {
                                            const SessionOptions& options = SessionOptions());
 
   // Serves one request: canonical graph inputs + constants in, the final
-  // group output in CANONICAL layout out. Thread-safe; bit-identical to
-  // RunLoweredNetwork on the same data, call after call.
+  // group output in CANONICAL layout out. Thread-safe; the same data gives
+  // bit-identical outputs call after call, on every engine.
   StatusOr<std::vector<float>> Run(const TensorDataMap& canonical_data) const;
 
   // Runs every request concurrently on `pool` (caller-owned and reusable
@@ -113,27 +108,6 @@ class InferenceSession {
 // std::thread::hardware_concurrency() and may legitimately be 0 ("not
 // computable") — clamped to >= 1 so a ThreadPool(0) is never constructed.
 int ResolveBatchThreads(int requested, unsigned hardware);
-
-// Seed/fusion knobs for ValidateAgainstReference, replacing its former bare
-// default arguments so call sites are self-describing.
-struct ValidateOptions {
-  uint64_t seed = 42;
-  bool enable_fusion = true;
-};
-
-// DEPRECATED: builds a throwaway InferenceSession per call. Prefer creating
-// one session and calling Run repeatedly.
-StatusOr<std::vector<float>> RunLoweredNetwork(const graph::Graph& graph,
-                                               const graph::LayoutAssignment& assignment,
-                                               const loop::LoweredNetwork& net,
-                                               const TensorDataMap& canonical_data);
-
-// DEPRECATED convenience kept for tests/examples: lowers naive, runs both
-// the lowered network (through a session) and the reference, and returns max
-// |diff| on the final output.
-StatusOr<double> ValidateAgainstReference(const graph::Graph& graph,
-                                          const graph::LayoutAssignment& assignment,
-                                          const ValidateOptions& options = ValidateOptions());
 
 }  // namespace alt::runtime
 

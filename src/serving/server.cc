@@ -237,8 +237,7 @@ Server::Server(const ServerOptions& options) : impl_(std::make_unique<Impl>()) {
   // ask for more than the core count in aggregate. Each model's session adds
   // its own single-holder gate on top, so intra-batch fan-out and intra-op
   // sharding add rather than multiply.
-  if (impl_->options.session.intra_threads <= 0 &&
-      !impl_->options.session.exec.intra_pool) {
+  if (impl_->options.session.intra_threads <= 0) {
     impl_->options.session.intra_threads =
         std::max(1, HardwareThreads() / impl_->options.workers);
   }

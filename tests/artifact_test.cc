@@ -74,8 +74,10 @@ TEST(Artifact, RoundTripIsBitIdentical) {
   Rng rng(99);
   runtime::TensorDataMap data;
   runtime::FillGraphInputs(tuned->graph, rng, data);
-  auto in_process = runtime::RunLoweredNetwork(tuned->graph, tuned->assignment,
-                                               {tuned->groups, tuned->programs}, data);
+  auto in_process_session = runtime::InferenceSession::Create(
+      tuned->graph, tuned->assignment, {tuned->groups, tuned->programs});
+  ASSERT_TRUE(in_process_session.ok()) << in_process_session.status().ToString();
+  auto in_process = in_process_session->Run(data);
   ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
   auto session = runtime::InferenceSession::Create(
       loaded->network.graph, loaded->network.assignment,

@@ -13,9 +13,11 @@
 #include "src/baselines/baselines.h"
 #include "src/core/alt.h"
 #include "src/graph/networks.h"
+#include "src/layout/relation.h"
 #include "src/runtime/session.h"
 #include "src/support/fileio.h"
 #include "src/support/trace.h"
+#include "tests/reference_check.h"
 
 namespace alt {
 namespace {
@@ -107,6 +109,61 @@ TEST(LayoutSpaceTest, GmmSpaceSmallerThanConv) {
   auto gmm_space = autotune::LayoutSpace::ForOp(gm, 0, false);
   ASSERT_TRUE(gmm_space.ok());
   EXPECT_EQ(gmm_space->num_knobs(), 3);  // mt, kt, nt as in §5.1
+}
+
+TEST(LayoutSpaceTest, TemplateCanonicalStatesArePinned) {
+  // LayoutRelation::CanonicalState is the PPO agent's input, so these values
+  // are part of every tuning trajectory. The conv template covers the
+  // synthesized-steps encoding (bijective output and weight) and the flat
+  // digit-form encoding (input with overlapped unfolds); the GMM template's
+  // three tiled operands are all bijective.
+  auto states = [](const graph::Graph& g, const graph::Op& op, const layout::LayoutSeq& out,
+                   const layout::LayoutSeq& in, const layout::LayoutSeq& weight) {
+    std::vector<std::vector<double>> s;
+    const int ids[] = {op.output, op.inputs[0], op.inputs[1]};
+    const layout::LayoutSeq* seqs[] = {&out, &in, &weight};
+    for (int i = 0; i < 3; ++i) {
+      auto rel = layout::LayoutRelation::FromSeq(*seqs[i], g.tensor(ids[i]).shape);
+      EXPECT_TRUE(rel.ok()) << rel.status().ToString();
+      s.push_back(rel.ok() ? rel->CanonicalState() : std::vector<double>());
+    }
+    return s;
+  };
+
+  graph::Graph conv("conv");
+  int x = conv.AddInput("x", {1, 16, 18, 18});
+  int w = conv.AddConstant("w", {32, 16, 3, 3});
+  int c = conv.AddConv(graph::OpKind::kConv2d, x, w, graph::ConvAttrs(), "conv");
+  autotune::ConvLayoutParams cp;
+  cp.spatial_tiles = {4, 8};
+  cp.out_tile = 8;
+  cp.in_tile = 4;
+  cp.w_in_tile = 4;
+  cp.w_out_tile = 8;
+  const graph::Op& conv_op = conv.op(conv.ProducerOf(c));
+  auto ct = autotune::MakeConvTemplates(conv, conv_op, cp);
+  ASSERT_TRUE(ct.ok()) << ct.status().ToString();
+  EXPECT_EQ(states(conv, conv_op, ct->output, ct->input, ct->weight),
+            (std::vector<std::vector<double>>{
+                {0, 1, 4, 8, 0, 3, 4, 4, 0, 5, 2, 8, 1, 0, 0, 3, 5, 1, 4, 6, 2},
+                {1, 0, 4, 1, 2, 4, 4, 2, 1, 3, 2, 8, 4, 1, 1, 4, 4, 6, 1,
+                 2, 6, 1, 10, 1, 3, 10, 1, 4, 1, 1, 4, 1, -1, 0, 0, 0, 0},
+                {0, 0, 4, 8, 0, 2, 4, 4, 1, 0, 0, 2, 4, 5, 3, 1}}));
+
+  graph::Graph gmm("gmm");
+  int a = gmm.AddInput("A", {16, 32});
+  int b = gmm.AddConstant("B", {32, 24});
+  const graph::Op& gmm_op = gmm.op(gmm.ProducerOf(gmm.AddMatmul(a, b, "gmm")));
+  autotune::GmmLayoutParams gp;
+  gp.mt = 4;
+  gp.nt = 8;
+  gp.kt = 8;
+  auto gt = autotune::MakeGmmTemplates(gmm, gmm_op, gp);
+  ASSERT_TRUE(gt.ok()) << gt.status().ToString();
+  EXPECT_EQ(states(gmm, gmm_op, gt->c, gt->a, gt->b),
+            (std::vector<std::vector<double>>{{0, 0, 4, 4, 0, 2, 3, 8, 1, 0, 0, 2, 1, 3},
+                                              {0, 0, 4, 4, 0, 2, 4, 8, 1, 0, 0, 2, 1, 3},
+                                              {0, 0, 4, 8, 0, 2, 3, 8, 1, 0, 0, 2, 1, 3}}));
 }
 
 TEST(LoopSpaceTest, DecodeAlwaysValid) {
@@ -337,17 +394,10 @@ TEST(JointTuner, TunedNetworkStaysNumericallyCorrect) {
 
   // Execute the tuned programs and compare against the reference on the
   // TUNED graph (which may contain conversion ops).
-  Rng rng(21);
-  runtime::TensorDataMap data;
-  runtime::FillGraphInputs(result->graph, rng, data);
-  loop::LoweredNetwork net;
-  net.groups = result->groups;
-  net.programs = result->programs;
-  auto out = runtime::RunLoweredNetwork(result->graph, result->assignment, net, data);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  ASSERT_TRUE(runtime::ExecuteReference(result->graph, data).ok());
-  int out_id = net.groups.back().OutputTensor(result->graph);
-  EXPECT_LT(runtime::MaxAbsDiff(*out, data[out_id]), 2e-3);
+  auto diff = testutil::ServedDiffVsReference(result->graph, result->assignment,
+                                              {result->groups, result->programs}, 21);
+  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+  EXPECT_LT(*diff, 2e-3);
 }
 
 TEST(Baselines, AllRunOnGmm) {

@@ -275,7 +275,7 @@ TEST(CodegenArtifact, SaveEmbedsKernelsAndReloadServesWithZeroRecompiles) {
   EXPECT_GT(loaded->info.kernels, 0);
 
   runtime::SessionOptions session_options;
-  session_options.exec.engine = runtime::ExecEngine::kNative;
+  session_options.engine = runtime::ExecEngine::kNative;
   auto session = runtime::InferenceSession::Create(
       loaded->network.graph, loaded->network.assignment,
       {loaded->network.groups, loaded->network.programs}, session_options);

@@ -6,6 +6,7 @@
 #include "src/core/tuning_record.h"
 #include "src/graph/networks.h"
 #include "src/runtime/session.h"
+#include "tests/reference_check.h"
 
 namespace alt::core {
 namespace {
@@ -63,17 +64,10 @@ TEST(TuningRecord, AppliedNetworkIsNumericallyCorrect) {
   auto applied = ApplyTuningRecord(fresh, machine, *record);
   ASSERT_TRUE(applied.ok());
 
-  Rng rng(55);
-  runtime::TensorDataMap data;
-  runtime::FillGraphInputs(applied->graph, rng, data);
-  loop::LoweredNetwork net;
-  net.groups = applied->groups;
-  net.programs = applied->programs;
-  auto out = runtime::RunLoweredNetwork(applied->graph, applied->assignment, net, data);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  ASSERT_TRUE(runtime::ExecuteReference(applied->graph, data).ok());
-  int out_id = net.groups.back().OutputTensor(applied->graph);
-  EXPECT_LT(runtime::MaxAbsDiff(*out, data[out_id]), 5e-3);
+  auto diff = testutil::ServedDiffVsReference(applied->graph, applied->assignment,
+                                              {applied->groups, applied->programs}, 55);
+  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+  EXPECT_LT(*diff, 5e-3);
 }
 
 TEST(TuningRecord, RejectsWrongNetwork) {

@@ -234,15 +234,16 @@ TEST(PropagationGraph, OverwriteReplacesStaleLayouts) {
   LayoutAssignment la;
   la.Set(c, autotune::ChannelsLast(2));
   PropagateOutputLayout(g, la, c);
-  ASSERT_TRUE(SameLayout(la.Get(r), autotune::ChannelsLast(2)));
+  const std::vector<int64_t>& shape = g.tensor(r).shape;
+  ASSERT_TRUE(SameLayout(la.Get(r), autotune::ChannelsLast(2), shape));
   // Re-tune the conv output; without overwrite the relu keeps the old layout.
   auto blocked = autotune::BlockedChannels(g.tensor(c).shape, 4);
   ASSERT_TRUE(blocked.ok());
   la.Set(c, *blocked);
   PropagateOutputLayout(g, la, c, true, /*overwrite=*/false);
-  EXPECT_TRUE(SameLayout(la.Get(r), autotune::ChannelsLast(2)));
+  EXPECT_TRUE(SameLayout(la.Get(r), autotune::ChannelsLast(2), shape));
   PropagateOutputLayout(g, la, c, true, /*overwrite=*/true);
-  EXPECT_TRUE(SameLayout(la.Get(r), *blocked));
+  EXPECT_TRUE(SameLayout(la.Get(r), *blocked, shape));
 }
 
 TEST(PropagationGraph, ConversionRewiresConsumer) {

@@ -11,6 +11,7 @@
 #include "src/graph/networks.h"
 #include "src/loop/lowering.h"
 #include "src/runtime/session.h"
+#include "tests/reference_check.h"
 
 namespace alt {
 namespace {
@@ -54,7 +55,7 @@ Graph MiniResidualBlock() {
 
 TEST(Integration, ResidualBlockCanonical) {
   Graph g = MiniResidualBlock();
-  EXPECT_LT(*runtime::ValidateAgainstReference(g, LayoutAssignment{}, {.seed = 5}), kTol);
+  EXPECT_LT(*testutil::LoweredDiffVsReference(g, LayoutAssignment{}, 5), kTol);
 }
 
 TEST(Integration, ResidualBlockMixedLayouts) {
@@ -79,7 +80,7 @@ TEST(Integration, ResidualBlockMixedLayouts) {
   ASSERT_TRUE(blocked.ok());
   la.Set(c2, *blocked);
   graph::PropagateOutputLayout(g, la, c2);
-  EXPECT_LT(*runtime::ValidateAgainstReference(g, la, {.seed = 6}), kTol);
+  EXPECT_LT(*testutil::LoweredDiffVsReference(g, la, 6), kTol);
 }
 
 TEST(Integration, DepthwiseBottleneckTuned) {
@@ -110,24 +111,17 @@ TEST(Integration, DepthwiseBottleneckTuned) {
   auto compiled = core::Compile(g, sim::Machine::ArmCpu(), options);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
 
-  Rng rng(31);
-  runtime::TensorDataMap data;
-  runtime::FillGraphInputs(compiled->graph, rng, data);
-  loop::LoweredNetwork net;
-  net.groups = compiled->groups;
-  net.programs = compiled->programs;
-  auto out = runtime::RunLoweredNetwork(compiled->graph, compiled->assignment, net, data);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  ASSERT_TRUE(runtime::ExecuteReference(compiled->graph, data).ok());
-  int out_id = net.groups.back().OutputTensor(compiled->graph);
-  EXPECT_LT(runtime::MaxAbsDiff(*out, data[out_id]), kTol);
+  auto diff = testutil::ServedDiffVsReference(compiled->graph, compiled->assignment,
+                                              {compiled->groups, compiled->programs}, 31);
+  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+  EXPECT_LT(*diff, kTol);
 }
 
 TEST(Integration, TransformerLayerCanonical) {
   // One miniature BERT-style layer (hidden 32): matmuls + bias + gelu +
   // residual + layernorm + softmax path.
   Graph g = graph::BuildBert(1, 64, 1, /*seq_len=*/8);
-  EXPECT_LT(*runtime::ValidateAgainstReference(g, LayoutAssignment{}, {.seed = 8}), kTol);
+  EXPECT_LT(*testutil::LoweredDiffVsReference(g, LayoutAssignment{}, 8), kTol);
 }
 
 TEST(Integration, Conv3dBlockWithLayouts) {
@@ -158,7 +152,7 @@ TEST(Integration, Conv3dBlockWithLayouts) {
   la.Set(p, layouts->input);
   la.Set(w, layouts->weight);
   graph::PropagateOutputLayout(g, la, c);
-  EXPECT_LT(*runtime::ValidateAgainstReference(g, la, {.seed = 9}), kTol);
+  EXPECT_LT(*testutil::LoweredDiffVsReference(g, la, 9), kTol);
 }
 
 TEST(Integration, Fig12SubgraphWithConversionOp) {
@@ -183,7 +177,7 @@ TEST(Integration, Fig12SubgraphWithConversionOp) {
   ASSERT_TRUE(blocked.ok());
   auto sat = graph::RequestInputLayout(g, la, g.ProducerOf(c2), 0, *blocked);
   ASSERT_EQ(sat, graph::InputSatisfaction::kConversionInserted);
-  EXPECT_LT(*runtime::ValidateAgainstReference(g, la, {.seed = 10}), kTol);
+  EXPECT_LT(*testutil::LoweredDiffVsReference(g, la, 10), kTol);
 }
 
 // ---------------------------------------------------------------------------
@@ -216,7 +210,7 @@ TEST(Partitioning, FusionDisabledYieldsSingletonGroups) {
     EXPECT_TRUE(grp.fused_ops.empty());
   }
   // Both partitions execute to the same numbers.
-  EXPECT_LT(*runtime::ValidateAgainstReference(g, la, {.seed = 12, .enable_fusion = false}), kTol);
+  EXPECT_LT(*testutil::LoweredDiffVsReference(g, la, 12, /*enable_fusion=*/false), kTol);
 }
 
 TEST(Partitioning, MultiConsumerTensorIsNotFused) {
@@ -245,19 +239,11 @@ TEST(Integration, AllVariantsStayCorrect) {
     options.method = autotune::SearchMethod::kRandom;
     auto compiled = core::Compile(g, sim::Machine::IntelCpu(), options);
     ASSERT_TRUE(compiled.ok()) << core::VariantName(variant);
-    Rng rng(41);
-    runtime::TensorDataMap data;
-    runtime::FillGraphInputs(compiled->graph, rng, data);
-    loop::LoweredNetwork net;
-    net.groups = compiled->groups;
-    net.programs = compiled->programs;
-    auto out = runtime::RunLoweredNetwork(compiled->graph, compiled->assignment, net, data);
-    ASSERT_TRUE(out.ok()) << core::VariantName(variant) << ": "
-                          << out.status().ToString();
-    ASSERT_TRUE(runtime::ExecuteReference(compiled->graph, data).ok());
-    int out_id = net.groups.back().OutputTensor(compiled->graph);
-    EXPECT_LT(runtime::MaxAbsDiff(*out, data[out_id]), kTol)
-        << core::VariantName(variant);
+    auto diff = testutil::ServedDiffVsReference(compiled->graph, compiled->assignment,
+                                                {compiled->groups, compiled->programs}, 41);
+    ASSERT_TRUE(diff.ok()) << core::VariantName(variant) << ": "
+                           << diff.status().ToString();
+    EXPECT_LT(*diff, kTol) << core::VariantName(variant);
   }
 }
 

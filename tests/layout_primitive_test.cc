@@ -1,6 +1,7 @@
-// Tests for layout primitives: shape transforms, read-access rewriting, and
-// the round-trip property  MapInverse ∘ MapRead == identity  on canonical
-// indices (the foundation of the §6 compilation pass).
+// Tests for layout primitives: shape transforms, the read-access rewriting
+// of the relations they denote, and the round-trip property
+// MapInverse ∘ MapRead == identity on canonical indices (the foundation of
+// the §6 compilation pass).
 
 #include <unordered_map>
 
@@ -8,6 +9,7 @@
 
 #include "src/ir/expr.h"
 #include "src/layout/primitive.h"
+#include "src/layout/relation.h"
 
 namespace alt::layout {
 namespace {
@@ -16,6 +18,13 @@ using ir::Const;
 using ir::Eval;
 using ir::Expr;
 using ir::MakeVar;
+
+// The relation `seq` denotes over `shape` (the sequences here all apply).
+LayoutRelation Rel(const LayoutSeq& seq, const std::vector<int64_t>& shape) {
+  auto rel = LayoutRelation::FromSeq(seq, shape);
+  EXPECT_TRUE(rel.ok()) << seq.ToString() << ": " << rel.status().ToString();
+  return rel.ok() ? *std::move(rel) : LayoutRelation::Identity(shape);
+}
 
 std::vector<Expr> MakeVars(int n, std::vector<int>* ids) {
   std::vector<Expr> vars;
@@ -90,9 +99,15 @@ TEST(LayoutAccessTest, PaperAccessRewriteExample) {
   seq.Append(Primitive::Split(1, {2, 4, 12}));
   seq.Append(Primitive::Reorder({0, 1, 3, 2}));
 
+  // The split regroups the fused H*W*O dim as 2*4*12, cutting across its
+  // digits (the innermost, O = 8, does not divide 12): no digit form
+  // expresses this relation, which is why access maps walk the steps.
+  LayoutRelation rel = Rel(seq, shape);
+  EXPECT_FALSE(rel.exact());
+
   std::vector<int> ids;
   auto vars = MakeVars(4, &ids);
-  auto mapped = seq.MapRead(shape, vars);
+  auto mapped = rel.MapRead(vars);
   ASSERT_TRUE(mapped.ok());
   ASSERT_EQ(mapped->size(), 4u);
 
@@ -122,7 +137,7 @@ TEST(LayoutAccessTest, UnfoldCanonicalRepresentativeCoversAllElements) {
   seq.Append(Primitive::Unfold(0, 3, 2));
   std::vector<int> ids;
   auto vars = MakeVars(1, &ids);
-  auto mapped = seq.MapRead(shape, vars);
+  auto mapped = Rel(seq, shape).MapRead(vars);
   ASSERT_TRUE(mapped.ok());
   for (int64_t x = 0; x < 5; ++x) {
     std::unordered_map<int, int64_t> env{{ids[0], x}};
@@ -156,7 +171,7 @@ TEST(LayoutAccessTest, UnfoldWindowFormMatchesEquationOne) {
   Expr r = MakeVar("r");
   Expr x = ir::Add(ir::Mul(i, V), r);
   WindowPattern wp{i, V, r, M};
-  auto mapped = seq.MapRead(shape, {x}, {wp});
+  auto mapped = Rel(seq, shape).MapRead({x}, {wp});
   ASSERT_TRUE(mapped.ok());
 
   for (int64_t vi = 0; vi < out_extent; ++vi) {
@@ -273,9 +288,10 @@ TEST_P(LayoutRoundTripTest, InverseOfReadIsIdentity) {
   // Canonical vars -> new indices -> back through inverse.
   std::vector<int> ids;
   auto vars = MakeVars(static_cast<int>(c.shape.size()), &ids);
-  auto fwd = c.seq.MapRead(c.shape, vars);
+  LayoutRelation rel = Rel(c.seq, c.shape);
+  auto fwd = rel.MapRead(vars);
   ASSERT_TRUE(fwd.ok()) << c.name;
-  auto back = c.seq.MapInverse(c.shape, *fwd);
+  auto back = rel.MapInverse(*fwd);
   ASSERT_TRUE(back.ok()) << c.name;
   ASSERT_EQ(back->size(), c.shape.size()) << c.name;
 
@@ -312,29 +328,19 @@ TEST(LayoutSeqTest, NontrivialAdvancedDetection) {
   LayoutSeq basic;
   basic.Append(Primitive::Split(0, {2, 2}));
   basic.Append(Primitive::Reorder({1, 0, 2}));
-  EXPECT_FALSE(basic.HasNontrivialAdvanced());
+  EXPECT_FALSE(Rel(basic, {4, 3}).ExpandsData());
 
   LayoutSeq overlap;
   overlap.Append(Primitive::Unfold(0, 4, 2));
-  EXPECT_TRUE(overlap.HasNontrivialAdvanced());
+  EXPECT_TRUE(Rel(overlap, {10}).ExpandsData());
 
   LayoutSeq tiled;  // non-overlapping unfold behaves like a split
   tiled.Append(Primitive::Unfold(0, 4, 4));
-  EXPECT_FALSE(tiled.HasNontrivialAdvanced());
+  EXPECT_FALSE(Rel(tiled, {12}).ExpandsData());
 
   LayoutSeq padded;
   padded.Append(Primitive::Pad(0, 1, 1));
-  EXPECT_TRUE(padded.HasNontrivialAdvanced());
-}
-
-TEST(LayoutSeqTest, StateVectorConcatenatesPrimitiveStates) {
-  LayoutSeq seq;
-  seq.Append(Primitive::Split(2, {4, 8}));
-  seq.Append(Primitive::Unfold(1, 6, 4));
-  auto state = seq.StateVector();
-  EXPECT_FALSE(state.empty());
-  // split contributes kind+dim+2 factors, unfold kind+dim+tile+stride.
-  EXPECT_EQ(state.size(), 8u);
+  EXPECT_TRUE(Rel(padded, {5}).ExpandsData());
 }
 
 TEST(LayoutSeqTest, ToStringIsReadable) {
@@ -364,7 +370,7 @@ TEST(LayoutShapeTest, PaddingWithWindowPatternShiftsBase) {
   // padded conv pattern, but here we access x = i*V + r directly.
   Expr x = ir::Add(ir::Mul(i, V), r);
   WindowPattern wp{i, V, r, M};
-  auto mapped = seq.MapRead(shape, {x}, {wp});
+  auto mapped = Rel(seq, shape).MapRead({x}, {wp});
   ASSERT_TRUE(mapped.ok());
   std::vector<int64_t> new_shape{D};
   ASSERT_TRUE(seq.ApplyToShape(new_shape).ok());
@@ -379,93 +385,6 @@ TEST(LayoutShapeTest, PaddingWithWindowPatternShiftsBase) {
       EXPECT_LT(off, ht + M - 1);
     }
   }
-}
-
-}  // namespace
-}  // namespace alt::layout
-
-namespace alt::layout {
-namespace {
-
-class InvertedSeqTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(InvertedSeqTest, InvertedSequenceRestoresShapeAndIndices) {
-  // Property: applying seq then Inverted(seq) restores the original shape,
-  // and the composed access map is the identity.
-  int which = GetParam();
-  std::vector<int64_t> shape;
-  LayoutSeq seq;
-  switch (which) {
-    case 0:
-      shape = {24};
-      seq.Append(Primitive::Split(0, {2, 3, 4}));
-      break;
-    case 1:
-      shape = {4, 6, 8};
-      seq.Append(Primitive::Reorder({2, 0, 1}));
-      break;
-    case 2:
-      shape = {4, 6, 8};
-      seq.Append(Primitive::Fuse(0, 2));
-      break;
-    case 3:
-      shape = {1, 32, 8, 8};
-      seq.Append(Primitive::Split(1, {4, 8}));
-      seq.Append(Primitive::Reorder({0, 1, 3, 4, 2}));
-      break;
-    case 4:
-      shape = {6, 10};
-      seq.Append(Primitive::Fuse(0, 2));
-      seq.Append(Primitive::Split(0, {5, 12}));
-      seq.Append(Primitive::Reorder({1, 0}));
-      break;
-  }
-  std::vector<int64_t> transformed = shape;
-  ASSERT_TRUE(seq.ApplyToShape(transformed).ok());
-  auto inverse = seq.Inverted(shape);
-  ASSERT_TRUE(inverse.ok()) << inverse.status().ToString();
-  std::vector<int64_t> restored = transformed;
-  ASSERT_TRUE(inverse->ApplyToShape(restored).ok());
-  EXPECT_EQ(restored, shape);
-
-  // Composed access rewrite: forward through seq, then forward through the
-  // inverse, must be the identity on every point.
-  std::vector<int> ids;
-  std::vector<ir::Expr> vars;
-  for (size_t d = 0; d < shape.size(); ++d) {
-    auto v = ir::MakeVar("q" + std::to_string(d));
-    ids.push_back(v->var_id);
-    vars.push_back(v);
-  }
-  auto fwd = seq.MapRead(shape, vars);
-  ASSERT_TRUE(fwd.ok());
-  auto back = inverse->MapRead(transformed, *fwd);
-  ASSERT_TRUE(back.ok());
-  std::vector<int64_t> point(shape.size(), 0);
-  for (;;) {
-    std::unordered_map<int, int64_t> env;
-    for (size_t d = 0; d < point.size(); ++d) {
-      env[ids[d]] = point[d];
-    }
-    for (size_t d = 0; d < point.size(); ++d) {
-      EXPECT_EQ(ir::Eval((*back)[d], env), point[d]);
-    }
-    int d = static_cast<int>(point.size()) - 1;
-    while (d >= 0 && ++point[d] == shape[d]) {
-      point[d--] = 0;
-    }
-    if (d < 0) {
-      break;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seqs, InvertedSeqTest, ::testing::Range(0, 5));
-
-TEST(InvertedSeqTest, AdvancedPrimitivesRejected) {
-  LayoutSeq seq;
-  seq.Append(Primitive::Unfold(0, 4, 2));
-  EXPECT_FALSE(seq.Inverted({10}).ok());
 }
 
 }  // namespace

@@ -1,17 +1,16 @@
 // Tests for the first-class layout relation (layout/relation.h).
 //
 // The centerpiece is a randomized differential corpus: random shapes crossed
-// with random primitive sequences (including unfold+pad chains), checked three
-// ways against independent ground truth —
-//   1. LayoutRelation::MapRead is expression-for-expression identical to the
-//      legacy LayoutSeq::MapRead (the bit-identity contract of the wrapper);
-//   2. evaluating the emitted expressions pointwise matches a per-primitive
-//      numeric index simulator reimplemented here from the paper's §4.1
-//      semantics (no shared code with the production mapping);
-//   3. bijective relations round-trip: MapInverse ∘ MapRead == identity and
+// with random primitive sequences (including unfold+pad chains), checked
+// against independent ground truth —
+//   1. evaluating the emitted MapRead expressions pointwise matches a
+//      per-primitive numeric index simulator reimplemented here from the
+//      paper's §4.1 semantics (no shared code with the production mapping),
+//      and the shape transform and data-expansion flag match the steps;
+//   2. bijective relations round-trip: MapInverse ∘ MapRead == identity and
 //      Compose(Inverse(R), R) == Identity by fingerprint.
-// Plus: fingerprint equality across equivalent spellings, coalescing /
-// divisibility queries, the relation-derived RL state, and the exactness of
+// Plus: fingerprint equality across equivalent spellings, divisibility
+// queries, the relation-derived RL state, and the exactness of
 // ir::AffineAnalyzer::DecomposeClamped on the unfold clamp.
 
 #include <algorithm>
@@ -250,7 +249,7 @@ void ForSampledPoints(const std::vector<int64_t>& shape, int cap, std::mt19937_6
 // The differential corpus.
 // ---------------------------------------------------------------------------
 
-TEST(RelationDifferentialTest, MapReadMatchesLegacyAndNumericSimulator) {
+TEST(RelationDifferentialTest, MapReadMatchesNumericSimulator) {
   std::mt19937_64 rng(20230415);
   for (int iter = 0; iter < 200; ++iter) {
     CorpusCase c = RandomCase(rng, /*allow_advanced=*/true);
@@ -259,23 +258,18 @@ TEST(RelationDifferentialTest, MapReadMatchesLegacyAndNumericSimulator) {
 
     std::vector<int> ids;
     auto vars = MakeVars(static_cast<int>(c.shape.size()), &ids);
-    auto legacy = c.seq.MapRead(c.shape, vars);
     auto mapped = rel->MapRead(vars);
-    ASSERT_EQ(legacy.ok(), mapped.ok()) << c.seq.ToString();
-    if (!mapped.ok()) {
-      continue;
-    }
-    // Bit-identity contract: same expressions, token for token.
-    ASSERT_EQ(legacy->size(), mapped->size());
-    for (size_t d = 0; d < mapped->size(); ++d) {
-      EXPECT_EQ(ir::ToString((*legacy)[d]), ir::ToString((*mapped)[d])) << c.seq.ToString();
-    }
+    ASSERT_TRUE(mapped.ok()) << c.seq.ToString();
 
-    // Shape agreement with the legacy transform.
-    std::vector<int64_t> legacy_shape = c.shape;
-    ASSERT_TRUE(c.seq.ApplyToShape(legacy_shape).ok());
-    EXPECT_EQ(rel->ApplyToShape(), legacy_shape) << c.seq.ToString();
-    EXPECT_EQ(rel->ExpandsData(), c.seq.HasNontrivialAdvanced()) << c.seq.ToString();
+    // Shape and data-expansion agreement with the steps.
+    std::vector<int64_t> seq_shape = c.shape;
+    ASSERT_TRUE(c.seq.ApplyToShape(seq_shape).ok());
+    EXPECT_EQ(rel->ApplyToShape(), seq_shape) << c.seq.ToString();
+    bool expands = false;
+    for (const Primitive& p : c.seq.primitives()) {
+      expands = expands || p.IsNontrivialAdvanced();
+    }
+    EXPECT_EQ(rel->ExpandsData(), expands) << c.seq.ToString();
 
     // Pointwise differential against the numeric simulator.
     const auto& phys_shape = rel->ApplyToShape();
@@ -308,19 +302,14 @@ TEST(RelationDifferentialTest, BijectiveRelationsRoundTrip) {
     }
     ++bijective_seen;
 
-    // MapInverse ∘ MapRead == identity, and matches the legacy inverse.
+    // MapInverse ∘ MapRead == identity.
     std::vector<int> ids;
     auto vars = MakeVars(static_cast<int>(c.shape.size()), &ids);
     auto fwd = rel->MapRead(vars);
     ASSERT_TRUE(fwd.ok()) << c.seq.ToString();
     auto back = rel->MapInverse(*fwd);
     ASSERT_TRUE(back.ok()) << c.seq.ToString();
-    auto legacy_back = c.seq.MapInverse(c.shape, *fwd);
-    ASSERT_TRUE(legacy_back.ok()) << c.seq.ToString();
     ASSERT_EQ(back->size(), c.shape.size());
-    for (size_t d = 0; d < back->size(); ++d) {
-      EXPECT_EQ(ir::ToString((*back)[d]), ir::ToString((*legacy_back)[d]));
-    }
     ForSampledPoints(c.shape, 64, rng, [&](const std::vector<int64_t>& point) {
       std::unordered_map<int, int64_t> env;
       for (size_t d = 0; d < point.size(); ++d) {
@@ -372,11 +361,6 @@ TEST(RelationDifferentialTest, UnfoldPadWindowChainsMatchClosedForm) {
     WindowPattern wp{i, cfg.V, r, cfg.M};
     auto mapped = rel->MapRead({x}, {wp});
     ASSERT_TRUE(mapped.ok());
-    auto legacy = seq.MapRead(shape, {x}, {wp});
-    ASSERT_TRUE(legacy.ok());
-    for (size_t d = 0; d < mapped->size(); ++d) {
-      EXPECT_EQ(ir::ToString((*mapped)[d]), ir::ToString((*legacy)[d]));
-    }
 
     for (int64_t vi = 0; vi * cfg.V + cfg.M <= D + 2 * cfg.pad; ++vi) {
       for (int64_t vr = 0; vr < cfg.M; ++vr) {
@@ -490,60 +474,65 @@ TEST(RelationQueryTest, BlockedLayoutStridesAndDigits) {
   ASSERT_TRUE(rel.ok());
   EXPECT_TRUE(rel->exact());
   EXPECT_TRUE(rel->IsBijective());
-  EXPECT_EQ(rel->InnerStrideOf(1), 1);       // O advances physically by 1
-  EXPECT_EQ(rel->CoalescedRun(1), 8);        // ... for 8 consecutive elements
-  EXPECT_EQ(rel->InnerStrideOf(3), 8);       // W advances by the block size
-  EXPECT_EQ(rel->CoalescedRun(3), 1);
   EXPECT_EQ(rel->DigitExtents(1), (std::vector<int64_t>{8, 4}));  // innermost first
-  EXPECT_TRUE(rel->UnfoldAccesses().empty());
 }
 
-TEST(RelationQueryTest, IdentityIsFullyCoalesced) {
+TEST(RelationQueryTest, IdentityDigitsAreWholeDims) {
   auto rel = LayoutRelation::Identity({4, 6});
   EXPECT_TRUE(rel.IsIdentity());
-  EXPECT_EQ(rel.InnerStrideOf(1), 1);
-  EXPECT_EQ(rel.CoalescedRun(1), 6);
-  EXPECT_EQ(rel.InnerStrideOf(0), 6);
+  EXPECT_EQ(rel.DigitExtents(0), (std::vector<int64_t>{4}));
+  EXPECT_EQ(rel.DigitExtents(1), (std::vector<int64_t>{6}));
 }
 
-TEST(RelationQueryTest, UnfoldAccessDescribesOverlappedTiling) {
+TEST(RelationQueryTest, OverlappedUnfoldExpandsData) {
   LayoutSeq seq;
   seq.Append(Primitive::Unfold(0, 5, 3));
   auto rel = LayoutRelation::FromSeq(seq, {11});
   ASSERT_TRUE(rel.ok());
+  EXPECT_TRUE(rel->exact());
   EXPECT_TRUE(rel->ExpandsData());
   EXPECT_FALSE(rel->IsBijective());
-  ASSERT_EQ(rel->UnfoldAccesses().size(), 1u);
-  const auto& ua = rel->UnfoldAccesses()[0];
-  EXPECT_EQ(ua.canonical_dim, 0);
-  EXPECT_EQ(ua.phys_tile_dim, 0);
-  EXPECT_EQ(ua.phys_offset_dim, 1);
-  EXPECT_EQ(ua.tile_size, 5);
-  EXPECT_EQ(ua.stride, 3);
-  EXPECT_EQ(ua.tiles, 3);
+  // Offset digit (5, stride 1) inside tile digit (3 tiles, stride S = 3).
+  EXPECT_EQ(rel->DigitExtents(0), (std::vector<int64_t>{5, 3}));
 }
 
 // ---------------------------------------------------------------------------
 // Relation-derived RL state.
 // ---------------------------------------------------------------------------
 
-TEST(RelationStateTest, BasicSequencesAgreeWithLegacyStateVector) {
+TEST(RelationStateTest, CanonicalSpellingEncodesItsOwnSteps) {
   // For a sequence already in canonical spelling, the relation state is the
-  // legacy per-primitive encoding of that same spelling (compat shim).
+  // per-primitive encoding of that same spelling: kind, dim, factors.
   LayoutSeq seq;
   seq.Append(Primitive::Split(0, {4, 6}));
   auto rel = LayoutRelation::FromSeq(seq, {24});
   ASSERT_TRUE(rel.ok());
-  EXPECT_EQ(rel->CanonicalState(), seq.StateVector());
+  EXPECT_EQ(rel->CanonicalState(), (std::vector<double>{0, 0, 4, 6}));
 }
 
-TEST(RelationStateTest, OpaqueRelationsFallBackToStepState) {
+TEST(RelationStateTest, OpaqueRelationsEncodeTheirSteps) {
+  // Per-primitive encodings (kind, dim, then the kind's parameters)
+  // concatenated in step order, one step of every kind. The encoding is the
+  // PPO agent's input, so the values are pinned.
   LayoutSeq seq;
+  seq.Append(Primitive::Split(1, {4, 8}));                // {64, 4, 8}
+  seq.Append(Primitive::Reorder({0, 2, 1}));              // {64, 8, 4}
+  seq.Append(Primitive::Fuse(1, 2));                      // {64, 32}
+  seq.Append(Primitive::Unfold(0, 6, 4));                 // {17, 6, 32}
+  seq.Append(Primitive::Pad(2, 1, 1));                    // {17, 6, 34}
   seq.Append(Primitive::StoreAt(/*src_tensor=*/7, /*dim=*/0));
   auto rel = LayoutRelation::FromSeq(seq, {64, 32});
   ASSERT_TRUE(rel.ok());
   EXPECT_FALSE(rel->exact());
-  EXPECT_EQ(rel->CanonicalState(), seq.StateVector());
+  EXPECT_EQ(rel->ApplyToShape(), (std::vector<int64_t>{17, 6, 34}));
+  EXPECT_EQ(rel->CanonicalState(), (std::vector<double>{
+                                       0, 1, 4, 8,     // split: factors
+                                       1, 0, 0, 2, 1,  // reorder: perm
+                                       2, 1, 2,        // fuse: num_dims
+                                       3, 0, 6, 4,     // unfold: tile, stride
+                                       4, 2, 1, 1,     // pad: before, after
+                                       5, 0, 7,        // store_at: source tensor
+                                   }));
 }
 
 TEST(RelationStateTest, EquivalentSpellingsFeedIdenticalStates) {

@@ -10,6 +10,7 @@
 #include "src/graph/networks.h"
 #include "src/loop/lowering.h"
 #include "src/runtime/session.h"
+#include "tests/reference_check.h"
 
 namespace alt {
 namespace {
@@ -22,7 +23,7 @@ using graph::OpKind;
 constexpr double kTol = 2e-3;  // float accumulation over up to ~1k terms
 
 double Validate(const Graph& g, const LayoutAssignment& la, uint64_t seed = 7) {
-  auto diff = runtime::ValidateAgainstReference(g, la, {.seed = seed});
+  auto diff = testutil::LoweredDiffVsReference(g, la, seed);
   EXPECT_TRUE(diff.ok()) << diff.status().ToString();
   return diff.ok() ? *diff : 1e9;
 }
@@ -481,14 +482,9 @@ TEST_P(ScheduledLowering, TiledMatchesReference) {
   net.groups = groups;
   net.programs = {std::move(*pad_prog), std::move(*program)};
 
-  Rng rng(13);
-  runtime::TensorDataMap data;
-  runtime::FillGraphInputs(g, rng, data);
-  auto out = runtime::RunLoweredNetwork(g, la, net, data);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  ASSERT_TRUE(runtime::ExecuteReference(g, data).ok());
-  int out_id = net.groups.back().OutputTensor(g);
-  EXPECT_LT(runtime::MaxAbsDiff(*out, data[out_id]), kTol) << "variant " << variant;
+  auto diff = testutil::ServedDiffVsReference(g, la, net, 13);
+  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+  EXPECT_LT(*diff, kTol) << "variant " << variant;
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, ScheduledLowering, ::testing::Range(0, 3));

@@ -112,7 +112,9 @@ TEST(MeasureEngine, RepeatedMeasurementHitsCache) {
   loop::LoopSchedule sched =
       loop::LoopSchedule::Naive(sig->spatial_extents, sig->reduction_extents);
 
-  autotune::MeasureEngine engine(machine, /*threads=*/1, /*cache_enabled=*/true);
+  autotune::MeasureEngineConfig config;
+  config.threads = 1;
+  autotune::MeasureEngine engine(machine, config);
   auto first = engine.MeasureOne(g, la, group, sched);
   ASSERT_TRUE(first.status.ok()) << first.status.ToString();
   EXPECT_FALSE(first.cache_hit);
@@ -137,7 +139,9 @@ TEST(MeasureEngine, DuplicateCandidatesInOneBatchMeasureOnce) {
   loop::LoopSchedule sched =
       loop::LoopSchedule::Naive(sig->spatial_extents, sig->reduction_extents);
 
-  autotune::MeasureEngine engine(machine, /*threads=*/2, /*cache_enabled=*/true);
+  autotune::MeasureEngineConfig config;
+  config.threads = 2;
+  autotune::MeasureEngine engine(machine, config);
   auto results = engine.Measure(g, la, group, {sched, sched, sched});
   ASSERT_EQ(results.size(), 3u);
   EXPECT_FALSE(results[0].cache_hit);
@@ -148,7 +152,8 @@ TEST(MeasureEngine, DuplicateCandidatesInOneBatchMeasureOnce) {
   EXPECT_EQ(engine.stats().cache_hits, 2);
 
   // With the cache disabled every slot is measured (historical behavior).
-  autotune::MeasureEngine raw(machine, /*threads=*/2, /*cache_enabled=*/false);
+  config.cache_enabled = false;
+  autotune::MeasureEngine raw(machine, config);
   auto raw_results = raw.Measure(g, la, group, {sched, sched});
   EXPECT_FALSE(raw_results[0].cache_hit);
   EXPECT_FALSE(raw_results[1].cache_hit);
@@ -172,8 +177,12 @@ TEST(MeasureEngine, ParallelBatchMatchesSequentialBatch) {
     scheds.push_back(space.Decode(autotune::RandomPoint(space.num_knobs(), rng)));
   }
 
-  autotune::MeasureEngine seq(machine, 1, false);
-  autotune::MeasureEngine par(machine, 4, false);
+  autotune::MeasureEngineConfig config;
+  config.cache_enabled = false;
+  config.threads = 1;
+  autotune::MeasureEngine seq(machine, config);
+  config.threads = 4;
+  autotune::MeasureEngine par(machine, config);
   auto rs = seq.Measure(g, la, group, scheds);
   auto rp = par.Measure(g, la, group, scheds);
   ASSERT_EQ(rs.size(), rp.size());
@@ -243,7 +252,9 @@ TEST(MeasureEngine, TransientFailureRetriesThenCaches) {
   auto again = engine.MeasureOne(c.g, c.la, c.group, c.sched);
   EXPECT_TRUE(again.cache_hit);
   EXPECT_EQ(again.latency_us, result.latency_us);
-  autotune::MeasureEngine clean(machine, /*threads=*/1, /*cache_enabled=*/true);
+  autotune::MeasureEngineConfig clean_config;
+  clean_config.threads = 1;
+  autotune::MeasureEngine clean(machine, clean_config);
   auto reference = clean.MeasureOne(c.g, c.la, c.group, c.sched);
   EXPECT_EQ(reference.latency_us, result.latency_us);
 }

@@ -9,6 +9,7 @@
 #include "src/graph/networks.h"
 #include "src/loop/lowering.h"
 #include "src/runtime/session.h"
+#include "tests/reference_check.h"
 
 namespace alt::runtime {
 namespace {
@@ -196,7 +197,7 @@ TEST(StoreAt, GmmBiasInWeightMatchesReference) {
   host.Append(layout::Primitive::StoreAt(bias, 0));  // B becomes (K+1) x N
   la.Set(b, host);
 
-  auto diff = ValidateAgainstReference(g, la, {.seed = 3});
+  auto diff = testutil::LoweredDiffVsReference(g, la, 3);
   ASSERT_TRUE(diff.ok()) << diff.status().ToString();
   EXPECT_LT(*diff, 1e-4);
 }

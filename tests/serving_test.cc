@@ -1,6 +1,6 @@
-// InferenceSession: equivalence with the deprecated free functions,
-// repeated-run determinism over reused arenas, and concurrent serving
-// (exercised under TSan in CI).
+// InferenceSession: equivalence of reused and fresh sessions, repeated-run
+// determinism over reused arenas, and concurrent serving (exercised under
+// TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -51,7 +51,7 @@ TensorDataMap MakeRequest(const Graph& g, uint64_t seed) {
   return data;
 }
 
-TEST(InferenceSession, MatchesDeprecatedFreeFunction) {
+TEST(InferenceSession, MatchesFreshSession) {
   Graph g = SmallWorkload();
   LayoutAssignment la;
   AssignSplitLayouts(g, la);
@@ -59,15 +59,18 @@ TEST(InferenceSession, MatchesDeprecatedFreeFunction) {
   ASSERT_TRUE(net.ok()) << net.status().ToString();
   TensorDataMap data = MakeRequest(g, 11);
 
-  auto via_free = RunLoweredNetwork(g, la, *net, data);
-  ASSERT_TRUE(via_free.ok()) << via_free.status().ToString();
   auto session = InferenceSession::Create(g, la, *net);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session->Run(MakeRequest(g, 12)).ok());  // dirty the arena first
   auto via_session = session->Run(data);
   ASSERT_TRUE(via_session.ok()) << via_session.status().ToString();
-  ASSERT_EQ(via_session->size(), via_free->size());
-  EXPECT_EQ(0, std::memcmp(via_session->data(), via_free->data(),
-                           via_free->size() * sizeof(float)));
+  auto fresh = InferenceSession::Create(g, la, *net);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  auto via_fresh = fresh->Run(data);
+  ASSERT_TRUE(via_fresh.ok()) << via_fresh.status().ToString();
+  ASSERT_EQ(via_session->size(), via_fresh->size());
+  EXPECT_EQ(0, std::memcmp(via_session->data(), via_fresh->data(),
+                           via_fresh->size() * sizeof(float)));
   EXPECT_EQ(session->output_tensor(), net->groups.back().OutputTensor(g));
   EXPECT_EQ(session->output_shape(), g.tensor(session->output_tensor()).shape);
 }
@@ -285,17 +288,6 @@ TEST(InferenceSession, DefaultArenaCapIsAtLeastTwo) {
   // Default: 2x hardware threads, floored at 2 even when
   // hardware_concurrency() reports 0.
   EXPECT_GE(session->max_arenas(), 2);
-}
-
-TEST(ValidateAgainstReference, AcceptsOptionsStruct) {
-  Graph g = SmallWorkload();
-  LayoutAssignment la;
-  auto diff = ValidateAgainstReference(g, la, {.seed = 5, .enable_fusion = false});
-  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
-  EXPECT_LT(*diff, 2e-3);
-  auto diff_default = ValidateAgainstReference(g, la);
-  ASSERT_TRUE(diff_default.ok());
-  EXPECT_LT(*diff_default, 2e-3);
 }
 
 }  // namespace
