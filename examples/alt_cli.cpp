@@ -38,7 +38,9 @@
 //     size/timeout policy — and print the operator metrics (per-model
 //     p50/p95/p99, batch sizes, queue waits) when the traffic drains.
 //
-// Robustness (alt/alt-ol/alt-wp methods only):
+// Robustness (alt/alt-ol/alt-wp methods only; with a baseline method the
+// CLI exits 2, since baselines measure neither in workers nor through the
+// database):
 //   --workers <n> or ALT_WORKERS=<n>
 //     Evaluate candidates in n forked worker subprocesses (crash isolation):
 //     a candidate that crashes, hangs, or corrupts its reply is retried and
@@ -47,7 +49,10 @@
 //   --tuning-db <path> or ALT_TUNING_DB=<path>
 //     Persistent tuning database: measurements are looked up here before
 //     running and appended after, so re-running the same tuning command
-//     warm-starts with zero redundant measurements.
+//     warm-starts with zero redundant measurements. Re-running the same
+//     command with the same --tuning-db also resumes an interrupted run: the
+//     measurements it persisted are answered from the file, the rest are
+//     measured, and the report equals an uninterrupted run's.
 
 #include <cstdio>
 #include <cstdlib>
@@ -262,14 +267,28 @@ int main(int argc, char** argv) {
   std::string method = pos.size() > 2 ? pos[2] : "alt";
   int budget = pos.size() > 3 ? std::atoi(pos[3].c_str()) : 400;
 
-  // Refuse flag combinations the run would otherwise silently ignore.
+  // Refuse flag combinations the run would otherwise silently ignore,
+  // whether the value came from the flag or its environment variable.
   const std::optional<baselines::BaselineKind> baseline = BaselineFor(method);
-  if (baseline && !artifact_path.empty()) {
-    std::fprintf(stderr,
-                 "--artifact needs an ALT method (alt|alt-ol|alt-wp): baseline '%s' "
-                 "produces no artifact\n",
-                 method.c_str());
-    return 2;
+  const struct {
+    bool set;
+    const char* flag;
+    const char* env;
+    const char* reason;
+  } alt_only[] = {
+      {!artifact_path.empty(), "--artifact", "ALT_ARTIFACT", "produces no artifact"},
+      {!tuning_db_path.empty(), "--tuning-db", "ALT_TUNING_DB",
+       "does not use the tuning database"},
+      {workers > 0, "--workers", "ALT_WORKERS", "does not measure in worker processes"},
+  };
+  for (const auto& f : alt_only) {
+    if (baseline && f.set) {
+      std::fprintf(stderr,
+                   "%s needs an ALT method (alt|alt-ol|alt-wp), also when set through %s: "
+                   "baseline '%s' %s\n",
+                   f.flag, f.env, method.c_str(), f.reason);
+      return 2;
+    }
   }
   const bool artifact_exists = !artifact_path.empty() && FileExists(artifact_path);
   if (serve_requests > 0 && !artifact_exists) {

@@ -109,9 +109,8 @@ int64_t MeasureEngine::analysis_cache_size() const {
 }
 
 bool MeasureEngine::keyed() const {
-  return config_.cache_enabled || config_.replay != nullptr ||
-         static_cast<bool>(config_.on_measured) || injector_.enabled() ||
-         config_.database != nullptr || config_.isolate.enabled;
+  return config_.cache_enabled || injector_.enabled() || config_.database != nullptr ||
+         config_.isolate.enabled;
 }
 
 bool MeasureEngine::InsertQuarantine(const std::string& key) {
@@ -139,8 +138,8 @@ std::vector<MeasureResult> MeasureEngine::Measure(
   std::vector<MeasureResult> results(n);
   stats_.requested += n;
 
-  // Resolve cache hits, quarantined keys, replayed measurements, and
-  // intra-batch duplicates up front so only genuine misses reach the pool.
+  // Resolve cache hits, quarantined keys, database hits, and intra-batch
+  // duplicates up front so only genuine misses reach the pool.
   // `measure_slot[i]` marks slots that need work; `alias_of[i]` points a
   // duplicate at the slot that measures its key.
   std::vector<std::string> keys(n);
@@ -168,32 +167,13 @@ std::vector<MeasureResult> MeasureEngine::Measure(
         measure_slot[i] = false;
         continue;
       }
-      if (config_.replay != nullptr) {
-        auto replayed = config_.replay->ok.find(sites[i]);
-        if (replayed != config_.replay->ok.end()) {
-          results[i].latency_us = replayed->second;
-          results[i].replayed = true;
-          measure_slot[i] = false;
-          // Cache the replayed latency so later occurrences of this key hit
-          // the cache exactly as they did in the run that wrote the journal.
-          if (config_.cache_enabled) {
-            cache_.emplace(keys[i], replayed->second);
-          }
-          continue;
-        }
-        if (config_.replay->failed.count(sites[i]) > 0) {
-          results[i].status = Status::Unavailable("replayed measurement failure");
-          results[i].replayed = true;
-          measure_slot[i] = false;
-          InsertQuarantine(keys[i]);
-          continue;
-        }
-      }
       if (config_.database != nullptr) {
-        // Warm start: measurements persisted by previous runs. Consulted
-        // after cache/quarantine/replay so in-run memoization and journal
-        // resume keep priority; hits use replay semantics (cache_hit ==
-        // false) so the warm run spends budget exactly as the cold run did.
+        // Measurements persisted by earlier runs (warm start) or by an
+        // interrupted run of this one (resume). Consulted after cache and
+        // quarantine so in-run memoization keeps priority; hits report
+        // cache_hit == false so the run spends budget exactly as the run
+        // that recorded them did, and prime the cache (or quarantine) so
+        // later duplicates behave as they did in that run.
         auto entry = config_.database->Lookup(sites[i]);
         if (entry.has_value()) {
           results[i].db_hit = true;
@@ -384,16 +364,12 @@ std::vector<MeasureResult> MeasureEngine::Measure(
       entry.latency_us = entry.failed ? 0.0 : results[i].latency_us;
       config_.database->Record(sites[i], entry);
     }
-    if (config_.on_measured) {
-      config_.on_measured(keys[i], results[i]);
-    }
   }
   for (int i = 0; i < n; ++i) {
     if (alias_of[i] >= 0) {
       results[i] = results[alias_of[i]];
       // The first occurrence paid the measurement; this one is free.
       results[i].attempts = 0;
-      results[i].replayed = false;
       results[i].db_hit = false;
       if (results[i].status.ok()) {
         results[i].cache_hit = true;
@@ -403,8 +379,6 @@ std::vector<MeasureResult> MeasureEngine::Measure(
       }
     } else if (results[i].cache_hit) {
       ++stats_.cache_hits;
-    } else if (results[i].replayed) {
-      ++stats_.replayed;
     } else if (results[i].db_hit) {
       ++stats_.db_hits;
     } else if (!measure_slot[i] && !results[i].status.ok()) {
@@ -426,7 +400,6 @@ std::vector<MeasureResult> MeasureEngine::Measure(
   static Counter& c_measured = registry.counter("measure.measured");
   static Counter& c_cache_hits = registry.counter("measure.cache_hits");
   static Counter& c_failed = registry.counter("measure.failed");
-  static Counter& c_replayed = registry.counter("measure.replayed");
   static Counter& c_retries = registry.counter("measure.retries");
   static Counter& c_quarantined = registry.counter("measure.quarantined");
   static Counter& c_injected = registry.counter("measure.injected_failures");
@@ -437,7 +410,6 @@ std::vector<MeasureResult> MeasureEngine::Measure(
   c_measured.Add(stats_.measured - stats_before.measured);
   c_cache_hits.Add(stats_.cache_hits - stats_before.cache_hits);
   c_failed.Add(stats_.failed - stats_before.failed);
-  c_replayed.Add(stats_.replayed - stats_before.replayed);
   c_retries.Add(stats_.retries - stats_before.retries);
   c_quarantined.Add(stats_.quarantined - stats_before.quarantined);
   c_injected.Add(stats_.injected_failures - stats_before.injected_failures);

@@ -1,5 +1,5 @@
 // Parallel measurement engine with a memoizing measurement cache, fault
-// injection, retry/quarantine, and journal replay.
+// injection, retry/quarantine, and a persistent measurement store.
 //
 // "Measurement" in this code base is lowering a fused group under a schedule
 // (loop::LowerGroup) and running the analytic performance model over the
@@ -25,18 +25,15 @@
 //     their failure is remembered and later requests short-circuit without
 //     re-measuring. Failures are never cached as latencies and never abort a
 //     batch — the tuner sees a non-ok MeasureResult and moves on.
-//   * REPLAY — a MeasureReplayLog (reconstructed from a tuning journal)
-//     answers already-performed measurements without re-executing them.
-//     Replayed results report cache_hit == false so a resumed tuning run
-//     spends budget exactly as the original did, and successful replays are
-//     inserted into the cache so later duplicates hit it exactly as in the
-//     original run. This is what makes journal resume deterministic.
-//   * WARM START — an optional MeasureDatabase (core::TuningDatabase on
-//     disk) answers measurements recorded by PREVIOUS runs, consulted after
-//     cache/quarantine/replay and written through on every fresh outcome.
-//     Database hits use replay semantics (cache_hit == false, budget spent),
-//     so a warm-started run walks the exact trajectory of a cold run and
-//     issues zero redundant measurements.
+//   * PERSISTENCE — an optional MeasureDatabase (core::TuningDatabase on
+//     disk) answers measurements recorded by earlier runs, consulted after
+//     cache/quarantine and written through on every fresh outcome. Database
+//     hits report cache_hit == false, so the run spends budget exactly as
+//     the run that recorded them did; successful hits prime the cache and
+//     failed ones quarantine, so later duplicates behave as in that run too.
+//     A run against a populated database therefore walks the exact
+//     trajectory of a cold run and issues zero redundant measurements: that
+//     is both warm start and crash-safe resume.
 //   * ISOLATION — with MeasureEngineConfig::isolate enabled, fresh
 //     candidates are evaluated in forked worker subprocesses (worker_pool.h)
 //     instead of on the thread pool; a candidate that crashes, hangs, or
@@ -52,7 +49,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -72,14 +68,13 @@ namespace alt::autotune {
 // Per-run counters, surfaced on CompiledNetwork and logged at the end of a
 // tuning run so cache effectiveness, parallel speedup, and fault recovery are
 // observable. Invariant: requested == measured + cache_hits + failed +
-// replayed + db_hits (the five buckets are disjoint).
+// db_hits (the four buckets are disjoint).
 struct MeasureStats {
   int64_t requested = 0;   // candidates submitted to the engine
   int64_t measured = 0;    // actual lower+estimate executions that succeeded
   int64_t cache_hits = 0;  // candidates answered from the cache
   int64_t failed = 0;      // fresh failures (lowering errors, retries exhausted,
                            // quarantine short-circuits)
-  int64_t replayed = 0;    // candidates answered from a replay log (ok or fail)
   int64_t db_hits = 0;     // candidates answered from the tuning database
   int64_t retries = 0;     // extra attempts after a transient failure
   int64_t quarantined = 0; // distinct keys placed in quarantine
@@ -111,15 +106,12 @@ struct MeasureResult {
   Status status = Status::Ok();
   double latency_us = 1e30;
   bool cache_hit = false;
-  // Answered from a replay log; reported with cache_hit == false so the
-  // caller's budget accounting matches the run that produced the log.
-  bool replayed = false;
-  // Answered from the persistent tuning database (warm start). Like replay,
-  // reported with cache_hit == false so a warm-started run spends budget
-  // exactly as the run that populated the database did.
+  // Answered from the persistent tuning database. Reported with cache_hit ==
+  // false so a warm-started or resumed run spends budget exactly as the run
+  // that populated the database did.
   bool db_hit = false;
   // Lower+estimate attempts spent on this result (1 for a clean first try;
-  // 0 for cache/replay/database/quarantine answers).
+  // 0 for cache/database/quarantine answers).
   int attempts = 0;
 };
 
@@ -144,10 +136,10 @@ struct RetryPolicy {
 int RetryBackoffMs(const RetryPolicy& retry, int retry_number);
 
 // Persistent store of measured outcomes, keyed by the 64-bit site fingerprint
-// (Fnv1a64 of the full measurement cache key — the same identity the tuning
-// journal records). Implemented by core::TuningDatabase; the interface lives
-// here so autotune does not depend on core (mirrors TuningEventSink). Called
-// only from the engine's reducing thread, never concurrently.
+// (Fnv1a64 of the full measurement cache key — the same identity the fault
+// injector uses). Implemented by core::TuningDatabase; the interface lives
+// here so autotune does not depend on core. Called only from the engine's
+// reducing thread, never concurrently.
 class MeasureDatabase {
  public:
   struct Entry {
@@ -158,17 +150,6 @@ class MeasureDatabase {
   virtual ~MeasureDatabase() = default;
   virtual std::optional<Entry> Lookup(uint64_t site) = 0;
   virtual void Record(uint64_t site, const Entry& entry) = 0;
-};
-
-// Measurements recovered from a tuning journal, keyed by Fnv1a64 of the full
-// measurement cache key. Split by outcome: `ok` maps to the recorded latency,
-// `failed` records keys whose measurement failed persistently.
-struct MeasureReplayLog {
-  std::unordered_map<uint64_t, double> ok;
-  std::unordered_set<uint64_t> failed;
-
-  bool empty() const { return ok.empty() && failed.empty(); }
-  int64_t size() const { return static_cast<int64_t>(ok.size() + failed.size()); }
 };
 
 struct MeasureEngineConfig {
@@ -190,17 +171,10 @@ struct MeasureEngineConfig {
   // analysis cache — EstimateProgram is pure, so only analysis_cache_hits
   // differs, never a latency).
   IsolateOptions isolate;
-  // Not owned; must outlive the engine when set.
-  const MeasureReplayLog* replay = nullptr;
-  // Persistent warm-start store, consulted after cache/quarantine/replay and
+  // Persistent measurement store, consulted after cache/quarantine and
   // written through on every fresh outcome. Not owned; must outlive the
   // engine when set.
   MeasureDatabase* database = nullptr;
-  // Invoked on the reducing thread, in deterministic slot order, once per
-  // FRESH measurement outcome (success or persistent failure) — never for
-  // cache hits, replays, or quarantine short-circuits. The journal writer
-  // hangs off this hook.
-  std::function<void(const std::string& key, const MeasureResult& result)> on_measured;
 };
 
 // Structural cache-key prefix for one fused group under an assignment:
@@ -237,8 +211,8 @@ class MeasureEngine {
   int64_t analysis_cache_size() const;
 
  private:
-  // True when per-candidate keys must be computed (cache, replay, journal
-  // hook, or fault injection active). Without any of these the engine skips
+  // True when per-candidate keys must be computed (cache, database, fault
+  // injection, or isolation active). Without any of these the engine skips
   // key construction entirely, as the original implementation did.
   bool keyed() const;
 

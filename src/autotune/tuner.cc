@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <unordered_map>
 
@@ -28,18 +27,11 @@ MeasureEngineConfig EngineConfig(const TuningOptions& options) {
   c.cache_enabled = options.measure_cache;
   c.faults = options.fault_injection;
   c.retry = options.measure_retry;
-  c.replay = options.measure_replay;
   c.isolate.enabled = options.isolate_measurement;
   c.isolate.workers = options.measure_workers;
   c.isolate.deadline_ms = options.measure_deadline_ms;
   c.isolate.faults = options.worker_faults;
   c.database = options.measure_database;
-  if (options.event_sink != nullptr) {
-    TuningEventSink* sink = options.event_sink;
-    c.on_measured = [sink](const std::string& key, const MeasureResult& result) {
-      sink->OnMeasured(key, result);
-    };
-  }
   return c;
 }
 
@@ -108,9 +100,6 @@ void JointTuner::RecordMeasurement(double latency_us, bool complex_group) {
 
 void JointTuner::BeginPhase(const char* phase) {
   TraceInstant("tuner.phase", phase);
-  if (options_.event_sink != nullptr) {
-    options_.event_sink->OnPhase(phase);
-  }
 }
 
 MeasureResult JointTuner::MeasureGroup(const Graph& g, const LayoutAssignment& la,
@@ -219,12 +208,6 @@ void JointTuner::LoopTuneBatch(const Graph& g, const LayoutAssignment& la,
   }
   if (options_.use_cost_model && train_x_.size() >= 24 && train_x_.size() % 24 == 0) {
     cost_model_.Fit(train_x_, train_y_);
-  }
-  if (options_.event_sink != nullptr) {
-    // "No result yet" is reported as NaN, never as the internal sentinel.
-    options_.event_sink->OnBatchDone(
-        measurements_,
-        has_best() ? best_total_us_ : std::numeric_limits<double>::quiet_NaN());
   }
 }
 
@@ -548,12 +531,6 @@ void JointTuner::CommitLayouts(int op_id, const DecodedLayouts& layouts) {
   assignment_.Set(out_id, layouts.output);
   graph::PropagateOutputLayout(graph_, assignment_, out_id, options_.propagate_multi_hop,
                                /*overwrite=*/true);
-  if (options_.event_sink != nullptr) {
-    auto sched_it = joint_best_schedules_.find(op_id);
-    options_.event_sink->OnLayoutCommitted(
-        op_id, layouts,
-        sched_it == joint_best_schedules_.end() ? nullptr : &sched_it->second);
-  }
 }
 
 StatusOr<CompiledNetwork> JointTuner::Tune() {
@@ -765,8 +742,8 @@ StatusOr<CompiledNetwork> JointTuner::Tune() {
   result.metrics = MetricsRegistry::Global().Snapshot().DeltaSince(metrics_start);
   const MeasureStats& ms = result.measure_stats;
   ALT_LOG(Info) << "measure engine: " << ms.requested << " candidates, " << ms.measured
-                << " measured, " << ms.cache_hits << " cache hits, " << ms.replayed
-                << " replayed, " << ms.db_hits << " db hits, " << ms.failed << " failed, "
+                << " measured, " << ms.cache_hits << " cache hits, " << ms.db_hits
+                << " db hits, " << ms.failed << " failed, "
                 << ms.retries << " retries, " << ms.quarantined << " quarantined, "
                 << ms.worker_restarts << " worker restarts, wall "
                 << FormatMicros(ms.wall_ms * 1e3)

@@ -36,32 +36,6 @@ namespace alt::autotune {
 
 enum class SearchMethod { kPpoPretrained, kPpo, kRandom };
 
-// Observer of tuning progress, called synchronously on the tuning thread in
-// deterministic order. The crash-safe journal writer (core/tuning_journal)
-// implements this; the interface lives here so autotune does not depend on
-// core. Implementations must not throw; a sink that fails internally (e.g.
-// disk full) should record its own error and ignore subsequent events.
-class TuningEventSink {
- public:
-  virtual ~TuningEventSink() = default;
-  // One fresh measurement outcome (success or persistent failure). Never
-  // invoked for cache hits or replayed measurements.
-  virtual void OnMeasured(const std::string& key, const MeasureResult& result) = 0;
-  // The joint stage committed `layouts` to op `op_id`. `best_schedule` is the
-  // best loop schedule found while assessing the winning layout (may be null).
-  virtual void OnLayoutCommitted(int op_id, const DecodedLayouts& layouts,
-                                 const loop::LoopSchedule* best_schedule) = 0;
-  // A loop-tuning batch finished: `spent` measurements consumed so far,
-  // `best_us` best complex-group latency so far. Before the first successful
-  // complex-group measurement there is no best; `best_us` is then NaN ("no
-  // result yet") — the 1e30 internal sentinel is never reported.
-  virtual void OnBatchDone(int spent, double best_us) = 0;
-  // The tuner entered a new phase ("joint", "loop", "lower"). Called once per
-  // phase in order; phases that have nothing to do are still announced.
-  // Default is a no-op so existing sinks keep compiling unchanged.
-  virtual void OnPhase(const std::string& phase) { (void)phase; }
-};
-
 // How a complex op's tuned input layout is satisfied when its producer is
 // another complex op (paper §7.3.2, Fig. 12):
 //   * kIndependent (ALT) — both ops keep their own layouts; a conversion
@@ -113,14 +87,9 @@ struct TuningOptions {
 
   // Fault tolerance (see measure.h). `fault_injection` simulates transient
   // measurement failures; `measure_retry` bounds the retries that absorb
-  // them. `measure_replay` answers journaled measurements without re-running
-  // them (journal resume), and `event_sink` observes fresh measurements,
-  // layout commits, and batch completions (journal writing). Both pointers
-  // are borrowed and must outlive the tuner.
+  // them.
   FaultInjector::Options fault_injection;
   RetryPolicy measure_retry;
-  const MeasureReplayLog* measure_replay = nullptr;
-  TuningEventSink* event_sink = nullptr;
 
   // Crash isolation (see worker_pool.h). With `isolate_measurement` set,
   // candidates are evaluated in forked worker subprocesses: a candidate that
@@ -134,14 +103,14 @@ struct TuningOptions {
   WorkerFaultHooks worker_faults;
 
   // Persistent tuning database (see measure.h / core/tuning_database.h).
-  // Consulted before measuring and written through after, so a run warm-
-  // started from a populated database issues zero redundant measurements.
-  // Borrowed; must outlive the tuner.
+  // Consulted before measuring and written through after, so a run against
+  // a populated database — warm start, or resume after a crash — issues zero
+  // redundant measurements. Borrowed; must outlive the tuner.
   MeasureDatabase* measure_database = nullptr;
 
   // When non-empty, Tune() records a span trace of the whole run (tuner
-  // phases, loop batches, measurement batches and candidates, PPO updates,
-  // journal writes) and writes it to this path as Chrome trace-event JSON.
+  // phases, loop batches, measurement batches and candidates, PPO updates)
+  // and writes it to this path as Chrome trace-event JSON.
   // Tracing owns the global TraceRecorder for the duration of the run, so
   // only one traced tuner may run at a time; with the path empty the
   // instrumentation costs <1% (see bench_tuner_throughput).
@@ -218,10 +187,10 @@ class JointTuner {
 
   // True once a complex-group measurement has succeeded; before that,
   // best_total_us_ still holds the kNoBest sentinel, which must never leak
-  // into history_us_ or event sinks.
+  // into history_us_.
   bool has_best() const { return best_total_us_ < kNoBest; }
 
-  // Announces a tuner phase to the trace and the event sink.
+  // Marks the start of a tuner phase with a `tuner.phase` trace instant.
   void BeginPhase(const char* phase);
 
   static constexpr double kNoBest = 1e30;

@@ -232,7 +232,8 @@ std::vector<WorkerOutcome> WorkerPool::Run(const std::vector<int>& work) {
     // Dispatch ready items onto idle workers. Injected faults are decided
     // HERE, parent-side, so the child never runs for them and each
     // (site, attempt) pair meets exactly the fate the in-process path gives
-    // it — journal resume stays deterministic under isolation.
+    // it — resuming from the tuning database stays deterministic under
+    // isolation.
     for (Slot& slot : slots_) {
       if (slot.busy) {
         continue;

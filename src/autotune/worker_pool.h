@@ -21,8 +21,9 @@
 // consults the FaultInjector itself (children never see injected faults) and
 // reports per-candidate outcomes positionally, so the isolated path yields
 // bit-identical results and budget accounting to the in-process path — and
-// journal resume works unchanged. Evaluation order across workers is
-// nondeterministic; outcome REDUCTION (in measure.cc) is slot-ordered.
+// resuming from the tuning database works unchanged. Evaluation order across
+// workers is nondeterministic; outcome REDUCTION (in measure.cc) is
+// slot-ordered.
 //
 // FORK CONTRACT. Children are forked per measurement batch and inherit the
 // batch context (graph/assignment/group/schedules) by copy-on-write, so no
@@ -71,7 +72,7 @@ struct WorkerFaultHooks {
 struct IsolateOptions {
   bool enabled = false;
   // Concurrent worker processes (<= 0: one). Forked per batch; idle batches
-  // (fully cached/replayed) spawn nothing.
+  // (fully answered from cache or database) spawn nothing.
   int workers = 2;
   // Per-candidate watchdog: a worker that has not replied this many ms after
   // dispatch is killed and the candidate retries. <= 0 disables the watchdog

@@ -1,11 +1,9 @@
 #include "src/codegen/kernel_cache.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "src/codegen/cpp_emitter.h"
 #include "src/support/crc32.h"
 #include "src/support/metrics.h"
+#include "src/support/string_util.h"
 
 namespace alt::codegen {
 
@@ -17,9 +15,7 @@ KernelCache& KernelCache::Global() {
 std::string KernelCache::KeyForStructure(const std::string& structure_key) {
   const std::string salted =
       "cg" + std::to_string(kCodegenVersion) + "|" + structure_key;
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, Fnv1a64(salted));
-  return buf;
+  return FormatU64Hex(Fnv1a64(salted));
 }
 
 StatusOr<std::shared_ptr<NativeKernel>> KernelCache::GetOrCompile(const std::string& key,

@@ -2,9 +2,10 @@
 // persisting, and deploying tuned networks.
 //
 //   COMPILE            core::Compile(graph, machine, options)
-//   COMPILE, CRASH-SAFE core::CompileWithJournal(graph, machine, options, path)
-//                      (core/tuning_journal.h — resumes an interrupted run
-//                      from its journal, bit-identical to an uninterrupted one)
+//                      (with options.measure.database set, every measurement
+//                      is persisted to a tuning database; re-running the same
+//                      Compile against it resumes an interrupted run,
+//                      bit-identical to an uninterrupted one)
 //   SAVE / LOAD        core::SaveArtifact / core::LoadArtifact
 //                      (core/artifact.h — versioned CRC-framed on-disk format;
 //                      a loaded artifact re-lowers to the exact programs the
@@ -70,7 +71,8 @@ struct MeasureOptions {
   // Persistent tuning database path (see core/tuning_database.h). When
   // non-empty, measurements are looked up here before running and written
   // through after, so a rerun against the same database warm-starts with
-  // zero redundant measurements.
+  // zero redundant measurements, and a rerun after a crash resumes from
+  // the measurements the interrupted run persisted.
   std::string database;
 };
 
@@ -87,8 +89,8 @@ struct FaultOptions {
 // Observability knobs (see support/trace.h).
 struct TraceOptions {
   // When non-empty, the run records a span trace (tuner phases, measurement
-  // batches, PPO updates, journal writes) and writes it to this path as
-  // Chrome trace-event JSON (see autotune::TuningOptions::trace_path).
+  // batches, PPO updates) and writes it to this path as Chrome trace-event
+  // JSON (see autotune::TuningOptions::trace_path).
   std::string path;
 };
 
@@ -117,8 +119,8 @@ struct AltOptions {
 };
 
 // Maps the facade options onto the tuner's options (variant selection, shared
-// pretrained agent, fault knobs). Exposed so journal-aware entry points can
-// derive the exact options a plain Compile would use.
+// pretrained agent, fault knobs). Exposed so callers that drive RunTuner
+// directly derive the exact options a plain Compile would use.
 autotune::TuningOptions ToTuningOptions(const AltOptions& options,
                                         const sim::Machine& machine);
 
@@ -133,8 +135,8 @@ StatusOr<autotune::CompiledNetwork> Compile(const graph::Graph& graph,
 
 // Shared tail of every compile path: opens the tuning database when
 // `options.measure.database` is set (wiring it into `tuning`), runs the
-// tuner, and closes the database. Journal-aware entry points call this after
-// layering replay/event-sink state onto `tuning`; Compile is just
+// tuner, and closes the database. Callers that adjust `tuning` beyond what
+// AltOptions expresses call this directly; Compile is just
 // RunTuner(graph, machine, options, ToTuningOptions(options, machine)).
 StatusOr<autotune::CompiledNetwork> RunTuner(const graph::Graph& graph,
                                              const sim::Machine& machine,
@@ -147,11 +149,10 @@ const std::vector<double>& SharedPretrainedAgent(const sim::Machine& machine);
 
 }  // namespace alt::core
 
-// Aggregated facade: pulling in alt.h gives the full compile / persist /
-// resume surface. Both headers include alt.h themselves, so these must come
-// after the declarations above (the include guards make the cycle benign).
-#include "src/core/artifact.h"        // SaveArtifact / LoadArtifact
-#include "src/core/tuning_journal.h"  // CompileWithJournal / ResumeFromJournal
+// Aggregated facade: pulling in alt.h gives the full compile / persist
+// surface. artifact.h includes alt.h itself, so it must come after the
+// declarations above (the include guard makes the cycle benign).
+#include "src/core/artifact.h"  // SaveArtifact / LoadArtifact
 // serving::Server lives above the core facade: include "src/serving/server.h"
 // (and link alt_serving) for the batching front-end — server.h includes this
 // header, so aggregating it here would cycle.

@@ -1,9 +1,7 @@
 #include "src/core/artifact.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <utility>
@@ -25,18 +23,6 @@ namespace {
 using graph::Graph;
 using graph::Op;
 using graph::OpKind;
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string FormatU64Hex(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
 
 StatusOr<uint64_t> ParseU64Hex(const std::string& s) {
   if (s.empty() || s.size() > 16) {

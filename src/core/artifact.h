@@ -10,7 +10,8 @@
 // execution without storing any IR and without re-tuning.
 //
 // FILE FORMAT — text, one record per line, each line independently framed
-// with the journal's CRC scheme (support/crc32: "<crc32-hex-8> <payload>"):
+// with the tuning database's CRC scheme (support/crc32:
+// "<crc32-hex-8> <payload>"):
 //
 //   altart v1 gsig=<hex16>            header; format version + graph signature
 //   machine <name>                    sim machine the network was tuned for
@@ -38,7 +39,7 @@
 // truth and the native engine falls back per program.
 //
 // VERSIONING RULES — the version is bumped when a line's meaning changes;
-// readers reject any version they don't know (unlike the tuning journal,
+// readers reject any version they don't know (unlike the tuning database,
 // which skips unknown RECORD KINDS — an artifact must reproduce execution
 // exactly or not at all). Unknown versions, CRC failures, a missing or
 // mismatched trailer (truncation), and a graph-signature mismatch are all

@@ -1,7 +1,5 @@
 #include "src/core/tuning_database.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -10,22 +8,11 @@
 #include "src/support/crc32.h"
 #include "src/support/logging.h"
 #include "src/support/metrics.h"
+#include "src/support/string_util.h"
 
 namespace alt::core {
 
 namespace {
-
-std::string FormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);  // round-trips bit-exactly
-  return buf;
-}
-
-std::string FormatU64Hex(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
 
 // Parses a 16-digit hex field starting at `s`; advances `s` past it.
 bool ParseU64Hex(const char** s, uint64_t* out) {

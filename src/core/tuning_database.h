@@ -1,18 +1,31 @@
-// Persistent cross-run tuning database (warm start).
+// Persistent tuning database: the one store of measured outcomes, serving
+// both warm start and crash-safe resume.
 //
-// The tuning journal (tuning_journal.h) makes ONE run crash-safe; it is keyed
-// to one exact (graph, machine, options) configuration and replays a
-// trajectory. The tuning database is the complementary long-lived store: an
-// append-only file of (machine, program-structure site) -> measured latency
-// records that accumulates across runs, networks, and option sets. The
-// measurement engine consults it before measuring and writes through after
-// (MeasureEngineConfig::database), so a run warm-started against a populated
-// database issues zero redundant measurements while spending its budget
-// exactly as a cold run would (hits use replay semantics, not cache-hit
-// semantics — see measure.h).
+// A tuning run's only expensive step — lowering a candidate and running the
+// analytic cost model over it — is a pure function of its inputs, so the
+// measured outcomes are the one thing a long run needs to keep. The database
+// is an append-only file of (machine, program-structure site) -> measured
+// latency records that accumulates across runs, networks, and option sets.
+// The measurement engine consults it before measuring and writes through
+// after every fresh outcome (MeasureEngineConfig::database). Hits report
+// cache_hit == false, so a run against a populated database spends its
+// budget exactly as the run that recorded them did, walks the same
+// trajectory, and issues zero redundant measurements (see measure.h).
+//
+// RESUME. Every record is flushed as it is appended, so a run killed at any
+// point leaves a valid database plus at most one torn final line. Re-running
+// the same compile against the same database re-executes the tuner from the
+// start with the same seed; measurements the interrupted run recorded are
+// answered from disk instead of re-run, so every budget decrement, reward and
+// cost-model training row is reproduced up to the crash point, after which
+// tuning continues live. The result is bit-identical to an uninterrupted
+// run's. Damage costs only the damaged lines: a torn or bit-flipped record is
+// skipped and re-measured while the records around it still answer. Records
+// written under another configuration either describe the same measurement
+// or are never looked up, so resuming needs no configuration check.
 //
 // FILE FORMAT — text, one record per line, each line independently framed
-// with the same <crc32-hex-8> <payload> scheme as the tuning journal:
+// with the <crc32-hex-8> <payload> scheme of support/crc32.h:
 //
 //   tuningdb v1                                   header
 //   record <machine-hex-16> <site-hex-16> ok <latency %.17g>
@@ -24,18 +37,16 @@
 // measured on — a latency is only meaningful on the machine that produced it,
 // so Lookup() is scoped to the handle's machine while the file freely mixes
 // records from many. `site` is Fnv1a64 of the full measurement cache key
-// (group structure + layouts + schedule), the same fingerprint the journal
-// and fault injector use.
+// (group structure + layouts + schedule), the same fingerprint the fault
+// injector uses.
 //
-// TOLERANT LOAD. Unlike the journal — where the valid prefix IS the
-// trajectory, so the first bad line ends it — database records are
-// independent facts: a corrupt line invalidates nothing around it. Open()
-// therefore SKIPS lines that fail CRC or parsing (counting them in
-// stats().skipped_records, mirrored to the measure.db_skipped_records
-// counter) and keeps loading. A trailer whose count disagrees with the
-// records actually seen is treated as forged and skipped the same way.
-// Duplicate (machine, site) records keep the FIRST occurrence, matching the
-// engine's own memoization.
+// TOLERANT LOAD. Records are independent facts: a corrupt line invalidates
+// nothing around it. Open() therefore SKIPS lines that fail CRC or parsing
+// (counting them in stats().skipped_records, mirrored to the
+// measure.db_skipped_records counter) and keeps loading. A trailer whose
+// count disagrees with the records actually seen is treated as forged and
+// skipped the same way. Duplicate (machine, site) records keep the FIRST
+// occurrence, matching the engine's own memoization.
 
 #ifndef ALT_CORE_TUNING_DATABASE_H_
 #define ALT_CORE_TUNING_DATABASE_H_

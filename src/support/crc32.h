@@ -2,9 +2,9 @@
 // fingerprinting.
 //
 // Crc32 (IEEE 802.3, reflected polynomial 0xEDB88320) frames every tuning
-// journal line so a crashed or torn write is detected on load instead of
+// database line so a crashed or torn write is detected on load instead of
 // silently corrupting a resumed run. Fnv1a64 fingerprints measurement cache
-// keys: the full keys are long structural strings, the journal only needs a
+// keys: the full keys are long structural strings, the database only needs a
 // stable 64-bit identity for them. Both are fixed algorithms — values written
 // by one build must verify on any other — so neither may ever be swapped for
 // std::hash (which is unspecified across implementations).
@@ -24,7 +24,7 @@ uint32_t Crc32(std::string_view data);
 // FNV-1a 64-bit hash of `data`.
 uint64_t Fnv1a64(std::string_view data);
 
-// Line framing shared by every CRC-checked text format (tuning journal,
+// Line framing shared by every CRC-checked text format (tuning database,
 // compiled-network artifacts): "<crc32-hex-8> <payload>", checksum over
 // exactly <payload>.
 std::string FrameLine(const std::string& payload);

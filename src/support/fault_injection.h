@@ -10,9 +10,9 @@
 // injector's seed — no internal state is consumed. This is load-bearing
 // twice over: worker threads can consult the injector concurrently without
 // perturbing each other (trajectory determinism at any thread count), and a
-// resumed tuning run that skips already-journaled measurements still sees
-// exactly the same fault decisions on the continuation as an uninterrupted
-// run would (journal-resume determinism).
+// resumed tuning run that answers already-persisted measurements from the
+// tuning database still sees exactly the same fault decisions on the
+// continuation as an uninterrupted run would (resume determinism).
 
 #ifndef ALT_SUPPORT_FAULT_INJECTION_H_
 #define ALT_SUPPORT_FAULT_INJECTION_H_

@@ -93,17 +93,7 @@ Status AppendWriter::AppendLine(std::string_view line) {
   }
   if ((!line.empty() && std::fwrite(line.data(), 1, line.size(), file_) != line.size()) ||
       std::fputc('\n', file_) == EOF || std::fflush(file_) != 0) {
-    return Status::Internal(std::string("journal append failed: ") + std::strerror(errno));
-  }
-  return Status::Ok();
-}
-
-Status AppendWriter::Sync() {
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("append writer is closed");
-  }
-  if (std::fflush(file_) != 0 || ::fsync(fileno(file_)) != 0) {
-    return Status::Internal(std::string("fsync failed: ") + std::strerror(errno));
+    return Status::Internal(std::string("append failed: ") + std::strerror(errno));
   }
   return Status::Ok();
 }

@@ -1,11 +1,12 @@
-// Minimal checked file I/O for the tuning journal and record files.
+// Minimal checked file I/O for the tuning database, artifacts and record
+// files.
 //
 // Everything returns Status — a full disk, a missing directory, or a
 // permission error during a 12-hour tuning run must surface as a recoverable
 // condition, never an abort. AppendWriter flushes after every line so the
-// on-disk journal is complete up to the last finished write even if the
-// process is killed; a torn final line is expected and tolerated by the
-// CRC-framed reader (see core/tuning_journal.h).
+// on-disk tuning database is complete up to the last finished write even if
+// the process is killed; a torn final line is expected and tolerated by the
+// CRC-framed reader (see core/tuning_database.h).
 
 #ifndef ALT_SUPPORT_FILEIO_H_
 #define ALT_SUPPORT_FILEIO_H_
@@ -24,8 +25,8 @@ StatusOr<std::string> ReadFile(const std::string& path);
 
 Status WriteFile(const std::string& path, std::string_view contents);
 
-// Shrinks `path` to exactly `size` bytes (used to discard a corrupt journal
-// tail before appending new entries after it).
+// Shrinks `path` to exactly `size` bytes (used to discard a torn tuning
+// database tail before appending new records after it).
 Status TruncateFile(const std::string& path, uint64_t size);
 
 Status RemoveFile(const std::string& path);
@@ -45,12 +46,6 @@ class AppendWriter {
   static StatusOr<AppendWriter> Open(const std::string& path);
 
   Status AppendLine(std::string_view line);
-
-  // Forces appended lines to stable storage (fflush + fsync). AppendLine only
-  // flushes to the kernel, which survives a crash of this process but not a
-  // power loss; callers with durability requirements sync at their own cadence
-  // (see core::TuningJournalOptions::fsync_every_n_lines).
-  Status Sync();
 
   bool is_open() const { return file_ != nullptr; }
   void Close();

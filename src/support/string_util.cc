@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -34,6 +35,18 @@ std::string FormatMicros(double us) {
   } else {
     std::snprintf(buf, sizeof(buf), "%.1f us", us);
   }
+  return buf;
+}
+
+std::string FormatDouble(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string FormatU64Hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
   return buf;
 }
 

@@ -30,6 +30,13 @@ std::vector<std::string> Split(const std::string& s, char sep);
 // "1.23 ms" / "456 us" style human-friendly duration from microseconds.
 std::string FormatMicros(double us);
 
+// Number fields of the on-disk text formats (tuning database, artifacts,
+// kernel-cache keys). Their bytes are part of those formats.
+// "%.17g": round-trips every double bit-exactly through strtod.
+std::string FormatDouble(double v);
+// "%016" PRIx64: 16 lowercase hex digits, zero-padded.
+std::string FormatU64Hex(uint64_t v);
+
 // All positive divisors of n, ascending.
 std::vector<int64_t> Divisors(int64_t n);
 

@@ -8,7 +8,7 @@
 //
 //   <u32 LE payload length> <u32 LE Crc32(payload)> <payload>
 //
-// The same Crc32 that frames the tuning journal and artifacts (support/crc32)
+// The same Crc32 that frames the tuning database and artifacts (support/crc32)
 // guards every frame, so a child that dies mid-write, scribbles on its pipe,
 // or garbles a reply is DETECTED — the reader reports kCorrupt/kEof instead
 // of handing corrupt bytes to the tuner. Frames are written with a single

@@ -272,67 +272,20 @@ TEST(JointTuner, HistoryIsSentinelFreeAndMonotoneNonIncreasing) {
   }
 }
 
-// Records everything the tuner announces through the event-sink interface.
-struct RecordingSink : autotune::TuningEventSink {
-  std::vector<std::string> phases;
-  std::vector<double> batch_bests;
-  void OnMeasured(const std::string&, const autotune::MeasureResult&) override {}
-  void OnLayoutCommitted(int, const autotune::DecodedLayouts&,
-                         const loop::LoopSchedule*) override {}
-  void OnBatchDone(int, double best_us) override { batch_bests.push_back(best_us); }
-  void OnPhase(const std::string& phase) override { phases.push_back(phase); }
-};
-
-TEST(JointTuner, SinkSeesOrderedPhasesAndNoSentinel) {
-  graph::Graph g = SmallConvGraph();
-  const auto& machine = sim::Machine::IntelCpu();
-  core::AltOptions options;
-  options.budget = 120;
-  options.method = autotune::SearchMethod::kRandom;
-
-  RecordingSink sink;
-  autotune::TuningOptions tuning = core::ToTuningOptions(options, machine);
-  tuning.event_sink = &sink;
-  autotune::JointTuner tuner(g, machine, tuning);
-  auto result = tuner.Tune();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  EXPECT_EQ(sink.phases, (std::vector<std::string>{"joint", "loop", "lower"}));
-  ASSERT_FALSE(sink.batch_bests.empty());
-  for (double best : sink.batch_bests) {
-    // "No result yet" is NaN; anything else is a real latency. The 1e30
-    // internal sentinel must never cross the sink interface.
-    if (!std::isnan(best)) {
-      EXPECT_LT(best, 1e29);
-      EXPECT_GT(best, 0.0);
-    }
-  }
-}
-
-TEST(JointTuner, AllFailingMeasurementsReportNaNNeverSentinel) {
+TEST(JointTuner, AllFailingMeasurementsLeaveHistoryEmpty) {
   // Every measurement attempt fails, so a best latency never exists: the
-  // tuning curve must stay empty and every batch report NaN — the pre-fix
-  // behavior pushed 1e30 into both.
+  // tuning curve must stay empty rather than carry the internal 1e30
+  // "no best yet" sentinel.
   graph::Graph g = SmallConvGraph();
-  const auto& machine = sim::Machine::IntelCpu();
   core::AltOptions options;
   options.budget = 60;
   options.method = autotune::SearchMethod::kRandom;
   options.fault.injection.always_fail_first = 1000;  // beyond any retry count
   options.fault.retry.max_attempts = 1;
 
-  RecordingSink sink;
-  autotune::TuningOptions tuning = core::ToTuningOptions(options, machine);
-  tuning.event_sink = &sink;
-  autotune::JointTuner tuner(g, machine, tuning);
-  auto result = tuner.Tune();
+  auto result = core::Compile(g, sim::Machine::IntelCpu(), options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-
   EXPECT_TRUE(result->history_us.empty());
-  ASSERT_FALSE(sink.batch_bests.empty());
-  for (double best : sink.batch_bests) {
-    EXPECT_TRUE(std::isnan(best)) << "reported " << best << " with no successful measurement";
-  }
 }
 
 TEST(JointTuner, TracedRunWritesChromeTraceAndMatchingMetrics) {
@@ -355,6 +308,19 @@ TEST(JointTuner, TracedRunWritesChromeTraceAndMatchingMetrics) {
     EXPECT_NE(trace->find(std::string("\"") + span + "\""), std::string::npos)
         << "trace is missing span " << span;
   }
+  // Each phase is announced once, in order, as a tuner.phase instant whose
+  // detail names it.
+  std::vector<std::string> phases;
+  const std::string phase_event = "\"name\":\"tuner.phase\"";
+  const std::string detail_field = "\"detail\":\"";
+  for (size_t pos = trace->find(phase_event); pos != std::string::npos;
+       pos = trace->find(phase_event, pos + 1)) {
+    const size_t detail = trace->find(detail_field, pos);
+    ASSERT_LT(detail, trace->find('}', pos)) << "tuner.phase instant without a detail";
+    const size_t begin = detail + detail_field.size();
+    phases.push_back(trace->substr(begin, trace->find('"', begin) - begin));
+  }
+  EXPECT_EQ(phases, (std::vector<std::string>{"joint", "loop", "lower"}));
   RemoveFile(trace_path);
 
   // The per-run metrics snapshot rides on the result and agrees with the

@@ -1,10 +1,13 @@
 // Tests for the parallel measurement engine: the determinism guarantee (a
 // fixed seed produces an identical tuning trajectory at any thread count),
-// the memoizing measurement cache, and the cache key.
+// the memoizing measurement cache, the cache key, fault handling, and how
+// answers from a persistent measurement store are accounted.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <unordered_map>
 
 #include "src/autotune/measure.h"
 #include "src/autotune/tuner.h"
@@ -91,7 +94,7 @@ TEST(MeasureEngine, CacheOnMatchesCacheOffResult) {
   EXPECT_GT(rc->measure_stats.cache_hits, 0);
   EXPECT_EQ(rc->measure_stats.requested,
             rc->measure_stats.measured + rc->measure_stats.cache_hits +
-                rc->measure_stats.failed + rc->measure_stats.replayed);
+                rc->measure_stats.failed + rc->measure_stats.db_hits);
 
   core::AltOptions uncached = BaseOptions();
   uncached.measure.cache = false;
@@ -319,75 +322,101 @@ TEST(MeasureEngine, FaultyBatchStillFillsEverySlot) {
   }
   const auto& st = engine.stats();
   EXPECT_EQ(st.requested, static_cast<int64_t>(scheds.size()));
-  EXPECT_EQ(st.requested, st.measured + st.cache_hits + st.failed + st.replayed);
+  EXPECT_EQ(st.requested, st.measured + st.cache_hits + st.failed + st.db_hits);
 }
 
-TEST(MeasureEngine, ReplayLogAnswersWithoutMeasuring) {
+// In-memory MeasureDatabase that counts write-backs.
+class FakeDatabase : public autotune::MeasureDatabase {
+ public:
+  std::optional<Entry> Lookup(uint64_t site) override {
+    auto it = entries.find(site);
+    if (it == entries.end()) {
+      return std::nullopt;
+    }
+    return it->second;
+  }
+  void Record(uint64_t site, const Entry& entry) override {
+    ++recorded;
+    entries.emplace(site, entry);
+  }
+
+  std::unordered_map<uint64_t, Entry> entries;
+  int recorded = 0;
+};
+
+// The database site of a candidate: Fnv1a64 of GroupCacheKey + "#" + schedule.
+uint64_t SiteOf(const Candidate& c) {
+  return Fnv1a64(autotune::GroupCacheKey(c.g, c.la, c.group) + "#" +
+                 loop::EncodeSchedule(c.sched));
+}
+
+TEST(MeasureEngine, DatabaseHitAnswersWithoutMeasuring) {
   Candidate c = MakeCandidate();
   const auto& machine = sim::Machine::IntelCpu();
-
-  // Hand-build a replay log for this exact candidate, the same way the
-  // journal writer keys it: Fnv1a64 of GroupCacheKey + "#" + schedule.
-  const std::string key = autotune::GroupCacheKey(c.g, c.la, c.group) + "#" +
-                          loop::EncodeSchedule(c.sched);
-  autotune::MeasureReplayLog replay;
-  replay.ok[Fnv1a64(key)] = 42.5;
+  FakeDatabase db;
+  db.entries[SiteOf(c)] = {false, 42.5};
 
   autotune::MeasureEngineConfig config;
   config.threads = 1;
-  config.replay = &replay;
-  int fresh_outcomes = 0;
-  config.on_measured = [&](const std::string&, const autotune::MeasureResult&) {
-    ++fresh_outcomes;
-  };
+  config.database = &db;
   autotune::MeasureEngine engine(machine, config);
 
   auto result = engine.MeasureOne(c.g, c.la, c.group, c.sched);
   ASSERT_TRUE(result.status.ok());
-  EXPECT_TRUE(result.replayed);
-  EXPECT_FALSE(result.cache_hit);  // budget accounting must match the original run
+  EXPECT_TRUE(result.db_hit);
+  EXPECT_FALSE(result.cache_hit);  // budget accounting must match the recording run
   EXPECT_EQ(result.latency_us, 42.5);
   EXPECT_EQ(result.attempts, 0);
   EXPECT_EQ(engine.stats().measured, 0);
-  EXPECT_EQ(engine.stats().replayed, 1);
-  EXPECT_EQ(fresh_outcomes, 0);  // a replay is not a fresh outcome
+  EXPECT_EQ(engine.stats().db_hits, 1);
+  EXPECT_EQ(db.recorded, 0);  // a hit is not written back
 
-  // Successful replays prime the cache, so a revisit is a plain cache hit —
-  // exactly what the original (journaling) run would have seen.
+  // Successful hits prime the cache, so a revisit is a plain cache hit —
+  // exactly what the run that recorded the database saw.
   auto again = engine.MeasureOne(c.g, c.la, c.group, c.sched);
   EXPECT_TRUE(again.cache_hit);
+  EXPECT_FALSE(again.db_hit);
   EXPECT_EQ(again.latency_us, 42.5);
+  EXPECT_EQ(engine.cache_size(), 1);
+  EXPECT_EQ(db.recorded, 0);
 }
 
-TEST(MeasureEngine, ReplayedFailureQuarantines) {
+TEST(MeasureEngine, DatabaseFailureQuarantines) {
   Candidate c = MakeCandidate();
   const auto& machine = sim::Machine::IntelCpu();
-
-  const std::string key = autotune::GroupCacheKey(c.g, c.la, c.group) + "#" +
-                          loop::EncodeSchedule(c.sched);
-  autotune::MeasureReplayLog replay;
-  replay.failed.insert(Fnv1a64(key));
+  FakeDatabase db;
+  db.entries[SiteOf(c)] = {true, 0.0};
 
   autotune::MeasureEngineConfig config;
   config.threads = 1;
-  config.replay = &replay;
+  config.database = &db;
   autotune::MeasureEngine engine(machine, config);
 
   auto result = engine.MeasureOne(c.g, c.la, c.group, c.sched);
   EXPECT_FALSE(result.status.ok());
-  EXPECT_TRUE(result.replayed);
-  EXPECT_EQ(engine.stats().replayed, 1);
+  EXPECT_TRUE(result.db_hit);
+  EXPECT_EQ(result.attempts, 0);
+  EXPECT_EQ(engine.stats().db_hits, 1);
   EXPECT_EQ(engine.stats().measured, 0);
-  EXPECT_EQ(engine.quarantine_size(), 1);  // stays failed on revisit, no re-measure
+  EXPECT_EQ(engine.quarantine_size(), 1);
+  EXPECT_EQ(db.recorded, 0);
+
+  // A revisit short-circuits in quarantine: never re-measured.
+  auto again = engine.MeasureOne(c.g, c.la, c.group, c.sched);
+  EXPECT_FALSE(again.status.ok());
+  EXPECT_FALSE(again.db_hit);
+  EXPECT_EQ(again.attempts, 0);
+  EXPECT_EQ(engine.stats().failed, 1);
+  EXPECT_EQ(engine.stats().measured, 0);
 }
 
 // Every batch must account for every requested candidate exactly once:
-// requested == measured + cache_hits + failed + replayed + db_hits.
+// requested == measured + cache_hits + failed + db_hits.
 void ExpectStatsInvariant(const autotune::MeasureStats& s) {
-  EXPECT_EQ(s.requested, s.measured + s.cache_hits + s.failed + s.replayed + s.db_hits)
+  EXPECT_EQ(s.requested, s.measured + s.cache_hits + s.failed + s.db_hits)
       << "requested=" << s.requested << " measured=" << s.measured
       << " cache_hits=" << s.cache_hits << " failed=" << s.failed
-      << " replayed=" << s.replayed << " db_hits=" << s.db_hits;
+      << " db_hits=" << s.db_hits;
 }
 
 TEST(MeasureEngine, StatsInvariantHoldsAcrossConfigurations) {
@@ -413,6 +442,33 @@ TEST(MeasureEngine, StatsInvariantHoldsAcrossConfigurations) {
       }
     }
   }
+}
+
+TEST(MeasureEngine, FaultInjectedTuningCompletesAndIsDeterministic) {
+  // A 10% transient failure rate must not abort tuning; retries absorb the
+  // faults and the whole run stays deterministic (the injector is stateless).
+  graph::Graph g = SmallConvGraph();
+  const auto& machine = sim::Machine::IntelCpu();
+  core::AltOptions options = BaseOptions();
+  options.fault.injection.failure_rate = 0.1;
+  options.fault.injection.seed = 5;
+
+  auto r1 = core::Compile(g, machine, options);
+  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+  EXPECT_GT(r1->measure_stats.injected_failures, 0);
+  EXPECT_GT(r1->measure_stats.retries, 0);
+
+  auto r2 = core::Compile(g, machine, options);
+  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+  EXPECT_EQ(r1->perf.latency_us, r2->perf.latency_us);
+  EXPECT_EQ(r1->measurements_used, r2->measurements_used);
+  EXPECT_EQ(r1->history_us, r2->history_us);
+  ASSERT_EQ(r1->schedules.size(), r2->schedules.size());
+  for (size_t i = 0; i < r1->schedules.size(); ++i) {
+    EXPECT_EQ(loop::EncodeSchedule(r1->schedules[i]), loop::EncodeSchedule(r2->schedules[i]));
+  }
+  EXPECT_EQ(r1->measure_stats.injected_failures, r2->measure_stats.injected_failures);
+  EXPECT_EQ(r1->measure_stats.retries, r2->measure_stats.retries);
 }
 
 TEST(MeasureEngine, WallTimeIsPerBatchAndCpuTimeIsPerAttempt) {
@@ -460,7 +516,7 @@ TEST(MeasureEngine, MetricsSnapshotMirrorsMeasureStats) {
   EXPECT_EQ(m.counter("measure.measured"), s.measured);
   EXPECT_EQ(m.counter("measure.cache_hits"), s.cache_hits);
   EXPECT_EQ(m.counter("measure.failed"), s.failed);
-  EXPECT_EQ(m.counter("measure.replayed"), s.replayed);
+  EXPECT_EQ(m.counter("measure.db_hits"), s.db_hits);
   EXPECT_EQ(m.counter("measure.retries"), s.retries);
   EXPECT_EQ(m.counter("measure.quarantined"), s.quarantined);
   EXPECT_EQ(m.counter("measure.injected_failures"), s.injected_failures);

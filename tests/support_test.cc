@@ -267,7 +267,7 @@ TEST(Crc32Test, KnownVectorsAndSensitivity) {
   // The IEEE CRC-32 check value (CRC of "123456789").
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
-  EXPECT_NE(Crc32("journal v1"), Crc32("journal v2"));
+  EXPECT_NE(Crc32("tuningdb v1"), Crc32("tuningdb v2"));
 }
 
 TEST(Fnv1a64Test, StableAndDistinct) {

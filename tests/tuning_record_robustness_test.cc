@@ -4,15 +4,10 @@
 // factor wider than int64 threw from std::stoi/std::stoll and aborted the
 // process (the parser is exception-free by design, so nothing caught them).
 
-#include <cstdio>
-
 #include <gtest/gtest.h>
 
-#include "src/core/tuning_journal.h"
-#include "src/support/crc32.h"
 #include "src/core/tuning_record.h"
 #include "src/loop/serialization.h"
-#include "src/support/fileio.h"
 #include "src/support/string_util.h"
 
 namespace alt {
@@ -156,81 +151,6 @@ TEST(TuningRecordRobustness, ApplyRejectsLayoutThatDoesNotFitTheShape) {
   auto applied = core::ApplyTuningRecord(g, sim::Machine::IntelCpu(), *record);
   ASSERT_FALSE(applied.ok());
   EXPECT_EQ(applied.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(TuningRecordRobustness, JournalCorruptionCorpusNeverCrashesTheLoader) {
-  // LoadTuningJournal must treat arbitrary bytes as "some valid prefix plus
-  // a discarded tail" — never crash, never error on content.
-  const std::string good =
-      "journal v1 fp=00000000000000ff";  // payload whose framing we corrupt
-  auto frame = [](const std::string& payload) {
-    char crc[16];
-    std::snprintf(crc, sizeof(crc), "%08x ", Crc32(payload));
-    return crc + payload + "\n";
-  };
-  const std::string corpus[] = {
-      "",                                      // empty file
-      "\n\n\n",                                // blank lines, no framing
-      "garbage with no checksum at all\n",     // unframed text
-      "deadbeef " + good + "\n",               // wrong checksum
-      "DEADBEEF " + good + "\n",               // uppercase hex is invalid
-      frame(good),                             // valid header only
-      frame(good) + "tail without newline",    // torn final line
-      frame(good) + frame("measure 0123456789abcdef ok 1.5") +
-          frame("measure not-16-hex-chars ok 1.5"),       // bad site field
-      frame(good) + frame("measure 0123456789abcdef zap"), // bad outcome word
-      frame(good) + frame("batch spent=x best=y"),         // bad batch fields
-      frame(good) +
-          frame("batch spent=99999999999999999999 best=1.5"),  // spent > int64
-      frame(good) + frame("batch spent=4294967296 best=1.5"),  // spent > int32
-      frame(good) + frame("future-kind anything goes"),    // unknown kind: ok
-      std::string(1, '\0') + frame(good),                  // NUL first byte
-      frame("journal v9 fp=0000000000000000"),             // unsupported header
-  };
-  std::string path = ::testing::TempDir() + "journal_corpus.altj";
-  for (size_t i = 0; i < sizeof(corpus) / sizeof(corpus[0]); ++i) {
-    ASSERT_TRUE(WriteFile(path, corpus[i]).ok());
-    auto loaded = core::LoadTuningJournal(path);
-    ASSERT_TRUE(loaded.ok()) << "corpus entry " << i << ": "
-                             << loaded.status().ToString();
-    EXPECT_EQ(loaded->valid_bytes + loaded->discarded_bytes,
-              static_cast<int64_t>(corpus[i].size()))
-        << "corpus entry " << i;
-    if (loaded->has_header) {
-      EXPECT_EQ(loaded->fingerprint, 0xffull) << "corpus entry " << i;
-    }
-  }
-  RemoveFile(path);
-}
-
-TEST(TuningRecordRobustness, BatchSpentParsingIsRangeChecked) {
-  // The spent counter is parsed with checked 32-bit conversion: a value that
-  // does not fit is a corrupt record (discarded like any other), never a
-  // silently-truncated count. The old strtol + static_cast path would have
-  // accepted 4294967296 as 0 on LP64.
-  auto frame = [](const std::string& payload) {
-    char crc[16];
-    std::snprintf(crc, sizeof(crc), "%08x ", Crc32(payload));
-    return crc + payload + "\n";
-  };
-  const std::string good = "journal v1 fp=0000000000000001";
-  const std::string path = ::testing::TempDir() + "journal_batch_range.altj";
-
-  ASSERT_TRUE(WriteFile(path, frame(good) + frame("batch spent=42 best=1.5")).ok());
-  auto ok = core::LoadTuningJournal(path);
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(ok->batch_lines, 1);
-  EXPECT_EQ(ok->last_spent, 42);
-  EXPECT_EQ(ok->discarded_bytes, 0);
-
-  ASSERT_TRUE(
-      WriteFile(path, frame(good) + frame("batch spent=4294967296 best=1.5")).ok());
-  auto overflow = core::LoadTuningJournal(path);
-  ASSERT_TRUE(overflow.ok()) << overflow.status().ToString();
-  EXPECT_EQ(overflow->batch_lines, 0);
-  EXPECT_EQ(overflow->last_spent, 0);
-  EXPECT_GT(overflow->discarded_bytes, 0);
-  RemoveFile(path);
 }
 
 TEST(TuningRecordRobustness, PrimitiveCodecRoundTrips) {
