@@ -21,6 +21,13 @@ using loop::LoopSchedule;
 
 namespace {
 
+// Loop-tuning batch shape: each batch samples kBatchSize schedules, and only
+// the cost model's kTopK are measured. Every layout the joint stage proposes
+// gets kLoopRoundsPerLayout batches of loop tuning to earn its reward.
+constexpr int kBatchSize = 16;
+constexpr int kTopK = 4;
+constexpr int kLoopRoundsPerLayout = 2;
+
 MeasureEngineConfig EngineConfig(const TuningOptions& options) {
   MeasureEngineConfig c;
   c.threads = options.measure_threads;
@@ -155,7 +162,7 @@ void JointTuner::LoopTuneBatch(const Graph& g, const LayoutAssignment& la,
 
   // Sample a batch: random points plus random-walk neighbours of the best.
   std::vector<Point> batch;
-  for (int i = 0; i < options_.batch_size; ++i) {
+  for (int i = 0; i < kBatchSize; ++i) {
     if (!state.best_point.empty() && i % 2 == 1) {
       batch.push_back(NeighbourPoint(state.best_point, rng));
     } else {
@@ -176,7 +183,7 @@ void JointTuner::LoopTuneBatch(const Graph& g, const LayoutAssignment& la,
   }
   std::sort(ranked.begin(), ranked.end());
   int to_measure = options_.use_cost_model
-                       ? std::min<int>(options_.top_k, ranked.size())
+                       ? std::min<int>(kTopK, ranked.size())
                        : static_cast<int>(ranked.size());
 
   // Lower + estimate the predicted top-k concurrently; the reduction below
@@ -368,7 +375,7 @@ StatusOr<std::optional<DecodedLayouts>> JointTuner::TuneOpLayout(int op_id,
       loop_state.best_latency = def_res.latency_us;
     }
     Rng candidate_rng(candidate_seed);
-    for (int round = 0; round < options_.loop_rounds_per_layout; ++round) {
+    for (int round = 0; round < kLoopRoundsPerLayout; ++round) {
       LoopTuneBatch(graph_, la, group, layout_state, loop_state, candidate_rng);
     }
     if (schedule_out != nullptr) {
@@ -615,7 +622,7 @@ StatusOr<CompiledNetwork> JointTuner::Tune() {
     int joint_budget = static_cast<int>(options_.total_budget * options_.joint_fraction);
     if (!classes.empty() && joint_budget > 0) {
       int per_class = std::max(joint_budget / static_cast<int>(classes.size()),
-                               3 * (options_.top_k + 1));
+                               3 * (kTopK + 1));
       for (const auto& [key, members] : classes) {
         if (measurements_ >= joint_budget) {
           break;

@@ -13,7 +13,8 @@
 //     schedule.
 //
 // "Measurement" is a simulator estimate; budget accounting mirrors the paper
-// (a batch costs top_k measurements — only the cost-model top-k are run).
+// (of each sampled batch only the cost model's top-k are run, and each costs
+// one measurement; tuner.cc fixes the batch size and k).
 
 #ifndef ALT_AUTOTUNE_TUNER_H_
 #define ALT_AUTOTUNE_TUNER_H_
@@ -52,9 +53,6 @@ enum class FixedLayout { kCanonical, kChannelsLast, kBlocked };
 struct TuningOptions {
   int total_budget = 600;     // total "measurements"
   double joint_fraction = 0.3;  // paper: 300/1000 single-op, 8k/20k networks
-  int batch_size = 16;
-  int top_k = 4;
-  int loop_rounds_per_layout = 2;
 
   SearchMethod method = SearchMethod::kPpoPretrained;
   bool tune_layout = true;            // false: ALT-OL / loop-only baselines

@@ -1,20 +1,25 @@
-// Structural description of one lowered program's native kernel.
+// The flattened execution plan of one lowered program, shared by the affine
+// interpreter and the native backend.
 //
-// A KernelSpec is the affine execution plan (runtime/interpreter.cc) with
-// every raw pointer replaced by an index: buffers become positions in a
-// buffer table the caller passes at invocation time, and per-element
-// fallback leaves become indices into a callback. That substitution makes
-// the spec a pure function of the program's STRUCTURE — two programs with
-// equal `ir::ProgramStructureKey` build byte-identical specs — which is what
-// lets compiled kernels be cached and shared across sessions, artifacts, and
-// hot-swaps (kernel_cache.h).
+// The runtime's affine builder (runtime/interpreter.cc) writes a KernelSpec
+// straight from the statement tree: loops become begin/end instructions that
+// bump offset accumulators, and each innermost store becomes a leaf. The
+// spec holds no pointers: buffers are ids into a table the caller passes at
+// run time, numbered in the order the builder commits accesses, and the
+// per-element values of kEval branches and bytecode leaves stay with the
+// host, keyed by leaf index. That makes the spec a pure function of the
+// program's STRUCTURE — two programs with equal `ir::ProgramStructureKey`
+// build byte-identical specs — which is what lets compiled kernels be cached
+// and shared across sessions, artifacts, and hot-swaps (kernel_cache.h).
 //
-// The generated function (cpp_emitter.h) executes the spec with the exact
-// arithmetic of the affine interpreter: the same double→float conversion
-// sequences, the same element order, the same guard-range splitting, and the
-// same segment-endpoint bounds checks. Bit-identity with the interpreter is
-// a contract, not an aspiration — the randomized differential corpus in
-// tests/affine_exec_test.cc enforces it three ways.
+// The affine engine executes the spec directly. The generated function
+// (cpp_emitter.h) executes it with the same arithmetic: the same
+// double→float conversion sequences, the same element order, the same
+// guard-range splitting, and the same segment-endpoint bounds checks, and it
+// hands every bytecode or eval leaf back to the host through a callback.
+// Bit-identity between the two is a contract, not an aspiration — the
+// randomized differential corpus in tests/affine_exec_test.cc enforces it
+// three ways.
 
 #ifndef ALT_CODEGEN_KERNEL_SPEC_H_
 #define ALT_CODEGEN_KERNEL_SPEC_H_
@@ -26,13 +31,14 @@
 namespace alt::codegen {
 
 // The generated entry point.
-//   bufs     — float* per spec buffer, in spec order.
+//   bufs     — float* per spec buffer id.
 //   env      — loop-variable environment (spec.env_size slots), zeroed by the
-//              caller; maintained by the kernel only when a fallback leaf
-//              needs it.
+//              caller; maintained by the kernel only when some leaf runs
+//              through the callback.
 //   ctx      — opaque host state threaded through to `fallback`.
-//   fallback — runs fallback leaf `leaf` at the loop state in `env`; returns
-//              0 on success, nonzero to abort the kernel.
+//   fallback — runs leaf `leaf` on the host at the loop state in `env` (every
+//              bytecode leaf and every leaf with a kEval branch); returns 0
+//              on success, nonzero to abort the kernel.
 //   begin/end — iteration slice [begin, end) of the outermost loop when the
 //              spec was built `sliced` (a kParallel root with proven
 //              write-disjointness — ir::ParallelRootWritesDisjoint): the
@@ -68,6 +74,7 @@ struct KernelSpec {
     kFill,    // splat an immediate
     kCopy,    // copy one affine load
     kMulAcc,  // load*load, load*imm or imm*load
+    kEval,    // any other value, evaluated per element by the host
   };
 
   struct Branch {
@@ -88,10 +95,9 @@ struct KernelSpec {
   struct Leaf {
     int64_t extent = 1;  // leaf loop trip count (1 for singleton stores)
     int vslot = -1;      // env slot of the consumed loop (-1: singleton)
-    // When true the leaf runs through the host callback (non-affine store
-    // offset or a value shape the kernel library doesn't cover).
-    bool fallback = false;
-    // Kernel leaf fields (ignored when fallback).
+    // True when the store offset is not affine: the host runs the leaf's
+    // generic compiled store per element, and the fields below are unused.
+    bool bytecode = false;
     int out_buffer = -1;
     int64_t out_size = 0;
     int store_acc = -1;
@@ -99,10 +105,16 @@ struct KernelSpec {
     bool accumulate = false;
     bool guarded = false;
     std::vector<Cond> conds;
-    Branch then_k, else_k;
+    Branch then_k, else_k;  // else_k only when guarded
+
+    // True for an eval leaf: some branch is a per-element value tree.
+    bool HasEval() const {
+      return then_k.kind == BranchKind::kEval ||
+             (guarded && else_k.kind == BranchKind::kEval);
+    }
   };
 
-  // Flattened loop program, exactly the interpreter's instruction array.
+  // Flattened loop program.
   struct Instr {
     enum Kind { kLoopBegin, kLoopEnd, kLeaf };
     Kind kind = kLeaf;
@@ -114,7 +126,6 @@ struct KernelSpec {
     std::vector<std::pair<int, int64_t>> bumps;
   };
 
-  int num_buffers = 0;
   int env_size = 0;
   // True when instrs[0] is the program's outermost loop AND that loop is a
   // kParallel root with proven cross-iteration write-disjointness: the
@@ -123,9 +134,6 @@ struct KernelSpec {
   // consults only extents/strides/guards, all part of ProgramStructureKey),
   // so cache sharing by structure key stays sound.
   bool sliced = false;
-  // True when any leaf falls back: loops then maintain `env` for the
-  // callback; otherwise env writes are omitted entirely.
-  bool needs_env = false;
   std::vector<int64_t> acc_init;  // accumulator base values
   std::vector<Instr> instrs;
   std::vector<Leaf> leaves;

@@ -294,90 +294,41 @@ void ExecNode(const PlanNode& node, int64_t* env, ExecContext& ctx) {
 // ===========================================================================
 // Affine engine.
 //
-// The statement tree is flattened into a linear instruction array
-// (LoopBegin / LoopEnd / Leaf). Every affine load/store offset gets an
-// integer accumulator initialized to the form's base; each enclosing loop
-// carries a bump list of (accumulator, stride) pairs applied on every
-// iteration advance — strength reduction that removes offset bytecode from
-// execution entirely. A For whose body is a single Store is consumed into a
-// kernel leaf that runs the innermost loop as a tight kernel (fill / copy /
-// mul-accumulate, or a per-element fallback); top-level pad/unfold Selects
-// whose guards are affine in the leaf variable are split into contiguous
-// [else)[then)[else) ranges so the condition check leaves the inner loop.
-// Stores with non-affine residue become bytecode leaves that reuse the
-// generic CompiledStore — the two engines are bit-identical by construction:
-// every kernel performs the exact double→float conversion sequence of the
-// generic evaluator, in the same element order.
+// The statement tree is flattened into a codegen::KernelSpec: a linear
+// instruction array (LoopBegin / LoopEnd / Leaf). Every affine load/store
+// offset gets an integer accumulator initialized to the form's base; each
+// enclosing loop carries a bump list of (accumulator, stride) pairs applied on
+// every iteration advance — strength reduction that removes offset bytecode
+// from execution entirely. A For whose body is a single Store is consumed into
+// a leaf that runs the innermost loop as a tight kernel (fill / copy /
+// mul-accumulate) or evaluates a general value per element (kEval), offsets
+// still bumped; top-level pad/unfold Selects whose guards are affine in the
+// leaf variable are split into contiguous [else)[then)[else) ranges so the
+// condition check leaves the inner loop. Stores with a non-affine offset
+// become bytecode leaves that reuse the generic CompiledStore. The spec holds
+// only indices; the HostTable beside it holds what they name in this process.
+// The affine engine runs the spec below and the native engine compiles the
+// same spec, and every kernel performs the exact double→float conversion
+// sequence of the generic evaluator, in the same element order, so the three
+// engines are bit-identical by construction.
 // ===========================================================================
 
-// An affine load feeding a kernel. `acc` holds the offset at leaf position
-// v = 0 for the current outer-loop iteration; `inner` is the stride along
-// the leaf loop.
-struct AffineAccess {
-  const float* data = nullptr;
-  int64_t size = 0;
-  int acc = -1;
-  int64_t inner = 0;
+using Spec = codegen::KernelSpec;
+
+struct HostLeaf {
+  // The generic compiled store the leaf came from. Bytecode leaves run it on
+  // both engines; the native kernel's callback runs it for eval leaves too.
+  const CompiledStore* store = nullptr;
+  // Per-element values of the leaf's kEval branches (null for other kinds):
+  // the store's own value, or a split select branch owned by HostTable::evals.
+  const CompiledVal* then_eval = nullptr;
+  const CompiledVal* else_eval = nullptr;
 };
 
-enum class KernelKind {
-  kFill,    // value is an immediate (or a product of immediates)
-  kCopy,    // value is a single affine load
-  kMulAcc,  // value is load*load, load*imm or imm*load
-  kEval,    // per-element evaluation of a CompiledVal (offsets still bumped)
-};
-
-struct KernelBranch {
-  KernelKind kind = KernelKind::kEval;
-  double imm = 0.0;  // kFill splat value (double; cast to float at the store)
-  bool a_is_imm = false, b_is_imm = false;  // kMulAcc operand forms
-  double imm_a = 0.0, imm_b = 0.0;
-  AffineAccess a, b;
-  const CompiledVal* eval = nullptr;
-  std::shared_ptr<CompiledVal> owned;  // keeps `eval` alive for select branches
-};
-
-// One ANDed interval guard along the leaf loop: e(v) = acc-value + cv * v,
-// required to satisfy lo <= e < hi (and e ≡ rem mod modulus).
-struct LeafCond {
-  int acc = -1;
-  int64_t cv = 0, lo = 0, hi = 0, modulus = 1, rem = 0;
-};
-
-struct Leaf {
-  int64_t extent = 1;  // leaf loop trip count (1 for singleton stores)
-  int vslot = -1;      // env slot of the consumed loop (-1: singleton)
-  // Bytecode fallback (non-affine store offset).
-  const CompiledStore* bytecode = nullptr;
-  // The generic compiled store this leaf came from; the native engine runs
-  // kEval-shaped leaves through it (env-only, no accumulators needed).
-  const CompiledStore* generic = nullptr;
-  // Kernel leaf.
-  float* out = nullptr;
-  int64_t out_size = 0;
-  int store_acc = -1;
-  int64_t store_inner = 0;
-  ir::StoreMode mode = ir::StoreMode::kAssign;
-  bool guarded = false;
-  std::vector<LeafCond> conds;
-  KernelBranch then_k, else_k;
-};
-
-struct Instr {
-  enum Kind { kLoopBegin, kLoopEnd, kLeaf } kind = kLeaf;
-  int slot = -1;
-  int64_t extent = 0;
-  int match = -1;  // begin: index of matching end; end: index of begin
-  int leaf = -1;
-  std::vector<std::pair<int, int64_t>> bumps;  // (accumulator, stride)
-};
-
-struct AffinePlan {
-  std::vector<Instr> instrs;
-  std::vector<Leaf> leaves;
-  std::vector<int64_t> acc_init;
-  int64_t kernel_leaves = 0;
-  int64_t bytecode_leaves = 0;
+struct HostTable {
+  std::vector<float*> bufs;      // by spec buffer id; the native kernel's `bufs`
+  std::vector<HostLeaf> leaves;  // by spec leaf index
+  std::vector<std::unique_ptr<CompiledVal>> evals;  // split select branches run as kEval
 };
 
 // The top-level Select (if any) of a store value, with the value rewritten so
@@ -420,7 +371,8 @@ std::optional<SelParts> ExtractSelect(const ir::Val& v) {
 
 struct AffineBuilder {
   Compiler* compiler = nullptr;
-  AffinePlan plan;
+  Spec spec;
+  HostTable host;
   // Enclosing loops, outermost first. When building a consumed leaf the leaf
   // loop is the last entry (with no loop instruction of its own).
   std::vector<ir::AffineLoop> loops;
@@ -435,15 +387,26 @@ struct AffineBuilder {
   };
 
   int NewAcc(const ir::AffineForm& f, bool consumed) {
-    int id = static_cast<int>(plan.acc_init.size());
-    plan.acc_init.push_back(f.base);
+    int id = static_cast<int>(spec.acc_init.size());
+    spec.acc_init.push_back(f.base);
     size_t outer = loops.size() - (consumed ? 1 : 0);
     for (size_t i = 0; i < outer; ++i) {
       if (f.coeffs[i] != 0) {
-        plan.instrs[loop_instrs[i]].bumps.push_back({id, f.coeffs[i]});
+        spec.instrs[loop_instrs[i]].bumps.push_back({id, f.coeffs[i]});
       }
     }
     return id;
+  }
+
+  // A tensor's buffer id is the next free one when an access to it is first
+  // committed; abandoned analyses number nothing.
+  int BufferId(float* data) {
+    auto it = std::find(host.bufs.begin(), host.bufs.end(), data);
+    if (it == host.bufs.end()) {
+      host.bufs.push_back(data);
+      return static_cast<int>(host.bufs.size()) - 1;
+    }
+    return static_cast<int>(it - host.bufs.begin());
   }
 
   // A load whose offset needs the unfold clamp split (ir::DecomposeClamped):
@@ -498,20 +461,18 @@ struct AffineBuilder {
     return ClampedPending{std::move(*cf), it->second.buffer->data(), it->second.size};
   }
 
-  AffineAccess Commit(const Pending& p, bool consumed) {
-    AffineAccess a;
-    a.data = p.data;
+  Spec::Access Commit(const Pending& p, bool consumed) {
+    Spec::Access a;
+    a.buffer = BufferId(p.data);
     a.size = p.size;
     a.inner = consumed ? p.form.coeffs.back() : 0;
     a.acc = NewAcc(p.form, consumed);
     return a;
   }
 
+  // A classified branch whose loads are not committed yet.
   struct PendingBranch {
-    KernelKind kind = KernelKind::kEval;
-    double imm = 0.0;
-    bool a_is_imm = false, b_is_imm = false;
-    double imm_a = 0.0, imm_b = 0.0;
+    Spec::Branch k;  // complete but for the accesses `a` and `b`
     std::optional<Pending> a, b;
   };
 
@@ -519,8 +480,8 @@ struct AffineBuilder {
     switch (v->kind) {
       case ir::ValKind::kImm: {
         PendingBranch br;
-        br.kind = KernelKind::kFill;
-        br.imm = v->imm;
+        br.k.kind = Spec::BranchKind::kFill;
+        br.k.imm = v->imm;
         return br;
       }
       case ir::ValKind::kLoad: {
@@ -529,7 +490,7 @@ struct AffineBuilder {
           return std::nullopt;
         }
         PendingBranch br;
-        br.kind = KernelKind::kCopy;
+        br.k.kind = Spec::BranchKind::kCopy;
         br.a = std::move(p);
         return br;
       }
@@ -538,7 +499,7 @@ struct AffineBuilder {
           return std::nullopt;
         }
         PendingBranch br;
-        br.kind = KernelKind::kMulAcc;
+        br.k.kind = Spec::BranchKind::kMulAcc;
         auto operand = [&](const ir::Val& o, bool* is_imm, double* imm,
                            std::optional<Pending>* acc) {
           if (o->kind == ir::ValKind::kImm) {
@@ -552,14 +513,14 @@ struct AffineBuilder {
           }
           return false;
         };
-        if (!operand(v->a, &br.a_is_imm, &br.imm_a, &br.a) ||
-            !operand(v->b, &br.b_is_imm, &br.imm_b, &br.b)) {
+        if (!operand(v->a, &br.k.a_is_imm, &br.k.imm_a, &br.a) ||
+            !operand(v->b, &br.k.b_is_imm, &br.k.imm_b, &br.b)) {
           return std::nullopt;
         }
-        if (br.a_is_imm && br.b_is_imm) {
+        if (br.k.a_is_imm && br.k.b_is_imm) {
           PendingBranch fill;
-          fill.kind = KernelKind::kFill;
-          fill.imm = br.imm_a * br.imm_b;
+          fill.k.kind = Spec::BranchKind::kFill;
+          fill.k.imm = br.k.imm_a * br.k.imm_b;
           return fill;
         }
         return br;
@@ -596,9 +557,9 @@ struct AffineBuilder {
         PendingClamp pc;
         pc.guard = cp->cf.guard;
         pc.bound = cp->cf.bound;
-        pc.then_b.kind = KernelKind::kCopy;
+        pc.then_b.k.kind = Spec::BranchKind::kCopy;
         pc.then_b.a = Pending{cp->cf.then_form, cp->data, cp->size};
-        pc.else_b.kind = KernelKind::kCopy;
+        pc.else_b.k.kind = Spec::BranchKind::kCopy;
         pc.else_b.a = Pending{cp->cf.else_form, cp->data, cp->size};
         return pc;
       }
@@ -607,7 +568,7 @@ struct AffineBuilder {
           return std::nullopt;
         }
         PendingClamp pc;
-        pc.then_b.kind = pc.else_b.kind = KernelKind::kMulAcc;
+        pc.then_b.k.kind = pc.else_b.k.kind = Spec::BranchKind::kMulAcc;
         bool have_clamp = false;
         auto operand = [&](const ir::Val& o, bool* is_imm, double* imm_t, double* imm_e,
                            std::optional<Pending>* then_acc,
@@ -636,15 +597,15 @@ struct AffineBuilder {
           *else_acc = Pending{cp->cf.else_form, cp->data, cp->size};
           return true;
         };
-        if (!operand(v->a, &pc.then_b.a_is_imm, &pc.then_b.imm_a, &pc.else_b.imm_a,
+        if (!operand(v->a, &pc.then_b.k.a_is_imm, &pc.then_b.k.imm_a, &pc.else_b.k.imm_a,
                      &pc.then_b.a, &pc.else_b.a) ||
-            !operand(v->b, &pc.then_b.b_is_imm, &pc.then_b.imm_b, &pc.else_b.imm_b,
+            !operand(v->b, &pc.then_b.k.b_is_imm, &pc.then_b.k.imm_b, &pc.else_b.k.imm_b,
                      &pc.then_b.b, &pc.else_b.b) ||
             !have_clamp) {
           return std::nullopt;
         }
-        pc.else_b.a_is_imm = pc.then_b.a_is_imm;
-        pc.else_b.b_is_imm = pc.then_b.b_is_imm;
+        pc.else_b.k.a_is_imm = pc.then_b.k.a_is_imm;
+        pc.else_b.k.b_is_imm = pc.then_b.k.b_is_imm;
         return pc;
       }
       default:
@@ -652,58 +613,59 @@ struct AffineBuilder {
     }
   }
 
-  KernelBranch CommitBranch(PendingBranch&& p, bool consumed) {
-    KernelBranch k;
-    k.kind = p.kind;
-    k.imm = p.imm;
-    k.a_is_imm = p.a_is_imm;
-    k.b_is_imm = p.b_is_imm;
-    k.imm_a = p.imm_a;
-    k.imm_b = p.imm_b;
+  Spec::Branch CommitBranch(PendingBranch&& p, bool consumed) {
     if (p.a) {
-      k.a = Commit(*p.a, consumed);
+      p.k.a = Commit(*p.a, consumed);
     }
     if (p.b) {
-      k.b = Commit(*p.b, consumed);
+      p.k.b = Commit(*p.b, consumed);
     }
+    return p.k;
+  }
+
+  // A value no kernel covers: the host evaluates `value` per element.
+  static Spec::Branch EvalBranch(const CompiledVal* value, const CompiledVal** eval) {
+    *eval = value;
+    Spec::Branch k;
+    k.kind = Spec::BranchKind::kEval;
     return k;
   }
 
-  KernelBranch BranchFor(const ir::Val& v, const ir::AffineAnalyzer& az, bool consumed) {
+  // One side of a split select: a kernel, or else the side compiled for eval.
+  Spec::Branch BranchFor(const ir::Val& v, const ir::AffineAnalyzer& az, bool consumed,
+                         const CompiledVal** eval) {
     if (auto k = Classify(v, az)) {
       return CommitBranch(std::move(*k), consumed);
     }
-    KernelBranch k;
-    k.kind = KernelKind::kEval;
-    k.owned = std::make_shared<CompiledVal>(compiler->CompileVal(v));
-    k.eval = k.owned.get();
-    return k;
+    host.evals.push_back(std::make_unique<CompiledVal>(compiler->CompileVal(v)));
+    return EvalBranch(host.evals.back().get(), eval);
   }
 
   void BuildLeaf(const ir::StmtNode* st, const PlanNode* pstore, bool consumed, int vslot) {
-    Leaf leaf;
+    Spec::Leaf leaf;
+    HostLeaf hl;
+    hl.store = &pstore->store;
     leaf.extent = consumed ? loops.back().extent : 1;
     leaf.vslot = consumed ? vslot : -1;
-    leaf.generic = &pstore->store;
-    leaf.mode = st->mode;
+    leaf.accumulate = st->mode == ir::StoreMode::kAccumulate;
     ir::AffineAnalyzer az(loops);
     auto sp = Analyze(st->tensor_id, st->indices, az);
     if (!sp) {
-      // Non-affine store offset: fall back to the generic compiled store.
-      leaf.bytecode = &pstore->store;
-      ++plan.bytecode_leaves;
-      EmitLeaf(std::move(leaf));
+      // Non-affine store offset: the host runs the generic compiled store.
+      leaf.bytecode = true;
+      EmitLeaf(std::move(leaf), std::move(hl));
       return;
     }
-    leaf.out = sp->data;
-    leaf.out_size = sp->size;
-    leaf.store_inner = consumed ? sp->form.coeffs.back() : 0;
-    leaf.store_acc = NewAcc(sp->form, consumed);
+    const Spec::Access out = Commit(*sp, consumed);
+    leaf.out_buffer = out.buffer;
+    leaf.out_size = out.size;
+    leaf.store_acc = out.acc;
+    leaf.store_inner = out.inner;
 
     auto sel = ExtractSelect(st->value);
     struct PendingCond {
       ir::AffineForm form;
-      int64_t cv, lo, hi, modulus, rem;
+      Spec::Cond cond;  // complete but for the accumulator
     };
     std::vector<PendingCond> pconds;
     bool split = sel.has_value();
@@ -722,17 +684,17 @@ struct AffineBuilder {
           split = false;
           break;
         }
-        pconds.push_back({std::move(*f), cv, c.lo, c.hi, c.modulus, c.rem});
+        pconds.push_back({std::move(*f), {-1, cv, c.lo, c.hi, c.modulus, c.rem}});
       }
     }
     if (split) {
       leaf.guarded = true;
       for (auto& pc : pconds) {
-        leaf.conds.push_back(
-            {NewAcc(pc.form, consumed), pc.cv, pc.lo, pc.hi, pc.modulus, pc.rem});
+        pc.cond.acc = NewAcc(pc.form, consumed);
+        leaf.conds.push_back(pc.cond);
       }
-      leaf.then_k = BranchFor(sel->then_v, az, consumed);
-      leaf.else_k = BranchFor(sel->else_v, az, consumed);
+      leaf.then_k = BranchFor(sel->then_v, az, consumed, &hl.then_eval);
+      leaf.else_k = BranchFor(sel->else_v, az, consumed, &hl.else_eval);
     } else if (auto k = Classify(st->value, az)) {
       leaf.then_k = CommitBranch(std::move(*k), consumed);
     } else if (auto ck = ClassifyClamped(st->value, az)) {
@@ -748,26 +710,25 @@ struct AffineBuilder {
       leaf.then_k = CommitBranch(std::move(ck->then_b), consumed);
       leaf.else_k = CommitBranch(std::move(ck->else_b), consumed);
     } else {
-      leaf.then_k.kind = KernelKind::kEval;
-      leaf.then_k.eval = &pstore->store.value;
+      leaf.then_k = EvalBranch(&pstore->store.value, &hl.then_eval);
     }
-    ++plan.kernel_leaves;
-    EmitLeaf(std::move(leaf));
+    EmitLeaf(std::move(leaf), std::move(hl));
   }
 
-  void EmitLeaf(Leaf&& leaf) {
-    Instr ins;
-    ins.kind = Instr::kLeaf;
-    ins.leaf = static_cast<int>(plan.leaves.size());
-    plan.leaves.push_back(std::move(leaf));
-    plan.instrs.push_back(std::move(ins));
+  void EmitLeaf(Spec::Leaf&& leaf, HostLeaf&& hl) {
+    Spec::Instr ins;
+    ins.kind = Spec::Instr::kLeaf;
+    ins.leaf = static_cast<int>(spec.leaves.size());
+    spec.leaves.push_back(std::move(leaf));
+    host.leaves.push_back(std::move(hl));
+    spec.instrs.push_back(std::move(ins));
   }
 
   void Build(const ir::Stmt& s, const PlanNode& p) {
     switch (s->kind) {
       case ir::StmtKind::kFor: {
         // Unwrap single-statement blocks to see whether this loop's body is
-        // exactly one store — if so, consume the loop into a kernel leaf.
+        // exactly one store — if so, consume the loop into a leaf.
         const ir::StmtNode* body = s->body.get();
         const PlanNode* pb = &p.children[0];
         while (body->kind == ir::StmtKind::kBlock && body->stmts.size() == 1) {
@@ -782,23 +743,23 @@ struct AffineBuilder {
           loop_instrs.pop_back();
           return;
         }
-        int begin = static_cast<int>(plan.instrs.size());
-        Instr ins;
-        ins.kind = Instr::kLoopBegin;
+        int begin = static_cast<int>(spec.instrs.size());
+        Spec::Instr ins;
+        ins.kind = Spec::Instr::kLoopBegin;
         ins.slot = p.slot;
         ins.extent = s->extent;
-        plan.instrs.push_back(std::move(ins));
+        spec.instrs.push_back(std::move(ins));
         loops.push_back({s->loop_var->var_id, s->extent});
         loop_instrs.push_back(begin);
         Build(s->body, p.children[0]);
         loops.pop_back();
         loop_instrs.pop_back();
-        int end = static_cast<int>(plan.instrs.size());
-        Instr endi;
-        endi.kind = Instr::kLoopEnd;
+        int end = static_cast<int>(spec.instrs.size());
+        Spec::Instr endi;
+        endi.kind = Spec::Instr::kLoopEnd;
         endi.match = begin;
-        plan.instrs.push_back(std::move(endi));
-        plan.instrs[begin].match = end;
+        spec.instrs.push_back(std::move(endi));
+        spec.instrs[begin].match = end;
         return;
       }
       case ir::StmtKind::kBlock: {
@@ -815,43 +776,54 @@ struct AffineBuilder {
   }
 };
 
-// Runs one kernel branch over leaf positions [v0, v1). Offsets are linear in
-// v, so checking both segment endpoints bounds every touched element exactly.
-void RunBranch(const Leaf& lf, const KernelBranch& k, int64_t v0, int64_t v1,
-               const std::vector<int64_t>& acc, int64_t* env, ExecContext& ctx) {
+// True when offsets o0 + stride * i, i in [0, n), all lie in [0, size).
+// Offsets are linear in i, so both segment endpoints bound every element.
+bool SegmentInBounds(int64_t o0, int64_t stride, int64_t n, int64_t size) {
+  const int64_t last = o0 + stride * (n - 1);
+  return o0 >= 0 && o0 < size && last >= 0 && last < size;
+}
+
+// Records the first out-of-range endpoint of a segment that failed
+// SegmentInBounds. Kept out of line: it only runs on a malformed program.
+[[gnu::noinline]] void FailBounds(const char* what, int64_t o0, int64_t stride, int64_t n,
+                                  int64_t size, ExecContext& ctx) {
+  const int64_t bad = (o0 < 0 || o0 >= size) ? o0 : o0 + stride * (n - 1);
+  std::ostringstream oss;
+  oss << what << " out of bounds: " << bad << " size " << size;
+  ctx.Fail(oss.str());
+}
+
+// Runs one branch of a leaf over leaf positions [v0, v1). `eval` is the
+// branch's value when it is kEval. Leaves are often a few elements long, so
+// this call's fixed cost is the engine's per-leaf overhead: the arguments
+// every kernel reads come first, where they travel in registers, and the
+// bounds-failure path is out of line.
+void RunBranch(const Spec::Leaf& lf, const Spec::Branch& k, float* const* bufs,
+               const int64_t* acc, int64_t v0, int64_t v1, const CompiledVal* eval,
+               int64_t* env, ExecContext& ctx) {
   const int64_t n = v1 - v0;
   if (n <= 0 || ctx.failed) {
     return;
   }
   const int64_t si = lf.store_inner;
   const int64_t so = acc[lf.store_acc] + si * v0;
-  {
-    int64_t last = so + si * (n - 1);
-    if (so < 0 || so >= lf.out_size || last < 0 || last >= lf.out_size) {
-      int64_t bad = (so < 0 || so >= lf.out_size) ? so : last;
-      std::ostringstream oss;
-      oss << "store out of bounds: " << bad << " size " << lf.out_size;
-      ctx.Fail(oss.str());
-      return;
-    }
+  if (!SegmentInBounds(so, si, n, lf.out_size)) {
+    FailBounds("store", so, si, n, lf.out_size, ctx);
+    return;
   }
-  auto check_load = [&](const AffineAccess& a, int64_t* off0) {
-    int64_t o0 = acc[a.acc] + a.inner * v0;
-    int64_t last = o0 + a.inner * (n - 1);
-    if (o0 < 0 || o0 >= a.size || last < 0 || last >= a.size) {
-      int64_t bad = (o0 < 0 || o0 >= a.size) ? o0 : last;
-      std::ostringstream oss;
-      oss << "load out of bounds: " << bad << " size " << a.size;
-      ctx.Fail(oss.str());
+  auto check_load = [&](const Spec::Access& a, int64_t* off0) {
+    const int64_t o0 = acc[a.acc] + a.inner * v0;
+    if (!SegmentInBounds(o0, a.inner, n, a.size)) {
+      FailBounds("load", o0, a.inner, n, a.size, ctx);
       return false;
     }
     *off0 = o0;
     return true;
   };
-  float* out = lf.out;
-  const bool accumulate = lf.mode == ir::StoreMode::kAccumulate;
+  float* out = bufs[lf.out_buffer];
+  const bool accumulate = lf.accumulate;
   switch (k.kind) {
-    case KernelKind::kFill: {
+    case Spec::BranchKind::kFill: {
       const float f = static_cast<float>(k.imm);
       if (!accumulate) {
         if (si == 1) {
@@ -870,12 +842,12 @@ void RunBranch(const Leaf& lf, const KernelBranch& k, int64_t v0, int64_t v1,
       }
       return;
     }
-    case KernelKind::kCopy: {
+    case Spec::BranchKind::kCopy: {
       int64_t io = 0;
       if (!check_load(k.a, &io)) {
         return;
       }
-      const float* in = k.a.data;
+      const float* in = bufs[k.a.buffer];
       const int64_t ai = k.a.inner;
       if (!accumulate) {
         for (int64_t i = 0; i < n; ++i) {
@@ -888,7 +860,7 @@ void RunBranch(const Leaf& lf, const KernelBranch& k, int64_t v0, int64_t v1,
       }
       return;
     }
-    case KernelKind::kMulAcc: {
+    case Spec::BranchKind::kMulAcc: {
       int64_t ia = 0, ib = 0;
       if (!k.a_is_imm && !check_load(k.a, &ia)) {
         return;
@@ -896,9 +868,9 @@ void RunBranch(const Leaf& lf, const KernelBranch& k, int64_t v0, int64_t v1,
       if (!k.b_is_imm && !check_load(k.b, &ib)) {
         return;
       }
+      const float* A = k.a_is_imm ? nullptr : bufs[k.a.buffer];
+      const float* B = k.b_is_imm ? nullptr : bufs[k.b.buffer];
       if (!k.a_is_imm && !k.b_is_imm) {
-        const float* A = k.a.data;
-        const float* B = k.b.data;
         const int64_t sa = k.a.inner, sb = k.b.inner;
         if (accumulate) {
           if (si == 0) {
@@ -924,8 +896,8 @@ void RunBranch(const Leaf& lf, const KernelBranch& k, int64_t v0, int64_t v1,
         return;
       }
       for (int64_t i = 0; i < n; ++i) {
-        double x = k.a_is_imm ? k.imm_a : static_cast<double>(k.a.data[ia + k.a.inner * i]);
-        double y = k.b_is_imm ? k.imm_b : static_cast<double>(k.b.data[ib + k.b.inner * i]);
+        double x = k.a_is_imm ? k.imm_a : static_cast<double>(A[ia + k.a.inner * i]);
+        double y = k.b_is_imm ? k.imm_b : static_cast<double>(B[ib + k.b.inner * i]);
         float p = static_cast<float>(x * y);
         if (accumulate) {
           out[so + si * i] += p;
@@ -935,14 +907,13 @@ void RunBranch(const Leaf& lf, const KernelBranch& k, int64_t v0, int64_t v1,
       }
       return;
     }
-    case KernelKind::kEval: {
-      const CompiledVal& cv = *k.eval;
+    case Spec::BranchKind::kEval: {
       int64_t o = so;
       for (int64_t i = 0; i < n; ++i, o += si) {
         if (lf.vslot >= 0) {
           env[lf.vslot] = v0 + i;
         }
-        double v = EvalVal(cv, env, ctx);
+        double v = EvalVal(*eval, env, ctx);
         if (ctx.failed) {
           return;
         }
@@ -957,8 +928,8 @@ void RunBranch(const Leaf& lf, const KernelBranch& k, int64_t v0, int64_t v1,
   }
 }
 
-// Env-only store loop shared by the bytecode leaf path and the native
-// engine's per-leaf fallback: evaluates `st` for every leaf position.
+// Env-only store loop: evaluates `st` for every leaf position. Runs bytecode
+// leaves on the affine engine and every host-routed leaf of a native kernel.
 void RunStoreLoop(const CompiledStore& st, int64_t extent, int vslot, int64_t* env,
                   ExecContext& ctx) {
   for (int64_t v = 0; v < extent && !ctx.failed; ++v) {
@@ -984,151 +955,20 @@ void RunStoreLoop(const CompiledStore& st, int64_t extent, int vslot, int64_t* e
   }
 }
 
-void RunBytecodeLeaf(const Leaf& lf, int64_t* env, ExecContext& ctx) {
-  RunStoreLoop(*lf.bytecode, lf.extent, lf.vslot, env, ctx);
-}
-
-// ===========================================================================
-// Native engine: the affine plan re-expressed as a pointer-free
-// codegen::KernelSpec. Buffers become positions in a table assigned in
-// first-appearance order over a deterministic plan walk, so two programs
-// with equal ir::ProgramStructureKey build byte-identical specs and share
-// one compiled kernel. Leaves the kernel library cannot express (bytecode
-// stores, kEval branches) run through a host callback indexed by leaf.
-// ===========================================================================
-
-// One per plan leaf; `store == nullptr` marks leaves the generated code
-// never routes through the callback.
-struct NativeFallbackLeaf {
-  const CompiledStore* store = nullptr;
-  int64_t extent = 1;
-  int vslot = -1;
-};
-
-struct NativeBuild {
-  codegen::KernelSpec spec;
-  std::vector<float*> bufs;
-  std::vector<NativeFallbackLeaf> fallbacks;  // indexed by leaf
-};
-
-NativeBuild BuildNativeSpec(const AffinePlan& plan, size_t env_size) {
-  NativeBuild nb;
-  codegen::KernelSpec& spec = nb.spec;
-  spec.env_size = static_cast<int>(env_size);
-  spec.acc_init = plan.acc_init;
-
-  std::unordered_map<const float*, int> buffer_index;
-  auto buf_id = [&](const float* p) {
-    auto [it, inserted] = buffer_index.emplace(p, static_cast<int>(nb.bufs.size()));
-    if (inserted) {
-      nb.bufs.push_back(const_cast<float*>(p));
-    }
-    return it->second;
-  };
-  auto convert_access = [&](const AffineAccess& a) {
-    codegen::KernelSpec::Access out;
-    out.buffer = buf_id(a.data);
-    out.size = a.size;
-    out.acc = a.acc;
-    out.inner = a.inner;
-    return out;
-  };
-  auto convert_branch = [&](const KernelBranch& k) {
-    codegen::KernelSpec::Branch b;
-    switch (k.kind) {
-      case KernelKind::kFill:
-        b.kind = codegen::KernelSpec::BranchKind::kFill;
-        b.imm = k.imm;
-        break;
-      case KernelKind::kCopy:
-        b.kind = codegen::KernelSpec::BranchKind::kCopy;
-        b.a = convert_access(k.a);
-        break;
-      case KernelKind::kMulAcc:
-        b.kind = codegen::KernelSpec::BranchKind::kMulAcc;
-        b.a_is_imm = k.a_is_imm;
-        b.b_is_imm = k.b_is_imm;
-        b.imm_a = k.imm_a;
-        b.imm_b = k.imm_b;
-        if (!k.a_is_imm) {
-          b.a = convert_access(k.a);
-        }
-        if (!k.b_is_imm) {
-          b.b = convert_access(k.b);
-        }
-        break;
-      case KernelKind::kEval:
-        break;  // unreachable: kEval leaves fall back before conversion
-    }
-    return b;
-  };
-
-  nb.fallbacks.resize(plan.leaves.size());
-  for (size_t li = 0; li < plan.leaves.size(); ++li) {
-    const Leaf& lf = plan.leaves[li];
-    codegen::KernelSpec::Leaf out;
-    out.extent = lf.extent;
-    out.vslot = lf.vslot;
-    const bool native = lf.bytecode == nullptr && lf.then_k.kind != KernelKind::kEval &&
-                        (!lf.guarded || lf.else_k.kind != KernelKind::kEval);
-    if (!native) {
-      out.fallback = true;
-      spec.needs_env = true;
-      nb.fallbacks[li] = {lf.bytecode != nullptr ? lf.bytecode : lf.generic, lf.extent,
-                          lf.vslot};
-    } else {
-      out.out_buffer = buf_id(lf.out);
-      out.out_size = lf.out_size;
-      out.store_acc = lf.store_acc;
-      out.store_inner = lf.store_inner;
-      out.accumulate = lf.mode == ir::StoreMode::kAccumulate;
-      out.guarded = lf.guarded;
-      for (const LeafCond& c : lf.conds) {
-        out.conds.push_back({c.acc, c.cv, c.lo, c.hi, c.modulus, c.rem});
-      }
-      out.then_k = convert_branch(lf.then_k);
-      if (lf.guarded) {
-        out.else_k = convert_branch(lf.else_k);
-      }
-    }
-    spec.leaves.push_back(std::move(out));
-  }
-  for (const Instr& ins : plan.instrs) {
-    codegen::KernelSpec::Instr out;
-    switch (ins.kind) {
-      case Instr::kLoopBegin:
-        out.kind = codegen::KernelSpec::Instr::kLoopBegin;
-        break;
-      case Instr::kLoopEnd:
-        out.kind = codegen::KernelSpec::Instr::kLoopEnd;
-        break;
-      case Instr::kLeaf:
-        out.kind = codegen::KernelSpec::Instr::kLeaf;
-        break;
-    }
-    out.slot = ins.slot;
-    out.extent = ins.extent;
-    out.match = ins.match;
-    out.leaf = ins.leaf;
-    out.bumps = ins.bumps;
-    spec.instrs.push_back(std::move(out));
-  }
-  spec.num_buffers = static_cast<int>(nb.bufs.size());
-  return nb;
-}
-
 struct NativeThunkCtx {
   ExecContext* ctx = nullptr;
-  const std::vector<NativeFallbackLeaf>* leaves = nullptr;
+  const Spec* spec = nullptr;
+  const HostTable* host = nullptr;
 };
 
-// The callback a generated kernel invokes for fallback leaves. Returns the
+// The callback a generated kernel invokes for host-routed leaves. Returns the
 // host-reserved code 3 on failure; the kernel propagates it verbatim and the
 // real Status is already recorded in the ExecContext.
 int64_t NativeFallbackThunk(void* p, int64_t leaf, int64_t* env) {
   auto* t = static_cast<NativeThunkCtx*>(p);
-  const NativeFallbackLeaf& fl = (*t->leaves)[static_cast<size_t>(leaf)];
-  RunStoreLoop(*fl.store, fl.extent, fl.vslot, env, *t->ctx);
+  const Spec::Leaf& lf = t->spec->leaves[static_cast<size_t>(leaf)];
+  RunStoreLoop(*t->host->leaves[static_cast<size_t>(leaf)].store, lf.extent, lf.vslot, env,
+               *t->ctx);
   return t->ctx->failed ? 3 : 0;
 }
 
@@ -1173,18 +1013,26 @@ struct PoolLease {
   PoolLease& operator=(const PoolLease&) = delete;
 };
 
-void RunLeaf(const Leaf& lf, const std::vector<int64_t>& acc, int64_t* env,
-             ExecContext& ctx) {
-  if (lf.bytecode != nullptr) {
-    RunBytecodeLeaf(lf, env, ctx);
+void RunLeaf(const Spec& spec, const HostTable& host, int li,
+             const std::vector<int64_t>& acc, int64_t* env, ExecContext& ctx) {
+  const Spec::Leaf& lf = spec.leaves[li];
+  const HostLeaf& hl = host.leaves[li];
+  if (lf.bytecode) {
+    RunStoreLoop(*hl.store, lf.extent, lf.vslot, env, ctx);
     return;
   }
+  auto run_then = [&](int64_t v0, int64_t v1) {
+    RunBranch(lf, lf.then_k, host.bufs.data(), acc.data(), v0, v1, hl.then_eval, env, ctx);
+  };
+  auto run_else = [&](int64_t v0, int64_t v1) {
+    RunBranch(lf, lf.else_k, host.bufs.data(), acc.data(), v0, v1, hl.else_eval, env, ctx);
+  };
   if (!lf.guarded) {
-    RunBranch(lf, lf.then_k, 0, lf.extent, acc, env, ctx);
+    run_then(0, lf.extent);
     return;
   }
   int64_t tb = 0, te = lf.extent;
-  for (const LeafCond& c : lf.conds) {
+  for (const Spec::Cond& c : lf.conds) {
     auto r = ir::GuardRange(acc[c.acc], c.cv, c.lo, c.hi, c.modulus, c.rem, lf.extent);
     if (!r) {
       ctx.Fail("internal: unsplittable guard reached affine executor");
@@ -1194,13 +1042,13 @@ void RunLeaf(const Leaf& lf, const std::vector<int64_t>& acc, int64_t* env,
     te = std::min(te, r->second);
   }
   if (tb >= te) {
-    RunBranch(lf, lf.else_k, 0, lf.extent, acc, env, ctx);
+    run_else(0, lf.extent);
     return;
   }
   // Same element order as the generic engine: prefix else, then, suffix else.
-  RunBranch(lf, lf.else_k, 0, tb, acc, env, ctx);
-  RunBranch(lf, lf.then_k, tb, te, acc, env, ctx);
-  RunBranch(lf, lf.else_k, te, lf.extent, acc, env, ctx);
+  run_else(0, tb);
+  run_then(tb, te);
+  run_else(te, lf.extent);
 }
 
 // Executes the instruction range [from, to). `acc` must hold the accumulator
@@ -1208,14 +1056,14 @@ void RunLeaf(const Leaf& lf, const std::vector<int64_t>& acc, int64_t* env,
 // entry values — every kLoopEnd un-bumps its accumulators on exit — so a
 // range can be re-entered with fresh loop state. `iters` is caller-owned
 // scratch (one slot per instruction) so shard loops don't reallocate it.
-void RunAffineRange(const AffinePlan& plan, size_t from, size_t to,
+void RunAffineRange(const Spec& spec, const HostTable& host, size_t from, size_t to,
                     std::vector<int64_t>& acc, int64_t* env, std::vector<int64_t>& iters,
                     ExecContext& ctx) {
   size_t ip = from;
   while (ip < to && !ctx.failed) {
-    const Instr& ins = plan.instrs[ip];
+    const Spec::Instr& ins = spec.instrs[ip];
     switch (ins.kind) {
-      case Instr::kLoopBegin: {
+      case Spec::Instr::kLoopBegin: {
         if (ins.extent <= 0) {
           ip = static_cast<size_t>(ins.match) + 1;
           break;
@@ -1225,8 +1073,8 @@ void RunAffineRange(const AffinePlan& plan, size_t from, size_t to,
         ++ip;
         break;
       }
-      case Instr::kLoopEnd: {
-        const Instr& begin = plan.instrs[ins.match];
+      case Spec::Instr::kLoopEnd: {
+        const Spec::Instr& begin = spec.instrs[ins.match];
         int64_t i = ++iters[ins.match];
         if (i < begin.extent) {
           env[begin.slot] = i;
@@ -1242,8 +1090,8 @@ void RunAffineRange(const AffinePlan& plan, size_t from, size_t to,
         }
         break;
       }
-      case Instr::kLeaf: {
-        RunLeaf(plan.leaves[ins.leaf], acc, env, ctx);
+      case Spec::Instr::kLeaf: {
+        RunLeaf(spec, host, ins.leaf, acc, env, ctx);
         ++ip;
         break;
       }
@@ -1251,32 +1099,32 @@ void RunAffineRange(const AffinePlan& plan, size_t from, size_t to,
   }
 }
 
-void RunAffine(const AffinePlan& plan, std::vector<int64_t>& acc, int64_t* env,
-               ExecContext& ctx) {
-  std::vector<int64_t> iters(plan.instrs.size(), 0);
-  RunAffineRange(plan, 0, plan.instrs.size(), acc, env, iters, ctx);
+void RunAffine(const Spec& spec, const HostTable& host, std::vector<int64_t>& acc,
+               int64_t* env, ExecContext& ctx) {
+  std::vector<int64_t> iters(spec.instrs.size(), 0);
+  RunAffineRange(spec, host, 0, spec.instrs.size(), acc, env, iters, ctx);
 }
 
-// Executes iterations [begin, end) of the root loop of `plan` with private
+// Executes iterations [begin, end) of the root loop of `spec` with private
 // accumulator/env/iteration state. Preconditions (established by Prepare's
 // shardability analysis): instrs[0] is the root kLoopBegin, its matching end
 // is the last instruction, and 0 <= begin <= end <= extent. The incremental
 // offset state is re-based in closed form — acc = acc_init + stride·begin —
 // so a shard starts with exactly the accumulator values serial execution
 // would have reached, and the body range restores them after each iteration.
-void RunAffineShard(const AffinePlan& plan, int64_t begin, int64_t end, size_t env_size,
+void RunAffineShard(const Spec& spec, const HostTable& host, int64_t begin, int64_t end,
                     ExecContext& ctx) {
-  const Instr& root = plan.instrs[0];
-  std::vector<int64_t> acc = plan.acc_init;
+  const Spec::Instr& root = spec.instrs[0];
+  std::vector<int64_t> acc = spec.acc_init;
   for (const auto& [a, s] : root.bumps) {
     acc[a] += s * begin;
   }
-  std::vector<int64_t> env(env_size, 0);
-  std::vector<int64_t> iters(plan.instrs.size(), 0);
+  std::vector<int64_t> env(static_cast<size_t>(spec.env_size), 0);
+  std::vector<int64_t> iters(spec.instrs.size(), 0);
   const size_t body_end = static_cast<size_t>(root.match);
   for (int64_t i = begin; i < end && !ctx.failed; ++i) {
     env[root.slot] = i;
-    RunAffineRange(plan, 1, body_end, acc, env.data(), iters, ctx);
+    RunAffineRange(spec, host, 1, body_end, acc, env.data(), iters, ctx);
     for (const auto& [a, s] : root.bumps) {
       acc[a] += s;
     }
@@ -1329,10 +1177,10 @@ ThreadPool* IntraOpPool::TryAcquire() {
 
 void IntraOpPool::Release() { busy_.store(false); }
 
-// All compiled state for one prepared program. The AffinePlan's leaves hold
-// pointers into the PlanNode tree (`bytecode`, `eval`), so the tree is moved
-// into place here BEFORE the affine build runs, and the whole Impl lives
-// behind a unique_ptr that never relocates it.
+// All compiled state for one prepared program. The host table points into
+// the PlanNode tree (each leaf's generic `store`), so the tree is moved into
+// place here BEFORE the affine build runs, and the whole Impl lives behind a
+// unique_ptr that never relocates it.
 struct PreparedProgram::Impl {
   struct InputCheck {
     const std::vector<float>* buffer = nullptr;
@@ -1350,23 +1198,19 @@ struct PreparedProgram::Impl {
   bool use_affine = false;
   size_t env_size = 0;
   PlanNode plan;
-  AffinePlan affine;
-  // Native engine state: populated when the program was prepared with
-  // kNative AND its kernel compiled (or was already cached); otherwise Run
-  // executes the affine plan built above.
-  bool use_native = false;
+  // The affine plan and what its indices name; built unless kGeneric.
+  codegen::KernelSpec spec;
+  HostTable host;
+  // The compiled `spec`: set when the program was prepared with kNative AND
+  // its kernel compiled (or was already cached); otherwise Run executes the
+  // affine plan.
   std::shared_ptr<codegen::NativeKernel> native;
-  std::vector<float*> native_bufs;
-  std::vector<NativeFallbackLeaf> native_fallbacks;
   // Intra-op sharding: set when the root loop is kParallel, spans the whole
   // instruction array, and every iteration provably writes a disjoint region
   // (ir::ParallelRootWritesDisjoint). `intra` is non-null only when sharding
   // is both provable and enabled (> 1 intra-op threads).
   bool shardable = false;
   int64_t root_extent = 0;
-  // The native kernel was emitted with a [begin, end) root slice; a serial
-  // native Run must then pass (0, root_extent) instead of the ignored (0, 0).
-  bool native_sliced = false;
   std::shared_ptr<IntraOpPool> intra;
 };
 
@@ -1434,16 +1278,29 @@ StatusOr<PreparedProgram> PreparedProgram::Prepare(const ir::Program& program,
   if (impl.use_affine) {
     AffineBuilder builder;
     builder.compiler = &compiler;
+    builder.spec.env_size = static_cast<int>(impl.env_size);
     builder.Build(program.root, impl.plan);
     if (!compiler.status.ok()) {
-      return compiler.status;  // select-branch compiles share the error state
+      return compiler.status;  // eval-branch compiles share the error state
     }
+    impl.spec = std::move(builder.spec);
+    impl.host = std::move(builder.host);
+    // Each leaf counts once, by what runs it: a kernel (every branch fill,
+    // copy or mul-acc — exactly what the native kernel compiles), a
+    // per-element value tree, or the generic store.
     static Counter& kernel_leaves = MetricsRegistry::Global().counter("interp.kernel_leaves");
+    static Counter& eval_leaves = MetricsRegistry::Global().counter("interp.eval_leaves");
     static Counter& bytecode_leaves =
         MetricsRegistry::Global().counter("interp.bytecode_leaves");
-    kernel_leaves.Add(static_cast<uint64_t>(builder.plan.kernel_leaves));
-    bytecode_leaves.Add(static_cast<uint64_t>(builder.plan.bytecode_leaves));
-    impl.affine = std::move(builder.plan);
+    for (const Spec::Leaf& lf : impl.spec.leaves) {
+      if (lf.bytecode) {
+        bytecode_leaves.Add();
+      } else if (lf.HasEval()) {
+        eval_leaves.Add();
+      } else {
+        kernel_leaves.Add();
+      }
+    }
     // Intra-op sharding analysis. The root loop is shardable when the
     // schedule marked it kParallel AND the conservative disjointness proof
     // holds; a kParallel root that fails the proof (e.g. a parallel
@@ -1451,17 +1308,22 @@ StatusOr<PreparedProgram> PreparedProgram::Prepare(const ir::Program& program,
     // that promise parallelism without delivering it stay visible.
     if (program.root->kind == ir::StmtKind::kFor &&
         program.root->for_kind == ir::ForKind::kParallel && program.root->extent > 1 &&
-        !impl.affine.instrs.empty() && impl.affine.instrs[0].kind == Instr::kLoopBegin &&
-        impl.affine.instrs[0].match == static_cast<int>(impl.affine.instrs.size()) - 1) {
+        !impl.spec.instrs.empty() && impl.spec.instrs[0].kind == Spec::Instr::kLoopBegin &&
+        impl.spec.instrs[0].match == static_cast<int>(impl.spec.instrs.size()) - 1) {
       if (ir::ParallelRootWritesDisjoint(program)) {
         impl.shardable = true;
-        impl.root_extent = impl.affine.instrs[0].extent;
+        impl.root_extent = impl.spec.instrs[0].extent;
       } else {
         static Counter& degraded =
             MetricsRegistry::Global().counter("interp.parallel_degraded");
         degraded.Add();
       }
     }
+    // Slice the emitted root loop iff the structure proof allows sharding.
+    // Deliberately independent of the thread options: the flag — like the
+    // proof it reflects — is a pure function of ProgramStructureKey, so
+    // cached kernels stay shareable across sessions with different budgets.
+    impl.spec.sliced = impl.shardable;
     if (impl.shardable) {
       std::shared_ptr<IntraOpPool> pool =
           options.intra_pool ? options.intra_pool
@@ -1476,21 +1338,11 @@ StatusOr<PreparedProgram> PreparedProgram::Prepare(const ir::Program& program,
         MetricsRegistry::Global().counter("codegen.native_programs");
     static Counter& fallback_programs =
         MetricsRegistry::Global().counter("codegen.fallback_programs");
-    NativeBuild nb = BuildNativeSpec(impl.affine, impl.env_size);
-    // Slice the emitted root loop iff the structure proof allows sharding.
-    // Deliberately independent of the thread options: the flag — like the
-    // proof it reflects — is a pure function of ProgramStructureKey, so
-    // cached kernels stay shareable across sessions with different budgets.
-    nb.spec.sliced = impl.shardable;
     const std::string key =
         codegen::KernelCache::KeyForStructure(ir::ProgramStructureKey(program));
-    auto kernel = codegen::KernelCache::Global().GetOrCompile(key, nb.spec);
+    auto kernel = codegen::KernelCache::Global().GetOrCompile(key, impl.spec);
     if (kernel.ok()) {
       impl.native = std::move(*kernel);
-      impl.native_bufs = std::move(nb.bufs);
-      impl.native_fallbacks = std::move(nb.fallbacks);
-      impl.use_native = true;
-      impl.native_sliced = nb.spec.sliced;
       native_programs.Add();
     } else {
       // Compile/load failed (e.g. no host toolchain): Prepare still
@@ -1552,23 +1404,24 @@ Status PreparedProgram::Run() {
       ctx.error = pool_status;
     }
   };
-  if (impl.use_native) {
+  if (impl.native) {
     static Counter& native = MetricsRegistry::Global().counter("interp.native_programs");
     native.Add();
     PoolLease lease(impl.intra.get());
     if (lease.threads != nullptr) {
       run_sharded(*lease.threads, [&](int64_t b, int64_t e, ExecContext& sc) {
         std::vector<int64_t> shard_env(impl.env_size, 0);
-        NativeThunkCtx thunk_ctx{&sc, &impl.native_fallbacks};
-        ApplyNativeRc(impl.native->fn()(impl.native_bufs.data(), shard_env.data(),
-                                        &thunk_ctx, &NativeFallbackThunk, b, e),
+        NativeThunkCtx thunk_ctx{&sc, &impl.spec, &impl.host};
+        ApplyNativeRc(impl.native->fn()(impl.host.bufs.data(), shard_env.data(), &thunk_ctx,
+                                        &NativeFallbackThunk, b, e),
                       sc);
       });
     } else {
-      NativeThunkCtx thunk_ctx{&ctx, &impl.native_fallbacks};
-      ApplyNativeRc(impl.native->fn()(impl.native_bufs.data(), env.data(), &thunk_ctx,
+      // A sliced kernel runs the whole root loop as the slice (0, extent).
+      NativeThunkCtx thunk_ctx{&ctx, &impl.spec, &impl.host};
+      ApplyNativeRc(impl.native->fn()(impl.host.bufs.data(), env.data(), &thunk_ctx,
                                       &NativeFallbackThunk, 0,
-                                      impl.native_sliced ? impl.root_extent : 0),
+                                      impl.shardable ? impl.root_extent : 0),
                     ctx);
     }
     return ctx.error;
@@ -1583,11 +1436,11 @@ Status PreparedProgram::Run() {
     PoolLease lease(impl.intra.get());
     if (lease.threads != nullptr) {
       run_sharded(*lease.threads, [&](int64_t b, int64_t e, ExecContext& sc) {
-        RunAffineShard(impl.affine, b, e, impl.env_size, sc);
+        RunAffineShard(impl.spec, impl.host, b, e, sc);
       });
     } else {
-      std::vector<int64_t> acc = impl.affine.acc_init;
-      RunAffine(impl.affine, acc, env.data(), ctx);
+      std::vector<int64_t> acc = impl.spec.acc_init;
+      RunAffine(impl.spec, impl.host, acc, env.data(), ctx);
     }
   }
   return ctx.error;

@@ -6,18 +6,19 @@
 // schedules were applied.
 //
 // Three engines share one compile step:
-//   - kAffine (default): loads/stores whose offsets decompose into
-//     base + Σ stride_i · loop_i (ir/affine.h) run through an iterative
-//     loop-nest executor with incremental offset bumping, guard-range
-//     splitting and tight inner-loop kernels. Anything with non-affine
-//     residue falls back per-store to the generic bytecode path.
+//   - kAffine (default): the program is flattened into a codegen::KernelSpec
+//     whose loads/stores have offsets base + Σ stride_i · loop_i
+//     (ir/affine.h), executed by an iterative loop-nest executor with
+//     incremental offset bumping, guard-range splitting and tight
+//     inner-loop kernels. A value no kernel covers is evaluated per element
+//     (an eval leaf); a store with a non-affine offset runs the generic
+//     compiled store (a bytecode leaf).
 //   - kGeneric: the recursive tree-walking path, retained as the fallback
 //     target and as the oracle for differential testing.
-//   - kNative: the affine plan lowered to C++ (src/codegen), JIT-compiled
+//   - kNative: the same KernelSpec emitted as C++ (src/codegen), JIT-compiled
 //     into a dlopened shared object and cached process-wide by program
-//     structure. Leaves the plan cannot express natively (non-affine
-//     offsets, general expression values) call back into the interpreter
-//     per leaf; if the kernel cannot be compiled at all (no host compiler),
+//     structure. Eval and bytecode leaves call back into the interpreter per
+//     leaf; if the kernel cannot be compiled at all (no host compiler),
 //     Prepare degrades to the affine engine and still succeeds.
 // All engines produce bit-identical buffers.
 

@@ -1,9 +1,12 @@
 // Affine execution engine coverage: unit tests for the decomposition and
 // guard-range rules (ir/affine.h), a randomized differential corpus proving
 // the fast path and the generic fallback produce bit-identical buffers across
-// layout-primitive + schedule combinations, zero-init-skip semantics, and the
-// structure-keyed analysis cache of the measurement engine.
+// layout-primitive + schedule combinations, hand-built bytecode and guarded
+// eval leaves with the per-kind leaf counters, zero-init-skip semantics, and
+// the structure-keyed analysis cache of the measurement engine.
 
+#include <array>
+#include <cmath>
 #include <cstring>
 #include <random>
 #include <unordered_map>
@@ -210,27 +213,22 @@ TEST(GuardRange, ClampsToTheIterationDomain) {
 // Differential corpus: affine engine vs generic fallback, bit-identical.
 // ---------------------------------------------------------------------------
 
-// Executes every program of `net` under all three engines — and the affine
-// and native engines additionally at intra-op thread counts 2 and 8 — on
-// identical physical inputs and requires every buffer to match bit for bit.
-// The serial affine run is the reference; thread counts above the root
-// extent and programs whose kParallel root fails the disjointness proof
-// (degrading to serial) must be equally invariant.
-void ExpectEnginesBitIdentical(const Graph& g, const LayoutAssignment& la,
-                               const loop::LoweredNetwork& net, uint64_t seed,
-                               const std::string& tag) {
-  Rng rng(seed);
-  runtime::TensorDataMap data;
-  runtime::FillGraphInputs(g, rng, data);
+// Executes `programs` in order under all three engines — and the affine and
+// native engines additionally at intra-op thread counts 2 and 8; the generic
+// engine never shards — each on its own copy of `inputs`, and requires every
+// buffer to match bit for bit. The serial affine run is the reference; thread
+// counts above the root extent and programs whose kParallel root fails the
+// disjointness proof (degrading to serial) must be equally invariant.
+void ExpectProgramsBitIdentical(const std::vector<ir::Program>& programs,
+                                const runtime::BufferStore& inputs, const std::string& tag) {
   struct EngineRun {
     std::string name;
     runtime::ExecOptions options;
     runtime::BufferStore store;
   };
   std::vector<EngineRun> runs;
-  auto add = [&runs](const std::string& name, runtime::ExecEngine engine, int intra) {
-    runs.emplace_back();
-    runs.back().name = name;
+  auto add = [&](const std::string& name, runtime::ExecEngine engine, int intra) {
+    runs.push_back({name, {}, inputs});
     runs.back().options.engine = engine;
     runs.back().options.intra_threads = intra;
   };
@@ -241,19 +239,7 @@ void ExpectEnginesBitIdentical(const Graph& g, const LayoutAssignment& la,
     add("affine@" + std::to_string(t), runtime::ExecEngine::kAffine, t);
     add("native@" + std::to_string(t), runtime::ExecEngine::kNative, t);
   }
-  for (const auto& t : g.tensors()) {
-    if (!g.IsGraphInput(t.id) && !g.IsConstant(t.id)) {
-      continue;
-    }
-    auto it = data.find(t.id);
-    ASSERT_NE(it, data.end()) << tag;
-    auto phys = runtime::Physicalize(it->second, t.shape, la.Get(t.id));
-    ASSERT_TRUE(phys.ok()) << tag << ": " << phys.status().ToString();
-    for (EngineRun& r : runs) {
-      r.store.Get(t.id) = *phys;
-    }
-  }
-  for (const auto& program : net.programs) {
+  for (const auto& program : programs) {
     Status ref = runtime::Execute(program, runs[0].store, runs[0].options);
     for (size_t ri = 1; ri < runs.size(); ++ri) {
       Status s = runtime::Execute(program, runs[ri].store, runs[ri].options);
@@ -274,6 +260,28 @@ void ExpectEnginesBitIdentical(const Graph& g, const LayoutAssignment& la,
       }
     }
   }
+}
+
+// ExpectProgramsBitIdentical over every program of `net`, on the graph's
+// inputs drawn from `seed` and physicalized under `la`.
+void ExpectEnginesBitIdentical(const Graph& g, const LayoutAssignment& la,
+                               const loop::LoweredNetwork& net, uint64_t seed,
+                               const std::string& tag) {
+  Rng rng(seed);
+  runtime::TensorDataMap data;
+  runtime::FillGraphInputs(g, rng, data);
+  runtime::BufferStore inputs;
+  for (const auto& t : g.tensors()) {
+    if (!g.IsGraphInput(t.id) && !g.IsConstant(t.id)) {
+      continue;
+    }
+    auto it = data.find(t.id);
+    ASSERT_NE(it, data.end()) << tag;
+    auto phys = runtime::Physicalize(it->second, t.shape, la.Get(t.id));
+    ASSERT_TRUE(phys.ok()) << tag << ": " << phys.status().ToString();
+    inputs.Get(t.id) = *phys;
+  }
+  ExpectProgramsBitIdentical(net.programs, inputs, tag);
 }
 
 std::vector<int64_t> RandomFactors(int64_t n, int parts, std::mt19937_64& rng) {
@@ -445,8 +453,8 @@ TEST(AffineDifferential, TransposedConvModulusGuards) {
   ExpectEnginesBitIdentical(g, la, *net, 5, "transposed conv");
 }
 
-// Reshape delinearization chains and row-op blocks exercise the non-affine
-// bytecode fallback and singleton-store leaves.
+// Reshape delinearization chains and row-op blocks exercise singleton-store
+// leaves and loads with non-affine offsets, which make eval leaves.
 TEST(AffineDifferential, NonAffineFallbackNetwork) {
   Graph g("misc");
   int x = g.AddInput("x", {2, 4, 10, 10});
@@ -636,6 +644,115 @@ TEST(ZeroInitSkip, AccumulateOutputsAreRezeroedEachRun) {
   // A reduction output relies on the zero-fill: a second run must not double.
   EXPECT_EQ(std::memcmp(first.data(), store.Get(1).data(), 8 * sizeof(float)), 0);
   EXPECT_EQ(store.Get(1)[0], 1.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Leaf kinds: kernel, eval and bytecode leaves, counted by what runs them.
+// ---------------------------------------------------------------------------
+
+// An input `in` of `n` elements and an output `out` of `out_shape`.
+ir::Program UnaryProgram(int64_t n, std::vector<int64_t> out_shape) {
+  ir::Program program;
+  ir::BufferDecl in;
+  in.tensor.id = 0;
+  in.tensor.name = "in";
+  in.tensor.shape = {n};
+  in.role = ir::BufferRole::kInput;
+  ir::BufferDecl out;
+  out.tensor.id = 1;
+  out.tensor.name = "out";
+  out.tensor.shape = std::move(out_shape);
+  out.role = ir::BufferRole::kOutput;
+  program.buffers = {in, out};
+  return program;
+}
+
+// out[i / 4][i % 4] = 2 * in[i] for i in [0, 16): the store offset keeps a
+// floor-div and a mod, so the program is one bytecode leaf.
+ir::Program BytecodeStoreProgram() {
+  ir::Program program = UnaryProgram(16, {4, 4});
+  ir::Expr i = ir::MakeVar("i");
+  program.root = ir::MakeFor(
+      i, 16, ir::ForKind::kSerial,
+      ir::MakeStore(1, {ir::FloorDiv(i, 4), ir::Mod(i, 4)},
+                    ir::VMul(ir::Imm(2.0), ir::Load(0, {i})), ir::StoreMode::kAssign));
+  return program;
+}
+
+// out[i] = select(2 <= i < 10, exp(in[i]), 0) for i in [0, 16): one guarded
+// leaf whose then-branch is evaluated per element and whose else-branch fills.
+ir::Program GuardedEvalProgram() {
+  ir::Program program = UnaryProgram(16, {16});
+  ir::Expr i = ir::MakeVar("i");
+  ir::IntervalCond in_range;
+  in_range.expr = i;
+  in_range.lo = 2;
+  in_range.hi = 10;
+  program.root = ir::MakeFor(
+      i, 16, ir::ForKind::kSerial,
+      ir::MakeStore(1, {i},
+                    ir::Select({in_range}, ir::VExp(ir::Load(0, {i})), ir::Imm(0.0)),
+                    ir::StoreMode::kAssign));
+  return program;
+}
+
+// {interp.kernel_leaves, interp.eval_leaves, interp.bytecode_leaves} added by
+// preparing `program` for the affine engine.
+std::array<int64_t, 3> LeafCounts(const ir::Program& program, runtime::BufferStore store) {
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  auto prepared = runtime::PreparedProgram::Prepare(program, store);
+  EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+  auto delta = [&](const char* name) { return after.counter(name) - before.counter(name); };
+  return {delta("interp.kernel_leaves"), delta("interp.eval_leaves"),
+          delta("interp.bytecode_leaves")};
+}
+
+TEST(LeafKinds, EachLeafCountsOnceByWhatRunsIt) {
+  using Counts = std::array<int64_t, 3>;
+  Graph g("gelu");
+  int x = g.AddInput("x", {4, 8});
+  g.AddGelu(x, "gelu");
+  auto net = loop::LowerNetworkNaive(g, LayoutAssignment{}, true);
+  ASSERT_TRUE(net.ok()) << net.status().ToString();
+  ASSERT_EQ(net->programs.size(), 1u);
+  runtime::BufferStore gelu_inputs;
+  gelu_inputs.Get(x).assign(32, 0.5f);
+  // GELU's tanh value tree has no kernel: one eval leaf.
+  EXPECT_EQ(LeafCounts(net->programs[0], gelu_inputs), (Counts{0, 1, 0}));
+
+  runtime::BufferStore inputs;
+  FillParallelInput(inputs, 16);
+  EXPECT_EQ(LeafCounts(BytecodeStoreProgram(), inputs), (Counts{0, 0, 1}));
+  EXPECT_EQ(LeafCounts(GuardedEvalProgram(), inputs), (Counts{0, 1, 0}));
+  // A copy loop is exactly what the native kernel compiles.
+  EXPECT_EQ(LeafCounts(CopyProgram(16, ir::StoreMode::kAssign), inputs), (Counts{1, 0, 0}));
+}
+
+TEST(AffineDifferential, BytecodeStoreLeaf) {
+  runtime::BufferStore inputs;
+  FillParallelInput(inputs, 16);
+  ExpectProgramsBitIdentical({BytecodeStoreProgram()}, inputs, "bytecode store");
+  runtime::BufferStore store = inputs;
+  ASSERT_TRUE(runtime::Execute(BytecodeStoreProgram(), store).ok());
+  for (size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(store.Get(1)[i], static_cast<float>(2.0 * static_cast<double>(store.Get(0)[i])))
+        << i;
+  }
+}
+
+TEST(AffineDifferential, GuardedLeafWithEvalThenAndFillElse) {
+  runtime::BufferStore inputs;
+  FillParallelInput(inputs, 16);
+  ExpectProgramsBitIdentical({GuardedEvalProgram()}, inputs, "guarded eval");
+  runtime::BufferStore store = inputs;
+  ASSERT_TRUE(runtime::Execute(GuardedEvalProgram(), store).ok());
+  for (size_t i = 0; i < 16; ++i) {
+    const float expected =
+        i >= 2 && i < 10 ? static_cast<float>(std::exp(static_cast<double>(store.Get(0)[i])))
+                         : 0.0f;
+    EXPECT_EQ(store.Get(1)[i], expected) << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ struct CacheSandbox {
 // of an immediate from offset 0, stride 1.
 codegen::KernelSpec FillSpec(int64_t extent, int64_t out_size, double imm) {
   codegen::KernelSpec spec;
-  spec.num_buffers = 1;
   spec.env_size = 1;
   spec.acc_init = {0};
   codegen::KernelSpec::Leaf leaf;

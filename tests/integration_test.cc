@@ -1,7 +1,13 @@
 // Whole-pipeline integration tests: small but structurally complete networks
 // (residual blocks, depthwise bottlenecks, a transformer layer, 3-D convs)
 // tuned and/or layout-transformed, lowered, interpreted, and validated
-// against the reference executor.
+// against the reference executor; tuned BERT-tiny is also served on every
+// engine and thread count, bit for bit.
+
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +17,7 @@
 #include "src/graph/networks.h"
 #include "src/loop/lowering.h"
 #include "src/runtime/session.h"
+#include "src/support/metrics.h"
 #include "tests/reference_check.h"
 
 namespace alt {
@@ -244,6 +251,64 @@ TEST(Integration, AllVariantsStayCorrect) {
     ASSERT_TRUE(diff.ok()) << core::VariantName(variant) << ": "
                            << diff.status().ToString();
     EXPECT_LT(*diff, kTol) << core::VariantName(variant);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Tuned networks served on every engine.
+// ---------------------------------------------------------------------------
+
+// BERT-tiny tuned with ALT at tuner seeds 1-5. Its bias, GELU, softmax and
+// layer-norm leaves are eval leaves, which the native kernel hands back to the
+// host per element. Sessions on the generic, affine and native engines, at 1
+// and 4 intra-op threads, must serve bit-identical outputs that match the
+// reference within tolerance.
+TEST(Integration, TunedBertServedBitIdenticallyOnEveryEngine) {
+  const Graph g = graph::BuildBert(1, 128, 2, /*seq_len=*/8);
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    core::AltOptions options;
+    options.budget = 200;
+    options.seed = seed;
+    auto compiled = core::Compile(g, sim::Machine::IntelCpu(), options);
+    ASSERT_TRUE(compiled.ok()) << "seed " << seed << ": " << compiled.status().ToString();
+    const loop::LoweredNetwork net{compiled->groups, compiled->programs};
+
+    Rng rng(seed);
+    runtime::TensorDataMap data;
+    runtime::FillGraphInputs(compiled->graph, rng, data);
+    std::vector<std::string> names;
+    std::vector<std::vector<float>> outputs;
+    int output_tensor = -1;
+    const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+    for (auto [engine, name] : {std::pair{runtime::ExecEngine::kAffine, "affine"},
+                                std::pair{runtime::ExecEngine::kGeneric, "generic"},
+                                std::pair{runtime::ExecEngine::kNative, "native"}}) {
+      for (int threads : {1, 4}) {
+        runtime::SessionOptions session_options;
+        session_options.engine = engine;
+        session_options.intra_threads = threads;
+        auto session = runtime::InferenceSession::Create(compiled->graph, compiled->assignment,
+                                                         net, session_options);
+        ASSERT_TRUE(session.ok()) << session.status().ToString();
+        auto served = session->Run(data);
+        ASSERT_TRUE(served.ok()) << name << "@" << threads << ": " << served.status().ToString();
+        names.push_back(std::string(name) + "@" + std::to_string(threads));
+        outputs.push_back(std::move(*served));
+        output_tensor = session->output_tensor();
+      }
+    }
+    const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+    EXPECT_GT(after.counter("interp.eval_leaves") - before.counter("interp.eval_leaves"), 0)
+        << "seed " << seed << " built no eval leaf";
+    for (size_t i = 1; i < outputs.size(); ++i) {
+      ASSERT_EQ(outputs[i].size(), outputs[0].size()) << names[i];
+      EXPECT_EQ(std::memcmp(outputs[i].data(), outputs[0].data(),
+                            outputs[0].size() * sizeof(float)),
+                0)
+          << "seed " << seed << ": " << names[i] << " differs from " << names[0];
+    }
+    ASSERT_TRUE(runtime::ExecuteReference(compiled->graph, data).ok());
+    EXPECT_LT(runtime::MaxAbsDiff(outputs[0], data[output_tensor]), kTol) << "seed " << seed;
   }
 }
 
