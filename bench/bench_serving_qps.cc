@@ -1,10 +1,10 @@
-// Serving front-end QPS: dynamic batching vs per-request dispatch, plus the
-// RunBatch pool-reuse delta and hot-swap bit-identity.
+// Serving front-end QPS: dynamic batching vs per-request dispatch, plus
+// hot-swap bit-identity.
 //
 //   ./build/bench/bench_serving_qps
 //
 // A small network is tuned (random search, tiny budget — deterministic), and
-// the same request stream is pushed through serving::Server twice:
+// the same request stream is pushed through two serving::Server setups:
 //
 //   * per-request dispatch: max_batch_size=1 — every request is its own
 //     batch, the naive serve loop.
@@ -17,7 +17,8 @@
 // requests. The parallel half needs >1 hardware thread: on a single-core
 // host the bench degrades to the overhead comparison, so the hard gate
 // "batching sustains more requests/sec" applies on multi-core hosts and a
-// 0.85x sanity floor applies on one core.
+// 0.85x sanity floor applies on one core. Each setup's figures come from the
+// median of 5 rounds, the two setups alternating.
 //
 // Everything is gated on bit-identity: every response in every mode must
 // equal the direct InferenceSession::Run output for its seed — including
@@ -27,6 +28,7 @@
 // With ALT_TRACE_DIR set, the figures are written as a JSON metrics artifact
 // for CI.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -129,8 +131,8 @@ bool RunStream(serving::Server& server, const std::string& model,
 
 int Main() {
   bench::PrintHeader(
-      "Serving QPS: dynamic batching vs per-request dispatch, pool-reuse "
-      "delta, hot-swap bit-identity");
+      "Serving QPS: dynamic batching vs per-request dispatch, hot-swap "
+      "bit-identity");
 
   // A deterministic tuned network (random search keeps this fast) so the
   // stream exercises real tuned layouts and the artifact path.
@@ -162,61 +164,7 @@ int Main() {
     expected.push_back(std::move(*out));
   }
 
-  // --- RunBatch pool reuse vs a fresh ThreadPool per batch ----------------
-  // The old RunBatch constructed and joined a ThreadPool on every call; the
-  // session now keeps one. Measure exactly that delta.
-  constexpr int kPoolBatches = 24;
-  constexpr int kPoolThreads = 4;
-  std::vector<runtime::TensorDataMap> pool_batch;
-  for (int i = 0; i < 16; ++i) {
-    pool_batch.push_back(MakeRequest(compiled->graph, 1000 + i));
-  }
-  auto start = std::chrono::steady_clock::now();
-  for (int b = 0; b < kPoolBatches; ++b) {
-    ThreadPool fresh(kPoolThreads);  // the per-call spawn the bugfix removed
-    auto results = session->RunBatchDetailed(pool_batch, fresh);
-    for (auto& r : results) {
-      if (!r.ok()) {
-        std::fprintf(stderr, "fresh-pool batch failed\n");
-        return 1;
-      }
-    }
-  }
-  const double fresh_pool_s = Seconds(start);
-  ThreadPool reused(kPoolThreads);
-  start = std::chrono::steady_clock::now();
-  for (int b = 0; b < kPoolBatches; ++b) {
-    auto results = session->RunBatchDetailed(pool_batch, reused);
-    for (auto& r : results) {
-      if (!r.ok()) {
-        std::fprintf(stderr, "reused-pool batch failed\n");
-        return 1;
-      }
-    }
-  }
-  const double reused_pool_s = Seconds(start);
-  const double pool_reuse_speedup = fresh_pool_s / reused_pool_s;
-
-  // --- per-request dispatch ----------------------------------------------
-  StreamResult per_request;
-  {
-    serving::ServerOptions sopt;
-    sopt.policy.max_batch_size = 1;  // no batching: the naive serve loop
-    sopt.policy.max_delay_us = 0;
-    sopt.workers = 1;
-    sopt.intra_batch_threads = 1;
-    serving::Server server(sopt);
-    Status added = server.AddModel("m", compiled->graph, compiled->assignment, net);
-    if (!added.ok()) {
-      std::fprintf(stderr, "add model failed: %s\n", added.ToString().c_str());
-      return 1;
-    }
-    if (!RunStream(server, "m", compiled->graph, expected, nullptr, &per_request)) {
-      return 1;
-    }
-  }
-
-  // --- dynamic batching, with a hot-swap halfway through ------------------
+  // The tuned network re-saved and re-loaded: the hot-swap target.
   const std::string artifact_path = "bench_serving_qps.altart";
   Status saved = core::SaveArtifact(*compiled, sim::Machine::IntelCpu(), options,
                                     artifact_path);
@@ -230,28 +178,59 @@ int Main() {
     return 1;
   }
   std::remove(artifact_path.c_str());
-  StreamResult batching;
-  int swaps = 0;
-  {
-    serving::ServerOptions sopt;
-    sopt.policy.max_batch_size = 16;
-    sopt.policy.max_delay_us = 2000;  // the tail-latency budget batching may add
-    sopt.workers = 1;
-    sopt.intra_batch_threads = 4;
-    serving::Server server(sopt);
-    Status added = server.AddModel("m", compiled->graph, compiled->assignment, net);
+
+  // Per-request dispatch: max_batch_size=1, every request is its own batch
+  // (the naive serve loop). Dynamic batching: up to 16 requests under a 2 ms
+  // delay budget, the tail latency batching may add.
+  serving::ServerOptions per_request_options;
+  per_request_options.policy.max_batch_size = 1;
+  per_request_options.policy.max_delay_us = 0;
+  per_request_options.workers = 1;
+  per_request_options.intra_batch_threads = 1;
+  serving::ServerOptions batching_options;
+  batching_options.policy.max_batch_size = 16;
+  batching_options.policy.max_delay_us = 2000;
+  batching_options.workers = 1;
+  batching_options.intra_batch_threads = 4;
+  serving::Server per_request_server(per_request_options);
+  serving::Server batching_server(batching_options);
+  for (serving::Server* server : {&per_request_server, &batching_server}) {
+    Status added = server->AddModel("m", compiled->graph, compiled->assignment, net);
     if (!added.ok()) {
       std::fprintf(stderr, "add model failed: %s\n", added.ToString().c_str());
       return 1;
     }
-    if (!RunStream(server, "m", compiled->graph, expected, &*loaded, &batching)) {
+  }
+
+  // Median of kRounds alternating rounds per setup: one stream per setup let
+  // a single scheduling hiccup on a shared host decide the gate. Not the
+  // best round: per-request dispatch shards every Run across the intra-op
+  // threads, so its rate jumps whenever the host briefly frees every core,
+  // and a best-of picks those jumps. The first batching round hot-swaps to
+  // the re-loaded artifact halfway through its stream; later rounds serve
+  // the swapped-in model.
+  constexpr int kRounds = 5;
+  std::vector<StreamResult> per_request_rounds(kRounds);
+  std::vector<StreamResult> batching_rounds(kRounds);
+  for (int round = 0; round < kRounds; ++round) {
+    if (!RunStream(per_request_server, "m", compiled->graph, expected, nullptr,
+                   &per_request_rounds[round]) ||
+        !RunStream(batching_server, "m", compiled->graph, expected,
+                   round == 0 ? &*loaded : nullptr, &batching_rounds[round])) {
       return 1;
     }
-    swaps = static_cast<int>(server.Metrics().counter("serving.swaps"));
   }
-  std::printf("bit-identity gate: %d requests x 2 modes identical to direct "
+  auto median = [](std::vector<StreamResult> rounds) {
+    std::sort(rounds.begin(), rounds.end(),
+              [](const StreamResult& a, const StreamResult& b) { return a.rps < b.rps; });
+    return rounds[rounds.size() / 2];
+  };
+  const StreamResult per_request = median(per_request_rounds);
+  const StreamResult batching = median(batching_rounds);
+  const int swaps = static_cast<int>(batching_server.Metrics().counter("serving.swaps"));
+  std::printf("bit-identity gate: %d requests x 2 modes x %d rounds identical to direct "
               "session runs, across %d hot-swap(s)\n\n",
-              kRequests, swaps);
+              kRequests, kRounds, swaps);
 
   // --- multi-worker sweep: workers x intra_batch_threads x intra-op --------
   // The three thread knobs compose: worker threads drain the queue,
@@ -308,8 +287,6 @@ int Main() {
               batching.rps, batching.p95_us, batching.p99_us, batching.mean_batch);
   std::printf("\nbatching speedup: %.2fx (hardware threads: %d)\n",
               batching.rps / per_request.rps, hardware);
-  std::printf("RunBatch pool reuse over fresh pool per batch: %.2fx\n",
-              pool_reuse_speedup);
 
   const std::string trace_dir = bench::TraceDir();
   if (!trace_dir.empty()) {
@@ -324,12 +301,11 @@ int Main() {
                   "    \"batching_p99_us\": %.3f,\n"
                   "    \"batching_mean_batch\": %.3f,\n"
                   "    \"batching_speedup\": %.4f,\n"
-                  "    \"pool_reuse_speedup\": %.4f,\n"
                   "    \"hot_swaps\": %d\n  },\n"
                   "  \"worker_sweep\": [\n",
                   kRequests, hardware, per_request.rps, per_request.p99_us,
                   batching.rps, batching.p99_us, batching.mean_batch,
-                  batching.rps / per_request.rps, pool_reuse_speedup, swaps);
+                  batching.rps / per_request.rps, swaps);
     std::string json = buf;
     for (size_t i = 0; i < worker_sweep.size(); ++i) {
       const auto& row = worker_sweep[i];

@@ -1,7 +1,9 @@
 // Measurement-engine throughput: wall-clock of a fixed-budget tune_conv2d
-// run at measure_threads = 1 / 2 / 4 (cache on and off), verifying along the
-// way that every configuration lands on the identical tuned result — the
-// determinism guarantee that makes the parallelism safe to enable.
+// run at measure.threads = 1 / 2 / 4, verifying along the way that every
+// thread count lands on the identical tuned result — the determinism
+// guarantee that makes the parallelism safe to enable. A second section
+// checks that layout-relation dedup measures fewer layout candidates than
+// the search enumerates.
 //
 //   ./build/bench/bench_tuner_throughput
 //
@@ -27,16 +29,13 @@ struct RunResult {
 };
 
 RunResult RunTune(const graph::Graph& g, const sim::Machine& machine, int threads,
-                  bool cache, const std::string& trace_path = "", bool dedup = true,
-                  int budget = 300) {
+                  const std::string& trace_path = "", int budget = 300) {
   core::AltOptions options;
   options.budget = budget;
   options.seed = 11;
   options.method = autotune::SearchMethod::kPpoPretrained;
   options.measure.threads = threads;
-  options.measure.cache = cache;
-  options.layout_relation_dedup = dedup;
-  options.trace.path = trace_path;
+  options.trace_path = trace_path;
   auto start = std::chrono::steady_clock::now();
   auto compiled = core::Compile(g, machine, options);
   auto wall =
@@ -63,48 +62,42 @@ int Main() {
   graph::Graph g = graph::BuildResNetFirstLayer(1);
   const auto& machine = sim::Machine::IntelCpu();
   std::printf("workload: %s on %s\n\n", g.name().c_str(), machine.name.c_str());
-  std::printf("%-10s %-7s %10s %12s %10s %8s %8s\n", "threads", "cache", "wall_ms",
-              "tuned_us", "measured", "hits", "speedup");
+  std::printf("%-10s %10s %12s %10s %8s %8s\n", "threads", "wall_ms", "tuned_us",
+              "measured", "hits", "speedup");
 
-  for (bool cache : {false, true}) {
-    RunResult base;
-    for (int threads : {1, 2, 4}) {
-      RunResult r = RunTune(g, machine, threads, cache);
-      if (threads == 1) {
-        base = r;
-      }
-      std::printf("%-10d %-7s %10.1f %12.1f %10lld %8lld %7.2fx\n", threads,
-                  cache ? "on" : "off", r.wall_ms, r.latency_us,
-                  static_cast<long long>(r.stats.measured),
-                  static_cast<long long>(r.stats.cache_hits),
-                  r.wall_ms > 0 ? base.wall_ms / r.wall_ms : 0.0);
-      // Determinism guarantee: identical tuned result at every thread count.
-      if (r.latency_us != base.latency_us || r.measurements != base.measurements) {
-        std::fprintf(stderr,
-                     "DETERMINISM VIOLATION: threads=%d cache=%d diverged "
-                     "(%.3f us / %d meas vs %.3f us / %d meas)\n",
-                     threads, cache ? 1 : 0, r.latency_us, r.measurements, base.latency_us,
-                     base.measurements);
-        return 1;
-      }
+  RunResult base;
+  for (int threads : {1, 2, 4}) {
+    RunResult r = RunTune(g, machine, threads);
+    if (threads == 1) {
+      base = r;
     }
-    std::printf("\n");
+    std::printf("%-10d %10.1f %12.1f %10lld %8lld %7.2fx\n", threads, r.wall_ms,
+                r.latency_us, static_cast<long long>(r.stats.measured),
+                static_cast<long long>(r.stats.cache_hits),
+                r.wall_ms > 0 ? base.wall_ms / r.wall_ms : 0.0);
+    // Determinism guarantee: identical tuned result at every thread count.
+    if (r.latency_us != base.latency_us || r.measurements != base.measurements) {
+      std::fprintf(stderr,
+                   "DETERMINISM VIOLATION: threads=%d diverged "
+                   "(%.3f us / %d meas vs %.3f us / %d meas)\n",
+                   threads, r.latency_us, r.measurements, base.latency_us,
+                   base.measurements);
+      return 1;
+    }
   }
   std::printf(
-      "note: rows within a cache setting must agree exactly on tuned_us; the\n"
-      "speedup column is wall-clock relative to the 1-thread row.\n");
+      "\nnote: rows must agree exactly on tuned_us; the speedup column is\n"
+      "wall-clock relative to the 1-thread row.\n");
 
   // Layout-relation dedup (layout/relation.h): candidates whose relation
   // fingerprints match an already-evaluated triple replay its result instead
-  // of spending measurement budget. The comparison reports, per workload,
-  // how many candidates the search enumerated, how many were actually
-  // measured (enumerated - deduped), and the tuned latency — dedup must
-  // measure fewer candidates than it enumerates while landing on an
-  // identical-or-better result than the dedup-off run.
+  // of spending measurement budget. The table reports, per workload, how
+  // many candidates the search enumerated and how many were actually
+  // measured (enumerated - deduped); dedup must collapse at least one
+  // candidate, so fewer are measured than enumerated.
   bench::PrintHeader("Layout relation dedup: candidates measured vs enumerated");
   struct DedupRow {
     std::string workload;
-    bool dedup;
     RunResult r;
   };
   std::vector<DedupRow> dedup_rows;
@@ -121,35 +114,24 @@ int Main() {
     workloads.emplace_back("conv2d/16ch-8x8",
                            graph::BuildSingleConv(graph::OpKind::kConv2d, small_conv));
     workloads.emplace_back("gmm/16x16x16", graph::BuildSingleMatmul(16, 16, 16));
-    std::printf("%-20s %-7s %11s %9s %9s %12s\n", "workload", "dedup", "enumerated",
-                "deduped", "measured", "tuned_us");
+    std::printf("%-20s %11s %9s %9s %12s\n", "workload", "enumerated", "deduped",
+                "measured", "tuned_us");
     for (const auto& [name, wg] : workloads) {
-      RunResult off, on;
-      for (bool dedup : {false, true}) {
-        RunResult r = RunTune(wg, machine, /*threads=*/4, /*cache=*/true, "", dedup,
-                              /*budget=*/400);
-        (dedup ? on : off) = r;
-        std::printf("%-20s %-7s %11lld %9lld %9lld %12.1f\n", name.c_str(),
-                    dedup ? "on" : "off", static_cast<long long>(r.enumerated),
-                    static_cast<long long>(r.deduped),
-                    static_cast<long long>(r.enumerated - r.deduped), r.latency_us);
-        dedup_rows.push_back({name, dedup, r});
-      }
-      if (on.deduped <= 0) {
-        std::fprintf(stderr, "DEDUP INEFFECTIVE: %s collapsed no candidates\n",
-                     name.c_str());
-        return 1;
-      }
-      if (on.latency_us > off.latency_us) {
+      RunResult r = RunTune(wg, machine, /*threads=*/4, "", /*budget=*/400);
+      const int64_t measured = r.enumerated - r.deduped;
+      std::printf("%-20s %11lld %9lld %9lld %12.1f\n", name.c_str(),
+                  static_cast<long long>(r.enumerated), static_cast<long long>(r.deduped),
+                  static_cast<long long>(measured), r.latency_us);
+      dedup_rows.push_back({name, r});
+      if (r.deduped <= 0 || measured >= r.enumerated) {
         std::fprintf(stderr,
-                     "DEDUP REGRESSION: %s tuned %.3f us with dedup vs %.3f us without\n",
-                     name.c_str(), on.latency_us, off.latency_us);
+                     "DEDUP INEFFECTIVE: %s measured %lld of %lld enumerated candidates\n",
+                     name.c_str(), static_cast<long long>(measured),
+                     static_cast<long long>(r.enumerated));
         return 1;
       }
     }
-    std::printf(
-        "\nnote: 'measured' = enumerated - deduped; the dedup-on row must reach an\n"
-        "identical-or-better tuned latency while measuring fewer of its candidates.\n");
+    std::printf("\nnote: 'measured' = enumerated - deduped.\n");
   }
 
   // Wall-clock repeatability at the default configuration: single runs above
@@ -158,28 +140,26 @@ int Main() {
   constexpr int kRepeats = 5;
   std::vector<double> walls;
   for (int rep = 0; rep < kRepeats; ++rep) {
-    walls.push_back(RunTune(g, machine, /*threads=*/4, /*cache=*/true).wall_ms);
+    walls.push_back(RunTune(g, machine, /*threads=*/4).wall_ms);
   }
   bench::SampleStats stats = bench::Summarize(walls);
   std::printf(
-      "\nrepeatability (threads=4, cache=on, %d runs): wall_ms p50=%.1f p95=%.1f "
+      "\nrepeatability (threads=4, %d runs): wall_ms p50=%.1f p95=%.1f "
       "min=%.1f max=%.1f\n",
       stats.n, stats.p50, stats.p95, stats.min, stats.max);
   // One extra traced run when ALT_TRACE_DIR is set — kept out of the timed
   // rows above so the table always reports the tracing-disabled numbers.
   const std::string trace_dir = bench::TraceDir();
   if (!trace_dir.empty()) {
-    RunTune(g, machine, /*threads=*/4, /*cache=*/true,
-            trace_dir + "/tuner_throughput_trace.json");
-    std::string json = "{\n  \"dedup_comparison\": [\n";
+    RunTune(g, machine, /*threads=*/4, trace_dir + "/tuner_throughput_trace.json");
+    std::string json = "{\n  \"layout_dedup\": [\n";
     for (size_t i = 0; i < dedup_rows.size(); ++i) {
       const auto& row = dedup_rows[i];
       char buf[320];
       std::snprintf(buf, sizeof(buf),
-                    "    {\"workload\": \"%s\", \"dedup\": %s, \"enumerated\": %lld, "
+                    "    {\"workload\": \"%s\", \"enumerated\": %lld, "
                     "\"deduped\": %lld, \"measured\": %lld, \"tuned_us\": %.3f}%s\n",
-                    row.workload.c_str(), row.dedup ? "true" : "false",
-                    static_cast<long long>(row.r.enumerated),
+                    row.workload.c_str(), static_cast<long long>(row.r.enumerated),
                     static_cast<long long>(row.r.deduped),
                     static_cast<long long>(row.r.enumerated - row.r.deduped),
                     row.r.latency_us, i + 1 < dedup_rows.size() ? "," : "");

@@ -57,7 +57,7 @@ int Main() {
   const std::string path = "/tmp/alt_bench_tuning_warmstart.altdb";
   core::AltOptions plain_options = BenchOptions();
   core::AltOptions db_options = BenchOptions();
-  db_options.measure.database = path;
+  db_options.tuning_db = path;
   std::printf("workload: %s on %s, budget %d\n\n", g.name().c_str(), machine.name.c_str(),
               plain_options.budget);
 

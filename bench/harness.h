@@ -112,7 +112,7 @@ inline MethodResult RunMethod(const std::string& name, const graph::Graph& g,
     const std::string trace_dir = TraceDir();
     const std::string tag = SanitizeTag(g.name() + "_" + name);
     if (!trace_dir.empty()) {
-      options.trace.path = trace_dir + "/" + tag + "_trace.json";
+      options.trace_path = trace_dir + "/" + tag + "_trace.json";
     }
     compiled = core::Compile(g, machine, options);
     if (!trace_dir.empty() && compiled.ok()) {

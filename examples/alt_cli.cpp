@@ -333,13 +333,10 @@ int main(int argc, char** argv) {
     options.engine = engine;
     options.intra_threads = intra_threads;
     if (const char* trace = std::getenv("ALT_TRACE")) {
-      options.trace.path = trace;
+      options.trace_path = trace;
     }
-    if (workers > 0) {
-      options.measure.isolate = true;
-      options.measure.workers = workers;
-    }
-    options.measure.database = tuning_db_path;
+    options.measure.isolate.workers = workers;  // <= 0 measures in process
+    options.tuning_db = tuning_db_path;
     if (method == "alt-ol") {
       options.variant = core::AltVariant::kLoopOnly;
     } else if (method == "alt-wp") {

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <exception>
 #include <sstream>
-#include <thread>
 
 #include "src/ir/affine.h"
 #include "src/ir/tensor.h"
@@ -50,8 +49,8 @@ void AppendOpKey(const graph::Graph& g, const graph::LayoutAssignment& la, int o
 }
 
 // Adds the lifetime of the enclosing scope (in nanoseconds) to `*sink`; used
-// to charge lower+estimate attempt time to cpu_ms without counting backoff
-// sleeps, whatever exit path the attempt takes.
+// to charge lower+estimate attempt time to cpu_ms, whatever exit path the
+// attempt takes.
 class NsAccumulator {
  public:
   explicit NsAccumulator(int64_t* sink) : sink_(sink), start_(TraceRecorder::NowNs()) {}
@@ -63,17 +62,6 @@ class NsAccumulator {
 };
 
 }  // namespace
-
-int RetryBackoffMs(const RetryPolicy& retry, int retry_number) {
-  if (retry.backoff_base_ms <= 0) {
-    return 0;
-  }
-  int64_t delay = static_cast<int64_t>(retry.backoff_base_ms);
-  for (int i = 1; i < retry_number && delay < retry.backoff_cap_ms; ++i) {
-    delay <<= 1;
-  }
-  return static_cast<int>(std::min<int64_t>(delay, retry.backoff_cap_ms));
-}
 
 std::string GroupCacheKey(const graph::Graph& graph,
                           const graph::LayoutAssignment& assignment,
@@ -87,9 +75,11 @@ std::string GroupCacheKey(const graph::Graph& graph,
   return oss.str();
 }
 
-MeasureEngine::MeasureEngine(const sim::Machine& machine, MeasureEngineConfig config)
+MeasureEngine::MeasureEngine(const sim::Machine& machine, MeasureEngineConfig config,
+                             MeasureDatabase* database)
     : machine_(machine),
       config_(std::move(config)),
+      database_(database),
       injector_(config_.faults),
       pool_(ResolveThreads(config_.threads)) {}
 
@@ -106,11 +96,6 @@ int64_t MeasureEngine::quarantine_size() const {
 int64_t MeasureEngine::analysis_cache_size() const {
   std::lock_guard<std::mutex> lock(analysis_mu_);
   return static_cast<int64_t>(analysis_cache_.size());
-}
-
-bool MeasureEngine::keyed() const {
-  return config_.cache_enabled || injector_.enabled() || config_.database != nullptr ||
-         config_.isolate.enabled;
 }
 
 bool MeasureEngine::InsertQuarantine(const std::string& key) {
@@ -146,43 +131,39 @@ std::vector<MeasureResult> MeasureEngine::Measure(
   std::vector<uint64_t> sites(n, 0);
   std::vector<bool> measure_slot(n, true);
   std::vector<int> alias_of(n, -1);
-  if (keyed()) {
+  {
     const std::string group_key = GroupCacheKey(graph, assignment, group);
     std::unordered_map<std::string, int> first_slot;
     std::lock_guard<std::mutex> lock(cache_mu_);
     for (int i = 0; i < n; ++i) {
       keys[i] = group_key + "#" + loop::EncodeSchedule(schedules[i]);
       sites[i] = Fnv1a64(keys[i]);
-      if (config_.cache_enabled) {
-        auto cached = cache_.find(keys[i]);
-        if (cached != cache_.end()) {
-          results[i].latency_us = cached->second;
-          results[i].cache_hit = true;
-          measure_slot[i] = false;
-          continue;
-        }
+      auto cached = cache_.find(keys[i]);
+      if (cached != cache_.end()) {
+        results[i].latency_us = cached->second;
+        results[i].cache_hit = true;
+        measure_slot[i] = false;
+        continue;
       }
       if (quarantine_.count(keys[i]) > 0) {
         results[i].status = Status::Unavailable("candidate quarantined");
         measure_slot[i] = false;
         continue;
       }
-      if (config_.database != nullptr) {
+      if (database_ != nullptr) {
         // Measurements persisted by earlier runs (warm start) or by an
         // interrupted run of this one (resume). Consulted after cache and
         // quarantine so in-run memoization keeps priority; hits report
         // cache_hit == false so the run spends budget exactly as the run
         // that recorded them did, and prime the cache (or quarantine) so
         // later duplicates behave as they did in that run.
-        auto entry = config_.database->Lookup(sites[i]);
+        auto entry = database_->Lookup(sites[i]);
         if (entry.has_value()) {
           results[i].db_hit = true;
           measure_slot[i] = false;
           if (!entry->failed) {
             results[i].latency_us = entry->latency_us;
-            if (config_.cache_enabled) {
-              cache_.emplace(keys[i], entry->latency_us);
-            }
+            cache_.emplace(keys[i], entry->latency_us);
           } else {
             results[i].status =
                 Status::Unavailable("measurement failed in a previous run (tuning database)");
@@ -191,12 +172,10 @@ std::vector<MeasureResult> MeasureEngine::Measure(
           continue;
         }
       }
-      if (config_.cache_enabled) {
-        auto [it, inserted] = first_slot.try_emplace(keys[i], i);
-        if (!inserted) {
-          alias_of[i] = it->second;
-          measure_slot[i] = false;
-        }
+      auto [it, inserted] = first_slot.try_emplace(keys[i], i);
+      if (!inserted) {
+        alias_of[i] = it->second;
+        measure_slot[i] = false;
       }
     }
   }
@@ -209,14 +188,13 @@ std::vector<MeasureResult> MeasureEngine::Measure(
   }
 
   // Lower + estimate the misses concurrently, retrying transient (injected)
-  // failures with capped backoff. Each task writes only its own slots —
-  // result, retry/backoff tallies — so the reduction below is deterministic.
+  // failures at once. Each task writes only its own slots — result and retry
+  // tallies — so the reduction below is deterministic.
   // LowerGroup/EstimateProgram are pure; a deterministic failure (bad
   // schedule, lowering error) is never retried.
   const int w_count = static_cast<int>(work.size());
   std::vector<int> slot_retries(w_count, 0);
   std::vector<int> slot_injected(w_count, 0);
-  std::vector<double> slot_backoff(w_count, 0.0);
   std::vector<int64_t> slot_cpu_ns(w_count, 0);
   std::vector<char> slot_done(w_count, 0);
   std::vector<char> slot_analysis_hit(w_count, 0);
@@ -225,9 +203,9 @@ std::vector<MeasureResult> MeasureEngine::Measure(
   Histogram& candidate_hist = MetricsRegistry::Global().histogram("measure.candidate_us");
   const int64_t submit_ns = TraceRecorder::NowNs();
   Status pool_status = Status::Ok();
-  if (config_.isolate.enabled && w_count > 0) {
+  if (config_.isolate.workers > 0 && w_count > 0) {
     // Out-of-process evaluation: a WorkerPool schedules the misses onto
-    // forked worker subprocesses, handling retry/backoff/injected faults
+    // forked worker subprocesses, handling retries and injected faults
     // itself with the same accounting as the loop below; the engine keeps
     // only the slot-ordered reduction. The analysis cache is skipped —
     // children cannot publish into the parent's cache — which changes
@@ -252,7 +230,6 @@ std::vector<MeasureResult> MeasureEngine::Measure(
       results[i].attempts = o.attempts;
       slot_retries[w] = o.retries;
       slot_injected[w] = o.injected;
-      slot_backoff[w] = o.backoff_ms;
       slot_cpu_ns[w] = o.eval_ns;
       slot_done[w] = 1;
       candidate_hist.Observe(static_cast<double>(o.eval_ns) * 1e-3);
@@ -268,11 +245,6 @@ std::vector<MeasureResult> MeasureEngine::Measure(
       for (int attempt = 0; attempt < max_attempts; ++attempt) {
         if (attempt > 0) {
           ++slot_retries[w];
-          int delay = RetryBackoffMs(config_.retry, attempt);
-          slot_backoff[w] += delay;
-          if (delay > 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-          }
         }
         NsAccumulator attempt_timer(&slot_cpu_ns[w]);
         ++results[i].attempts;
@@ -287,33 +259,29 @@ std::vector<MeasureResult> MeasureEngine::Measure(
             results[i].status = program.status();  // deterministic: no retry
             break;
           }
-          if (config_.analysis_cache) {
-            // Structurally identical programs (e.g. schedules differing only
-            // in omitted unit loops) analyze once; EstimateProgram is pure in
-            // the structure + buffer shapes the key captures, so a hit
-            // returns the exact latency a fresh analysis would.
-            std::string akey = ir::ProgramStructureKey(*program);
-            bool hit = false;
-            double latency = 0.0;
-            {
-              std::lock_guard<std::mutex> lock(analysis_mu_);
-              auto it = analysis_cache_.find(akey);
-              if (it != analysis_cache_.end()) {
-                hit = true;
-                latency = it->second;
-              }
+          // Structurally identical programs (e.g. schedules differing only
+          // in omitted unit loops) analyze once; EstimateProgram is pure in
+          // the structure + buffer shapes the key captures, so a hit returns
+          // the exact latency a fresh analysis would.
+          std::string akey = ir::ProgramStructureKey(*program);
+          bool hit = false;
+          double latency = 0.0;
+          {
+            std::lock_guard<std::mutex> lock(analysis_mu_);
+            auto it = analysis_cache_.find(akey);
+            if (it != analysis_cache_.end()) {
+              hit = true;
+              latency = it->second;
             }
-            if (hit) {
-              slot_analysis_hit[w] = 1;
-            } else {
-              latency = sim::EstimateProgram(*program, machine_).latency_us;
-              std::lock_guard<std::mutex> lock(analysis_mu_);
-              analysis_cache_.emplace(std::move(akey), latency);
-            }
-            results[i].latency_us = latency;
-          } else {
-            results[i].latency_us = sim::EstimateProgram(*program, machine_).latency_us;
           }
+          if (hit) {
+            slot_analysis_hit[w] = 1;
+          } else {
+            latency = sim::EstimateProgram(*program, machine_).latency_us;
+            std::lock_guard<std::mutex> lock(analysis_mu_);
+            analysis_cache_.emplace(std::move(akey), latency);
+          }
+          results[i].latency_us = latency;
           results[i].status = Status::Ok();
           break;
         } catch (const std::exception& e) {
@@ -339,30 +307,26 @@ std::vector<MeasureResult> MeasureEngine::Measure(
     stats_.retries += slot_retries[w];
     stats_.injected_failures += slot_injected[w];
     stats_.analysis_cache_hits += slot_analysis_hit[w];
-    stats_.backoff_ms += slot_backoff[w];
     stats_.cpu_ms += static_cast<double>(slot_cpu_ns[w]) * 1e-6;
-    if (results[i].status.ok()) {
-      ++stats_.measured;
-      if (config_.cache_enabled) {
-        std::lock_guard<std::mutex> lock(cache_mu_);
+    {
+      std::lock_guard<std::mutex> lock(cache_mu_);
+      if (results[i].status.ok()) {
+        ++stats_.measured;
         cache_.emplace(keys[i], results[i].latency_us);
-      }
-    } else {
-      ++stats_.failed;
-      if (keyed()) {
-        std::lock_guard<std::mutex> lock(cache_mu_);
+      } else {
+        ++stats_.failed;
         if (InsertQuarantine(keys[i])) {
           ++stats_.quarantined;
         }
       }
     }
-    if (config_.database != nullptr) {
+    if (database_ != nullptr) {
       // Write-through: persist this measurement so a later run against the
       // same database (and machine) never re-measures the candidate.
       MeasureDatabase::Entry entry;
       entry.failed = !results[i].status.ok();
       entry.latency_us = entry.failed ? 0.0 : results[i].latency_us;
-      config_.database->Record(sites[i], entry);
+      database_->Record(sites[i], entry);
     }
   }
   for (int i = 0; i < n; ++i) {

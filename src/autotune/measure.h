@@ -18,12 +18,14 @@
 //     layout sequences of every tensor the group touches, and the serialized
 //     schedule. A candidate revisited across rounds, layout proposals, or the
 //     loop-only stage is returned from the cache and costs zero budget.
+//     Below it, a structure-keyed analysis cache (ir::ProgramStructureKey)
+//     lets fresh candidates whose lowered programs are structurally
+//     identical share one EstimateProgram run.
 //   * FAULT TOLERANCE — an optional FaultInjector simulates transient
-//     measurement failures; failed attempts are retried with capped
-//     exponential backoff, and candidates that fail persistently (transient
-//     retries exhausted, or a deterministic lowering error) are quarantined:
-//     their failure is remembered and later requests short-circuit without
-//     re-measuring. Failures are never cached as latencies and never abort a
+//     measurement failures; a failed attempt is retried at once, and
+//     candidates that fail persistently (transient retries exhausted, or a
+//     deterministic lowering error) are quarantined: their failure is
+//     remembered and later requests short-circuit without re-measuring. Failures are never cached as latencies and never abort a
 //     batch — the tuner sees a non-ok MeasureResult and moves on.
 //   * PERSISTENCE — an optional MeasureDatabase (core::TuningDatabase on
 //     disk) answers measurements recorded by earlier runs, consulted after
@@ -34,7 +36,7 @@
 //     A run against a populated database therefore walks the exact
 //     trajectory of a cold run and issues zero redundant measurements: that
 //     is both warm start and crash-safe resume.
-//   * ISOLATION — with MeasureEngineConfig::isolate enabled, fresh
+//   * ISOLATION — with MeasureEngineConfig::isolate.workers > 0, fresh
 //     candidates are evaluated in forked worker subprocesses (worker_pool.h)
 //     instead of on the thread pool; a candidate that crashes, hangs, or
 //     corrupts its reply costs a worker respawn and a retry, never the tuner
@@ -89,7 +91,6 @@ struct MeasureStats {
   // returned latencies never do.
   int64_t analysis_cache_hits = 0;
   int64_t injected_failures = 0;  // attempts failed by the FaultInjector
-  double backoff_ms = 0.0;        // total retry backoff requested
   // Wall-clock of Measure() calls, accounted ONCE PER BATCH on the calling
   // thread. The engine's single-caller contract (ParallelFor is not
   // reentrant) means batches never overlap, so this is the true elapsed time
@@ -115,25 +116,16 @@ struct MeasureResult {
   int attempts = 0;
 };
 
-// Retry policy for transient measurement failures. Backoff for attempt k
-// (1-based retry count) is min(backoff_base_ms << (k-1), backoff_cap_ms);
-// a base of 0 disables sleeping entirely, which keeps tests fast and makes
-// the injected-fault trajectory timing-independent.
+// Retry policy for measurement failures. A transient failure is requeued at
+// once, until the candidate has spent `max_attempts` attempts.
 struct RetryPolicy {
   int max_attempts = 3;
-  int backoff_base_ms = 0;
-  int backoff_cap_ms = 100;
   // Cap on the quarantine set: once this many keys are quarantined, the
   // OLDEST entry is evicted per insertion (it may then be re-measured and
   // re-quarantined — correctness is unaffected, only memoized failure
-  // short-circuits are lost). <= 0: unbounded, the historical behavior.
+  // short-circuits are lost). <= 0: unbounded.
   int max_quarantine = 4096;
 };
-
-// Backoff in ms before retry number `retry_number` (1-based) under `retry`.
-// Shared by the in-process and isolated measurement paths so both charge
-// identical backoff_ms for identical failure sequences.
-int RetryBackoffMs(const RetryPolicy& retry, int retry_number);
 
 // Persistent store of measured outcomes, keyed by the 64-bit site fingerprint
 // (Fnv1a64 of the full measurement cache key — the same identity the fault
@@ -152,29 +144,24 @@ class MeasureDatabase {
   virtual void Record(uint64_t site, const Entry& entry) = 0;
 };
 
+// Every measurement setting, declared once: TuningOptions::measure and
+// core::AltOptions::measure embed this struct.
 struct MeasureEngineConfig {
-  int threads = 0;            // <= 0: one per hardware core
-  bool cache_enabled = true;  // memoization (parallelism works either way)
-  // Structure-keyed analysis cache: candidates whose lowered programs are
-  // structurally identical (schedules differing only in omitted unit loops,
-  // or distinct groups lowering to the same nest) share one EstimateProgram
-  // run. Keyed by ir::ProgramStructureKey, which normalizes variable and
-  // tensor ids, so it is strictly finer-grained than the measurement cache.
-  bool analysis_cache = true;
+  // Threads lowering + estimating a batch's fresh candidates (<= 0: one per
+  // hardware core). Results are reduced in candidate order, so any count
+  // reproduces the same tuning trajectory for a fixed seed.
+  int threads = 1;
+  // Simulated transient measurement failures (support/fault_injection.h).
   FaultInjector::Options faults;
   RetryPolicy retry;
-  // Out-of-process measurement isolation (see worker_pool.h). When enabled,
-  // fresh candidates are evaluated in forked worker processes instead of on
-  // the thread pool; a crashing, hanging, or garbling candidate costs a
-  // worker respawn and a retry, never the tuner process. Results are
-  // bit-identical to the in-process path (the isolated path skips the
-  // analysis cache — EstimateProgram is pure, so only analysis_cache_hits
-  // differs, never a latency).
+  // Out-of-process measurement isolation (see worker_pool.h), on when
+  // isolate.workers > 0: fresh candidates are evaluated in forked worker
+  // processes instead of on the thread pool, so a crashing, hanging, or
+  // garbling candidate costs a worker respawn and a retry, never the tuner
+  // process. Results are bit-identical to the in-process path (the isolated
+  // path skips the analysis cache — EstimateProgram is pure, so only
+  // analysis_cache_hits differs, never a latency).
   IsolateOptions isolate;
-  // Persistent measurement store, consulted after cache/quarantine and
-  // written through on every fresh outcome. Not owned; must outlive the
-  // engine when set.
-  MeasureDatabase* database = nullptr;
 };
 
 // Structural cache-key prefix for one fused group under an assignment:
@@ -187,12 +174,15 @@ std::string GroupCacheKey(const graph::Graph& graph,
 
 class MeasureEngine {
  public:
-  explicit MeasureEngine(const sim::Machine& machine, MeasureEngineConfig config = {});
+  // `database`, when set, is the persistent measurement store: consulted
+  // after cache/quarantine and written through on every fresh outcome. Not
+  // owned; must outlive the engine.
+  explicit MeasureEngine(const sim::Machine& machine, MeasureEngineConfig config = {},
+                         MeasureDatabase* database = nullptr);
 
   // Lowers and estimates every schedule for `group`; result i corresponds to
-  // schedules[i]. With the cache enabled, duplicate schedules within one call
-  // are measured once and later occurrences report as cache hits; with it
-  // disabled every slot is measured, preserving the historical trajectory.
+  // schedules[i]. Duplicate schedules within one call are measured once and
+  // later occurrences report as cache hits.
   std::vector<MeasureResult> Measure(const graph::Graph& graph,
                                      const graph::LayoutAssignment& assignment,
                                      const loop::FusedGroup& group,
@@ -205,19 +195,14 @@ class MeasureEngine {
 
   const MeasureStats& stats() const { return stats_; }
   int threads() const { return pool_.size(); }
-  bool cache_enabled() const { return config_.cache_enabled; }
   int64_t cache_size() const;
   int64_t quarantine_size() const;
   int64_t analysis_cache_size() const;
 
  private:
-  // True when per-candidate keys must be computed (cache, database, fault
-  // injection, or isolation active). Without any of these the engine skips
-  // key construction entirely, as the original implementation did.
-  bool keyed() const;
-
   const sim::Machine& machine_;
   MeasureEngineConfig config_;
+  MeasureDatabase* database_;
   FaultInjector injector_;
   ThreadPool pool_;
 

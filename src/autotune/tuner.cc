@@ -28,20 +28,6 @@ constexpr int kBatchSize = 16;
 constexpr int kTopK = 4;
 constexpr int kLoopRoundsPerLayout = 2;
 
-MeasureEngineConfig EngineConfig(const TuningOptions& options) {
-  MeasureEngineConfig c;
-  c.threads = options.measure_threads;
-  c.cache_enabled = options.measure_cache;
-  c.faults = options.fault_injection;
-  c.retry = options.measure_retry;
-  c.isolate.enabled = options.isolate_measurement;
-  c.isolate.workers = options.measure_workers;
-  c.isolate.deadline_ms = options.measure_deadline_ms;
-  c.isolate.faults = options.worker_faults;
-  c.database = options.measure_database;
-  return c;
-}
-
 // Owns the tracing session of one Tune() run when trace_path is set: starts
 // the global recorder on construction, stops it and writes the Chrome trace
 // on destruction — error returns included. A failed write only costs the
@@ -78,7 +64,7 @@ JointTuner::JointTuner(const Graph& graph, const sim::Machine& machine, TuningOp
     : graph_(graph),
       machine_(machine),
       options_(options),
-      engine_(machine, EngineConfig(options)),
+      engine_(machine, options.measure, options.measure_database),
       rng_(options.seed) {
   if (options_.tune_layout && options_.method != SearchMethod::kRandom) {
     PpoOptions ppo;
@@ -425,10 +411,9 @@ StatusOr<std::optional<DecodedLayouts>> JointTuner::TuneOpLayout(int op_id,
   auto evaluate_dedup = [&](const DecodedLayouts& decoded) -> double {
     enumerated.Add();
     // The key always exists when the relations are constructible: it both
-    // addresses the replay cache and seeds the candidate's loop-tuning RNG,
-    // so dedup on/off cannot change which schedules a candidate explores.
+    // addresses the replay cache and seeds the candidate's loop-tuning RNG.
     std::string key = RelationKey(graph_, op, decoded);
-    if (options_.layout_relation_dedup && !key.empty()) {
+    if (!key.empty()) {
       auto it = relation_cache.find(key);
       if (it != relation_cache.end()) {
         deduped.Add();
@@ -461,10 +446,8 @@ StatusOr<std::optional<DecodedLayouts>> JointTuner::TuneOpLayout(int op_id,
 
   int spent_start = measurements_;
   int failed_attempts = 0;
-  // With the measurement cache on, an agent that keeps re-proposing already-
-  // cached layouts spends no budget; the streak counter keeps that from
-  // spinning forever. (Cache off: every successful evaluation spends budget,
-  // so the streak never grows and historical behavior is unchanged.)
+  // An agent that keeps re-proposing already-cached layouts spends no budget;
+  // the streak counter keeps that from spinning forever.
   int zero_spend_streak = 0;
 
   // Known-good template instances first (see SeedLayouts).
@@ -753,9 +736,8 @@ StatusOr<CompiledNetwork> JointTuner::Tune() {
                 << " db hits, " << ms.failed << " failed, "
                 << ms.retries << " retries, " << ms.quarantined << " quarantined, "
                 << ms.worker_restarts << " worker restarts, wall "
-                << FormatMicros(ms.wall_ms * 1e3)
-                << " (" << engine_.threads() << " thread(s), cache "
-                << (engine_.cache_enabled() ? "on" : "off") << ")";
+                << FormatMicros(ms.wall_ms * 1e3) << " (" << engine_.threads()
+                << " thread(s))";
   return result;
 }
 

@@ -67,38 +67,10 @@ struct TuningOptions {
   // space-size-vs-budget tradeoff.
   bool seed_layout_candidates = true;
   bool reverse_op_order = false;  // tune complex ops consumer-first (ALT-BP)
-  // Deduplicate layout candidates by normalized relation fingerprint
-  // (layout/relation.h): differently-spelled candidates denoting the same
-  // physical layouts share one evaluation, so the budget buys more distinct
-  // layouts. Counters layout.candidates_enumerated / layout.relation_dedup
-  // expose the hit rate; off restores evaluate-every-decode behavior.
-  bool layout_relation_dedup = true;
 
-  // Parallel measurement engine (see measure.h). `measure_threads` is the
-  // number of threads lowering + estimating a batch's top-k candidates
-  // (<= 0: one per hardware core); results are reduced in candidate order, so
-  // any thread count reproduces the same tuning trajectory for a fixed seed.
-  // `measure_cache` memoizes measurements by (group, layouts, schedule) so
-  // revisited candidates cost zero budget.
-  int measure_threads = 1;
-  bool measure_cache = true;
-
-  // Fault tolerance (see measure.h). `fault_injection` simulates transient
-  // measurement failures; `measure_retry` bounds the retries that absorb
-  // them.
-  FaultInjector::Options fault_injection;
-  RetryPolicy measure_retry;
-
-  // Crash isolation (see worker_pool.h). With `isolate_measurement` set,
-  // candidates are evaluated in forked worker subprocesses: a candidate that
-  // crashes, hangs past `measure_deadline_ms`, or corrupts its reply is
-  // retried/quarantined without ever taking the tuner down. The isolated
-  // path is trajectory-identical to in-process measurement for a fixed seed.
-  // `worker_faults` injects child-side failures for testing.
-  bool isolate_measurement = false;
-  int measure_workers = 2;
-  int measure_deadline_ms = 10000;
-  WorkerFaultHooks worker_faults;
+  // Measurement engine settings (see measure.h): threads, fault injection,
+  // retry policy, and crash isolation.
+  MeasureEngineConfig measure;
 
   // Persistent tuning database (see measure.h / core/tuning_database.h).
   // Consulted before measuring and written through after, so a run against

@@ -12,7 +12,7 @@
 #include <limits>
 #include <string>
 
-#include "src/autotune/measure.h"  // RetryPolicy + RetryBackoffMs
+#include "src/autotune/measure.h"  // RetryPolicy
 #include "src/support/trace.h"
 
 namespace alt::autotune {
@@ -73,9 +73,7 @@ WorkerPool::WorkerPool(const IsolateOptions& options, const RetryPolicy& retry,
       injector_(injector),
       sites_(sites),
       eval_(std::move(eval)) {
-  if (options_.workers <= 0) {
-    options_.workers = 1;
-  }
+  ALT_CHECK(options_.workers > 0);
   // A worker killed between our poll and our write turns the write into
   // SIGPIPE; the parent must see EPIPE from write(2) instead and respawn.
   static const bool sigpipe_ignored = [] {
@@ -184,17 +182,16 @@ std::vector<WorkerOutcome> WorkerPool::Run(const std::vector<int>& work) {
   struct Item {
     int item = 0;
     int attempt = 0;
-    int64_t ready_at_ms = 0;  // backoff release time
   };
   std::deque<Item> queue;
   for (int j = 0; j < static_cast<int>(work.size()); ++j) {
-    queue.push_back({j, 0, 0});
+    queue.push_back({j, 0});
   }
   size_t done = 0;
 
   // Parent-side per-candidate trace spans: the child's recorder dies with the
   // child, so the dispatch-to-completion window is stamped here instead. A
-  // span covers every attempt of its item, backoff included, matching what
+  // span covers every attempt of its item, matching what
   // TraceSpan("measure.candidate") wraps on the in-process path.
   const bool tracing = TraceRecorder::Global().enabled();
   std::vector<int64_t> started_ns(work.size(), 0);
@@ -210,16 +207,14 @@ std::vector<WorkerOutcome> WorkerPool::Run(const std::vector<int>& work) {
     slots_.resize(options_.workers);
   }
 
-  // Charges one failed attempt, then requeues with backoff or finalizes.
-  // Mirrors the in-process accounting: retries/backoff are charged when the
-  // retry is scheduled, i.e. for attempts numbered >= 1.
+  // Charges one failed attempt, then requeues or finalizes. Mirrors the
+  // in-process accounting: a retry is charged when it is scheduled, i.e. for
+  // attempts numbered >= 1.
   auto transient_failure = [&](int item, int attempt, Status why) {
     ++out[item].attempts;
     if (attempt + 1 < max_attempts) {
       ++out[item].retries;
-      const int delay = RetryBackoffMs(retry_, attempt + 1);
-      out[item].backoff_ms += delay;
-      queue.push_back({item, attempt + 1, NowMs() + delay});
+      queue.push_back({item, attempt + 1});
     } else {
       out[item].status = std::move(why);
       finish(item);
@@ -227,9 +222,7 @@ std::vector<WorkerOutcome> WorkerPool::Run(const std::vector<int>& work) {
   };
 
   while (done < work.size()) {
-    const int64_t now = NowMs();
-
-    // Dispatch ready items onto idle workers. Injected faults are decided
+    // Dispatch queued items onto idle workers. Injected faults are decided
     // HERE, parent-side, so the child never runs for them and each
     // (site, attempt) pair meets exactly the fate the in-process path gives
     // it — resuming from the tuning database stays deterministic under
@@ -239,14 +232,9 @@ std::vector<WorkerOutcome> WorkerPool::Run(const std::vector<int>& work) {
         continue;
       }
       bool dispatched = false;
-      while (!dispatched) {
-        auto it = std::find_if(queue.begin(), queue.end(),
-                               [now](const Item& q) { return q.ready_at_ms <= now; });
-        if (it == queue.end()) {
-          break;
-        }
-        const Item item = *it;
-        queue.erase(it);
+      while (!dispatched && !queue.empty()) {
+        const Item item = queue.front();
+        queue.pop_front();
         if (tracing && started_ns[item.item] == 0) {
           started_ns[item.item] = TraceRecorder::NowNs();
         }
@@ -256,7 +244,7 @@ std::vector<WorkerOutcome> WorkerPool::Run(const std::vector<int>& work) {
           ++out[item.item].injected;
           transient_failure(item.item, item.attempt,
                             Status::Unavailable("injected transient measurement fault"));
-          continue;  // the slot is still free; try the next ready item
+          continue;  // the slot is still free; try the next queued item
         }
         if (!slot.proc.running()) {
           Status spawned = Spawn(&slot);
@@ -295,7 +283,7 @@ std::vector<WorkerOutcome> WorkerPool::Run(const std::vector<int>& work) {
       break;
     }
 
-    // Sleep until a reply arrives, a watchdog expires, or a backoff releases.
+    // Sleep until a reply arrives or a watchdog expires.
     std::vector<struct pollfd> pfds;
     std::vector<Slot*> pfd_slots;
     int64_t wake = kFarFuture;
@@ -309,11 +297,8 @@ std::vector<WorkerOutcome> WorkerPool::Run(const std::vector<int>& work) {
         wake = std::min(wake, slot.deadline_abs_ms);
       }
     }
-    for (const Item& q : queue) {
-      wake = std::min(wake, q.ready_at_ms);
-    }
-    if (pfds.empty() && wake == kFarFuture) {
-      break;  // defensive: no in-flight work and nothing queued
+    if (pfds.empty()) {
+      break;  // defensive: dispatch leaves a queued item only when every worker is busy
     }
     int timeout_ms = -1;
     if (wake != kFarFuture) {

@@ -6,8 +6,8 @@
 // child processes so the tuner survives anything a candidate can do:
 //
 //   * A worker that EXITS (crash, kill -9, clean death) is detected by pipe
-//     EOF, killed/reaped, and respawned; the in-flight candidate re-enters
-//     the retry/backoff path as a transient failure.
+//     EOF, killed/reaped, and respawned; the in-flight candidate is requeued
+//     as a transient failure.
 //   * A worker that writes a GARBLED frame (CRC mismatch, torn write,
 //     protocol desync) is killed and respawned the same way — the corruption
 //     never reaches the tuner.
@@ -70,10 +70,10 @@ struct WorkerFaultHooks {
 
 // Knobs for the isolated measurement path (MeasureEngineConfig::isolate).
 struct IsolateOptions {
-  bool enabled = false;
-  // Concurrent worker processes (<= 0: one). Forked per batch; idle batches
-  // (fully answered from cache or database) spawn nothing.
-  int workers = 2;
+  // Concurrent worker processes; isolation is on exactly when this is > 0.
+  // Forked per batch; idle batches (fully answered from cache or database)
+  // spawn nothing.
+  int workers = 0;
   // Per-candidate watchdog: a worker that has not replied this many ms after
   // dispatch is killed and the candidate retries. <= 0 disables the watchdog
   // (a hung candidate then hangs the batch, as in-process evaluation would).
@@ -94,9 +94,8 @@ struct WorkerOutcome {
   double latency_us = 0.0;
   int attempts = 0;  // attempts charged (injected + dispatched), as in-process
   int retries = 0;
-  int injected = 0;          // attempts failed by the parent-side FaultInjector
-  double backoff_ms = 0.0;   // total retry backoff requested
-  int64_t eval_ns = 0;       // child-reported lower+estimate time, all attempts
+  int injected = 0;     // attempts failed by the parent-side FaultInjector
+  int64_t eval_ns = 0;  // child-reported lower+estimate time, all attempts
 };
 
 class WorkerPool {
@@ -104,9 +103,10 @@ class WorkerPool {
   // Runs in the CHILD; must be pure in `index` (see the fork contract above).
   using EvalFn = std::function<WorkerEval(int index)>;
 
-  // `retry`, `injector` (may be null), `sites`, and `eval` are borrowed and
-  // must outlive the pool. `sites[index]` is the candidate's stable
-  // fingerprint, consulted by the injector (parent) and fault hooks (child).
+  // Requires options.workers > 0. `retry`, `injector` (may be null), `sites`,
+  // and `eval` are borrowed and must outlive the pool. `sites[index]` is the
+  // candidate's stable fingerprint, consulted by the injector (parent) and
+  // fault hooks (child).
   WorkerPool(const IsolateOptions& options, const RetryPolicy& retry,
              const FaultInjector* injector, const std::vector<uint64_t>& sites, EvalFn eval);
   ~WorkerPool();  // kills any workers still alive

@@ -39,17 +39,9 @@ autotune::TuningOptions ToTuningOptions(const AltOptions& options,
   tuning.joint_fraction = options.joint_fraction;
   tuning.method = options.method;
   tuning.two_level_templates = options.two_level_templates;
-  tuning.layout_relation_dedup = options.layout_relation_dedup;
   tuning.seed = options.seed;
-  tuning.measure_threads = options.measure.threads;
-  tuning.measure_cache = options.measure.cache;
-  tuning.fault_injection = options.fault.injection;
-  tuning.measure_retry = options.fault.retry;
-  tuning.isolate_measurement = options.measure.isolate;
-  tuning.measure_workers = options.measure.workers;
-  tuning.measure_deadline_ms = options.measure.deadline_ms;
-  tuning.worker_faults = options.fault.worker;
-  tuning.trace_path = options.trace.path;
+  tuning.measure = options.measure;
+  tuning.trace_path = options.trace_path;
   switch (options.variant) {
     case AltVariant::kFull:
       break;
@@ -79,14 +71,14 @@ StatusOr<autotune::CompiledNetwork> RunTuner(const graph::Graph& graph,
                                              const AltOptions& options,
                                              autotune::TuningOptions tuning) {
   std::unique_ptr<TuningDatabase> database;
-  if (!options.measure.database.empty()) {
-    auto db_or = TuningDatabase::Open(options.measure.database, machine);
+  if (!options.tuning_db.empty()) {
+    auto db_or = TuningDatabase::Open(options.tuning_db, machine);
     if (!db_or.ok()) {
       return db_or.status();
     }
     database = std::move(*db_or);
     tuning.measure_database = database.get();
-    ALT_LOG(Info) << "tuning database " << options.measure.database << ": "
+    ALT_LOG(Info) << "tuning database " << options.tuning_db << ": "
                   << database->stats().loaded << " measurement(s) for this machine";
   }
   autotune::JointTuner tuner(graph, machine, tuning);
@@ -95,7 +87,7 @@ StatusOr<autotune::CompiledNetwork> RunTuner(const graph::Graph& graph,
     Status db_status = database->Close();
     if (!db_status.ok()) {
       // The run itself is fine; only its persistence is gone.
-      ALT_LOG(Warning) << "tuning database " << options.measure.database
+      ALT_LOG(Warning) << "tuning database " << options.tuning_db
                        << " stopped recording: " << db_status.message();
     }
   }

@@ -2,7 +2,7 @@
 // persisting, and deploying tuned networks.
 //
 //   COMPILE            core::Compile(graph, machine, options)
-//                      (with options.measure.database set, every measurement
+//                      (with options.tuning_db set, every measurement
 //                      is persisted to a tuning database; re-running the same
 //                      Compile against it resumes an interrupted run,
 //                      bit-identical to an uninterrupted one)
@@ -55,54 +55,12 @@ enum class AltVariant { kFull, kLoopOnly, kWithoutPropagation };
 
 const char* VariantName(AltVariant variant);
 
-// Measurement-engine knobs (see autotune/measure.h).
-struct MeasureOptions {
-  // Candidate lowering + estimation threads (<= 0: one per core).
-  int threads = 1;
-  // Memoize measurements keyed by (layout, schedule) serialization.
-  bool cache = true;
-  // Crash isolation (see autotune/worker_pool.h): evaluate candidates in
-  // forked worker subprocesses so a crashing or hanging candidate is retried
-  // and quarantined instead of killing the tuner. Trajectory-identical to
-  // in-process measurement for a fixed seed.
-  bool isolate = false;
-  int workers = 2;
-  int deadline_ms = 10000;
-  // Persistent tuning database path (see core/tuning_database.h). When
-  // non-empty, measurements are looked up here before running and written
-  // through after, so a rerun against the same database warm-starts with
-  // zero redundant measurements, and a rerun after a crash resumes from
-  // the measurements the interrupted run persisted.
-  std::string database;
-};
-
-// Fault-tolerance knobs (see autotune/measure.h): simulated transient
-// measurement failures and the retry policy that absorbs them. `worker`
-// injects child-side failures (crash / hang / garbled reply) into the
-// isolated measurement path for testing.
-struct FaultOptions {
-  FaultInjector::Options injection;
-  autotune::RetryPolicy retry;
-  autotune::WorkerFaultHooks worker;
-};
-
-// Observability knobs (see support/trace.h).
-struct TraceOptions {
-  // When non-empty, the run records a span trace (tuner phases, measurement
-  // batches, PPO updates) and writes it to this path as Chrome trace-event
-  // JSON (see autotune::TuningOptions::trace_path).
-  std::string path;
-};
-
 struct AltOptions {
   int budget = 600;
   double joint_fraction = 0.3;
   AltVariant variant = AltVariant::kFull;
   autotune::SearchMethod method = autotune::SearchMethod::kPpoPretrained;
   bool two_level_templates = false;
-  // Share one evaluation among layout candidates with equal relation
-  // fingerprints (layout/relation.h); see TuningOptions::layout_relation_dedup.
-  bool layout_relation_dedup = true;
   uint64_t seed = 1;
   // Execution engine for serving the compiled network (runtime/interpreter.h).
   // kNative additionally makes SaveArtifact embed the JIT-compiled kernel
@@ -113,14 +71,26 @@ struct AltOptions {
   // provably safe (runtime::SessionOptions::intra_threads). <= 0 selects
   // HardwareThreads(); 1 keeps execution serial.
   int intra_threads = 0;
-  MeasureOptions measure;
-  FaultOptions fault;
-  TraceOptions trace;
+  // Measurement engine settings (autotune/measure.h): candidate threads,
+  // fault injection, retry policy, and crash isolation (isolate.workers > 0
+  // evaluates candidates in forked worker processes, trajectory-identical to
+  // in-process measurement for a fixed seed).
+  autotune::MeasureEngineConfig measure;
+  // Persistent tuning database path (see core/tuning_database.h). When
+  // non-empty, measurements are looked up here before running and written
+  // through after, so a rerun against the same database warm-starts with
+  // zero redundant measurements, and a rerun after a crash resumes from
+  // the measurements the interrupted run persisted.
+  std::string tuning_db;
+  // When non-empty, the run records a span trace (tuner phases, measurement
+  // batches, PPO updates) and writes it to this path as Chrome trace-event
+  // JSON (see autotune::TuningOptions::trace_path).
+  std::string trace_path;
 };
 
 // Maps the facade options onto the tuner's options (variant selection, shared
-// pretrained agent, fault knobs). Exposed so callers that drive RunTuner
-// directly derive the exact options a plain Compile would use.
+// pretrained agent, measurement settings). Exposed so callers that drive
+// RunTuner directly derive the exact options a plain Compile would use.
 autotune::TuningOptions ToTuningOptions(const AltOptions& options,
                                         const sim::Machine& machine);
 
@@ -134,7 +104,7 @@ StatusOr<autotune::CompiledNetwork> Compile(const graph::Graph& graph,
                                             const AltOptions& options);
 
 // Shared tail of every compile path: opens the tuning database when
-// `options.measure.database` is set (wiring it into `tuning`), runs the
+// `options.tuning_db` is set (wiring it into `tuning`), runs the
 // tuner, and closes the database. Callers that adjust `tuning` beyond what
 // AltOptions expresses call this directly; Compile is just
 // RunTuner(graph, machine, options, ToTuningOptions(options, machine)).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -23,60 +22,6 @@ namespace {
 using graph::Graph;
 using graph::Op;
 using graph::OpKind;
-
-StatusOr<uint64_t> ParseU64Hex(const std::string& s) {
-  if (s.empty() || s.size() > 16) {
-    return Status::InvalidArgument("bad hex field: " + s);
-  }
-  uint64_t v = 0;
-  for (char c : s) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return Status::InvalidArgument("bad hex field: " + s);
-    }
-    v = (v << 4) | static_cast<uint64_t>(digit);
-  }
-  return v;
-}
-
-StatusOr<uint64_t> ParseU64Dec(const std::string& s) {
-  if (s.empty()) {
-    return Status::InvalidArgument("empty integer field");
-  }
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size() || s[0] == '-') {
-    return Status::InvalidArgument("bad integer field: " + s);
-  }
-  return static_cast<uint64_t>(v);
-}
-
-StatusOr<double> ParseDouble(const std::string& s) {
-  if (s.empty()) {
-    return Status::InvalidArgument("empty float field");
-  }
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) {
-    return Status::InvalidArgument("bad float field: " + s);
-  }
-  return v;
-}
-
-// Consumes `prefix` from the front of `s`.
-bool ConsumePrefix(std::string& s, const std::string& prefix) {
-  if (s.size() < prefix.size() || s.compare(0, prefix.size(), prefix) != 0) {
-    return false;
-  }
-  s = s.substr(prefix.size());
-  return true;
-}
 
 // sim::Machine::ByName aborts on unknown names; artifacts carry untrusted
 // text, so perf re-estimation uses this lookup instead and is skipped for

@@ -1,7 +1,5 @@
 #include "src/core/tuning_database.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string_view>
 
@@ -14,24 +12,32 @@ namespace alt::core {
 
 namespace {
 
-// Parses a 16-digit hex field starting at `s`; advances `s` past it.
-bool ParseU64Hex(const char** s, uint64_t* out) {
-  char* end = nullptr;
-  uint64_t v = std::strtoull(*s, &end, 16);
-  if (end != *s + 16) {
+// Parses the fields after "record ": "<machine> <site> ok <latency>" or
+// "<machine> <site> fail", each exactly as TuningDatabase::Record writes it.
+bool ParseRecordFields(const std::string& fields, uint64_t* machine_fp, uint64_t* site,
+                       TuningDatabase::Entry* entry) {
+  const std::vector<std::string> f = Split(fields, ' ');
+  if (f.size() < 3) {
     return false;
   }
-  *s = end;
-  *out = v;
-  return true;
-}
-
-bool ConsumePrefix(const char** s, const char* prefix) {
-  size_t len = std::strlen(prefix);
-  if (std::strncmp(*s, prefix, len) != 0) {
+  auto machine = ParseU64Hex(f[0]);
+  auto parsed_site = ParseU64Hex(f[1]);
+  if (!machine.ok() || !parsed_site.ok()) {
     return false;
   }
-  *s += len;
+  if (f.size() == 4 && f[2] == "ok") {
+    auto latency = ParseDouble(f[3]);
+    if (!latency.ok()) {
+      return false;
+    }
+    entry->latency_us = *latency;
+  } else if (f.size() == 3 && f[2] == "fail") {
+    entry->failed = true;
+  } else {
+    return false;
+  }
+  *machine_fp = *machine;
+  *site = *parsed_site;
   return true;
 }
 
@@ -81,30 +87,15 @@ StatusOr<std::unique_ptr<TuningDatabase>> TuningDatabase::Open(const std::string
         ++db->stats_.skipped_records;  // torn tail or checksum failure
         continue;
       }
-      const char* s = payload.c_str();
-      if (ConsumePrefix(&s, "tuningdb v1")) {
+      if (payload == "tuningdb v1") {
         has_header = true;
         continue;
       }
-      if (ConsumePrefix(&s, "record ")) {
+      if (ConsumePrefix(payload, "record ")) {
         uint64_t machine_fp = 0;
         uint64_t site = 0;
-        if (!ParseU64Hex(&s, &machine_fp) || !ConsumePrefix(&s, " ") ||
-            !ParseU64Hex(&s, &site)) {
-          ++db->stats_.skipped_records;
-          continue;
-        }
         Entry entry;
-        if (ConsumePrefix(&s, " ok ")) {
-          char* end = nullptr;
-          entry.latency_us = std::strtod(s, &end);
-          if (end == s) {
-            ++db->stats_.skipped_records;
-            continue;
-          }
-        } else if (ConsumePrefix(&s, " fail")) {
-          entry.failed = true;
-        } else {
+        if (!ParseRecordFields(payload, &machine_fp, &site, &entry)) {
           ++db->stats_.skipped_records;
           continue;
         }
@@ -120,10 +111,9 @@ StatusOr<std::unique_ptr<TuningDatabase>> TuningDatabase::Open(const std::string
         }
         continue;
       }
-      if (ConsumePrefix(&s, "trailer records=")) {
-        char* end = nullptr;
-        long long claimed = std::strtoll(s, &end, 10);
-        if (end == s || claimed != records_seen) {
+      if (ConsumePrefix(payload, "trailer records=")) {
+        auto claimed = ParseU64Dec(payload);
+        if (!claimed.ok() || *claimed != static_cast<uint64_t>(records_seen)) {
           ++db->stats_.skipped_records;  // forged or stale checkpoint
         }
         continue;

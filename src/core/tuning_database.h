@@ -7,7 +7,7 @@
 // is an append-only file of (machine, program-structure site) -> measured
 // latency records that accumulates across runs, networks, and option sets.
 // The measurement engine consults it before measuring and writes through
-// after every fresh outcome (MeasureEngineConfig::database). Hits report
+// after every fresh outcome (the MeasureEngine database argument). Hits report
 // cache_hit == false, so a run against a populated database spends its
 // budget exactly as the run that recorded them did, walks the same
 // trajectory, and issues zero redundant measurements (see measure.h).

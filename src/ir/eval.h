@@ -46,7 +46,7 @@ class VarSlotMap {
 class CompiledExpr {
  public:
   // Compiles `e`. A var without a slot in `slots` is a malformed program
-  // (e.g. a corrupt tuning record lowered to IR referencing a loop variable
+  // (e.g. a corrupt artifact lowered to IR referencing a loop variable
   // that no loop binds) — it returns InvalidArgument rather than aborting, so
   // one bad candidate can never take down a tuning process.
   static StatusOr<CompiledExpr> Compile(const Expr& e, const VarSlotMap& slots);

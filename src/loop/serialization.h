@@ -1,11 +1,10 @@
 // Text encoding of layout primitive sequences and loop schedules.
 //
-// These helpers started life private to the tuning-record reader/writer
-// (src/core/tuning_record.cc); they are shared now because the measurement
-// cache keys candidates by exactly the same strings — a (layout sequence,
-// schedule) pair that serializes identically is by construction the same
-// measurement, so the cache and the on-disk record format can never drift
-// apart.
+// Artifacts (src/core/artifact.cc) store layouts and schedules in this form,
+// and the measurement cache keys candidates by exactly the same strings — a
+// (layout sequence, schedule) pair that serializes identically is by
+// construction the same measurement, so the cache and the on-disk format can
+// never drift apart.
 //
 // All decoders take untrusted text: they return Status instead of throwing,
 // including on non-numeric or out-of-range integers (see ParseInt64).
@@ -30,11 +29,11 @@ StatusOr<layout::Primitive> DecodePrimitive(const std::string& text);
 std::string EncodeLayoutSeq(const layout::LayoutSeq& seq);
 
 // "s=o,m,i,v;... r=o,i;... par=N rot=N unroll=0|1" — the schedule portion of
-// a tuning-record line.
+// an artifact group line.
 std::string EncodeSchedule(const LoopSchedule& sched);
 
 // Applies one "key=value" schedule token to `sched`. Unknown keys are
-// ignored (forward compatibility with newer record writers).
+// ignored (forward compatibility with newer writers).
 Status DecodeScheduleToken(const std::string& key, const std::string& value,
                            LoopSchedule& sched);
 

@@ -66,8 +66,8 @@ struct PlanNode {
   CompiledStore store;
 };
 
-// Execution-time error state. A malformed program (e.g. applied from a
-// corrupt tuning record) may compute an out-of-range element offset; the
+// Execution-time error state. A malformed program (e.g. loaded from a
+// corrupt artifact) may compute an out-of-range element offset; the
 // first such fault is recorded here and execution unwinds instead of
 // aborting the process.
 struct ExecContext {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "src/support/logging.h"
@@ -58,12 +57,6 @@ struct InferenceSession::Impl {
   mutable std::vector<std::unique_ptr<Arena>> free_arenas;
   mutable int total_arenas = 0;
   int max_arenas = 1;
-
-  // Reusable pool backing the RunBatch convenience overload, built lazily at
-  // the first call (RunBatchDetailed callers bring their own). The lock is
-  // held across the whole batch because ParallelFor is not reentrant.
-  mutable std::mutex batch_mu;
-  mutable std::unique_ptr<ThreadPool> batch_pool;
 
   // One intra-op pool for the whole session (every arena, every program):
   // its single-holder TryAcquire is the thread budget — at most one Run in
@@ -298,15 +291,6 @@ StatusOr<std::vector<float>> InferenceSession::Run(const TensorDataMap& canonica
   return out;
 }
 
-int ResolveBatchThreads(int requested, unsigned hardware) {
-  if (requested > 0) {
-    return requested;
-  }
-  // hardware_concurrency() is allowed to return 0 ("not computable"); a
-  // ThreadPool(0) would be degenerate, so the floor is one thread.
-  return std::max(1, static_cast<int>(hardware));
-}
-
 std::vector<StatusOr<std::vector<float>>> InferenceSession::RunBatchDetailed(
     const std::vector<TensorDataMap>& requests, ThreadPool& pool) const {
   std::vector<StatusOr<std::vector<float>>> results(
@@ -323,29 +307,6 @@ std::vector<StatusOr<std::vector<float>>> InferenceSession::RunBatchDetailed(
     }
   }
   return results;
-}
-
-StatusOr<std::vector<std::vector<float>>> InferenceSession::RunBatch(
-    const std::vector<TensorDataMap>& requests, int threads) const {
-  Impl& impl = *impl_;
-  std::lock_guard<std::mutex> lock(impl.batch_mu);
-  const int resolved = ResolveBatchThreads(threads, std::thread::hardware_concurrency());
-  // The owned pool is created once and reused across batches (the bug this
-  // replaces built and tore down a ThreadPool per call); it is only rebuilt
-  // when a caller asks for a different parallelism.
-  if (impl.batch_pool == nullptr || impl.batch_pool->size() != resolved) {
-    impl.batch_pool = std::make_unique<ThreadPool>(resolved);
-  }
-  auto results = RunBatchDetailed(requests, *impl.batch_pool);
-  std::vector<std::vector<float>> outputs;
-  outputs.reserve(results.size());
-  for (auto& r : results) {
-    if (!r.ok()) {
-      return r.status();
-    }
-    outputs.push_back(std::move(*r));
-  }
-  return outputs;
 }
 
 int InferenceSession::output_tensor() const { return impl_->out_id; }

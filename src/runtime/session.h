@@ -15,8 +15,8 @@
 // is BOUNDED by SessionOptions::max_arenas — once every arena is in flight a
 // borrower blocks until one is returned (counted in session.arena_waits /
 // session.arena_wait_us), so a request burst costs queueing, not unbounded
-// memory. RunBatch() fans a vector of requests across a ThreadPool with
-// exactly that mechanism.
+// memory. RunBatchDetailed() fans a vector of requests across a caller's
+// ThreadPool with exactly that mechanism.
 
 #ifndef ALT_RUNTIME_SESSION_H_
 #define ALT_RUNTIME_SESSION_H_
@@ -76,16 +76,6 @@ class InferenceSession {
   std::vector<StatusOr<std::vector<float>>> RunBatchDetailed(
       const std::vector<TensorDataMap>& requests, ThreadPool& pool) const;
 
-  // Convenience wrapper over RunBatchDetailed: runs on a session-owned
-  // reusable pool (built lazily at the first call's `threads`; <= 0 means one
-  // per hardware core, clamped to >= 1 — see ResolveBatchThreads) and
-  // collapses per-request results to all-or-nothing: outputs in request order
-  // when every request succeeded, otherwise the first failed request's
-  // status. Callers that must keep the good outputs of a mixed batch use
-  // RunBatchDetailed. Concurrent RunBatch calls serialize on the owned pool.
-  StatusOr<std::vector<std::vector<float>>> RunBatch(
-      const std::vector<TensorDataMap>& requests, int threads = 0) const;
-
   // Tensor id / canonical shape of the network output.
   int output_tensor() const;
   const std::vector<int64_t>& output_shape() const;
@@ -102,12 +92,6 @@ class InferenceSession {
   struct Impl;
   std::shared_ptr<Impl> impl_;
 };
-
-// RunBatch's thread-count resolution, exposed for regression testing:
-// `requested` when positive, else `hardware` — which is the value of
-// std::thread::hardware_concurrency() and may legitimately be 0 ("not
-// computable") — clamped to >= 1 so a ThreadPool(0) is never constructed.
-int ResolveBatchThreads(int requested, unsigned hardware);
 
 }  // namespace alt::runtime
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -48,6 +49,71 @@ std::string FormatU64Hex(uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
   return buf;
+}
+
+StatusOr<uint64_t> ParseU64Hex(std::string_view s) {
+  if (s.size() != 16) {
+    return Status::InvalidArgument("bad hex field: '" + std::string(s) + "'");
+  }
+  uint64_t v = 0;
+  for (char c : s) {
+    int digit;
+    if (c >= '0' && c <= '9') {
+      digit = c - '0';
+    } else if (c >= 'a' && c <= 'f') {
+      digit = c - 'a' + 10;
+    } else {
+      return Status::InvalidArgument("bad hex field: '" + std::string(s) + "'");
+    }
+    v = (v << 4) | static_cast<uint64_t>(digit);
+  }
+  return v;
+}
+
+StatusOr<uint64_t> ParseU64Dec(std::string_view s) {
+  if (s.empty()) {
+    return Status::InvalidArgument("empty integer field");
+  }
+  uint64_t v = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') {
+      return Status::InvalidArgument("bad integer field: '" + std::string(s) + "'");
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (v > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      return Status::InvalidArgument("integer out of range: '" + std::string(s) + "'");
+    }
+    v = v * 10 + digit;
+  }
+  return v;
+}
+
+StatusOr<double> ParseDouble(std::string_view s) {
+  // strtod also takes leading whitespace, hex floats and "infinity"; "%.17g"
+  // never writes those.
+  const bool special = s == "inf" || s == "-inf" || s == "nan" || s == "-nan";
+  if (s.empty() || (!special && s.find_first_not_of("0123456789+-.e") != s.npos)) {
+    return Status::InvalidArgument("bad float field: '" + std::string(s) + "'");
+  }
+  const std::string text(s);
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  // ERANGE with a subnormal result is a written value; with inf or 0 it is
+  // a number no double could have printed.
+  if (end != text.c_str() + text.size() ||
+      (errno == ERANGE && (std::isinf(v) || v == 0.0))) {
+    return Status::InvalidArgument("bad float field: '" + text + "'");
+  }
+  return v;
+}
+
+bool ConsumePrefix(std::string& s, std::string_view prefix) {
+  if (s.compare(0, prefix.size(), prefix) != 0) {
+    return false;
+  }
+  s.erase(0, prefix.size());
+  return true;
 }
 
 StatusOr<int64_t> ParseInt64(const std::string& s) {

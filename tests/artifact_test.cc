@@ -1,5 +1,6 @@
-// Artifact save/load: round-trip bit-identity, corruption rejection,
-// version and graph-signature gates.
+// Artifact save/load: round-trip bit-identity and numerical correctness,
+// corruption rejection, malformed layout and schedule tokens, version and
+// graph-signature gates.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "src/support/crc32.h"
 #include "src/support/fileio.h"
 #include "src/support/string_util.h"
+#include "tests/reference_check.h"
 
 namespace alt::core {
 namespace {
@@ -88,6 +90,14 @@ TEST(Artifact, RoundTripIsBitIdentical) {
   ASSERT_EQ(served->size(), in_process->size());
   EXPECT_EQ(0, std::memcmp(served->data(), in_process->data(),
                            served->size() * sizeof(float)));
+
+  // And what it computes is the graph's meaning: the loaded network matches
+  // the canonical reference executor.
+  auto diff = testutil::ServedDiffVsReference(
+      loaded->network.graph, loaded->network.assignment,
+      {loaded->network.groups, loaded->network.programs}, 55);
+  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+  EXPECT_LT(*diff, 5e-3);
 }
 
 TEST(Artifact, SaveIsDeterministic) {
@@ -148,6 +158,106 @@ TEST(Artifact, CorruptionCorpusIsRejectedWithStatus) {
 
   // The pristine file still loads.
   EXPECT_TRUE(LoadArtifact(path).ok());
+}
+
+// The artifact is the one reader of layout primitive and schedule tokens.
+// Each malformed token, fed in a correctly framed `layout` or `group` line
+// (so every CRC and the trailer count still pass), must be InvalidArgument.
+TEST(Artifact, MalformedLayoutAndScheduleTokensAreInvalidArgument) {
+  const auto& machine = sim::Machine::IntelCpu();
+  AltOptions options;
+  auto tuned = TuneSmall(machine, &options);
+  ASSERT_TRUE(tuned.ok());
+  const std::string path = TempPath("artifact_tokens.altart");
+  ASSERT_TRUE(SaveArtifact(*tuned, machine, options, path).ok());
+  auto contents = ReadFile(path);
+  ASSERT_TRUE(contents.ok());
+  const std::vector<std::string> lines = Split(*contents, '\n');
+
+  // The file with its first line whose payload starts with `kind` replaced
+  // by `kind` + `rest`, re-framed.
+  auto with_line = [&](const std::string& kind, const std::string& rest) {
+    std::vector<std::string> edited = lines;
+    for (auto& line : edited) {
+      std::string payload;
+      if (UnframeLine(line, &payload) && payload.rfind(kind, 0) == 0) {
+        line = FrameLine(kind + rest);
+        return Join(edited, "\n");
+      }
+    }
+    ADD_FAILURE() << "artifact has no '" << kind << "' line";
+    return std::string();
+  };
+  // The first layout line's tensor and the first group line's anchor and
+  // fused ops, kept so only the tokens under test change.
+  std::string layout_head;
+  std::string group_head;
+  for (const auto& line : lines) {
+    std::string payload;
+    if (!UnframeLine(line, &payload)) {
+      continue;
+    }
+    if (layout_head.empty() && payload.rfind("layout ", 0) == 0) {
+      layout_head = payload.substr(7, payload.find(' ', 7) - 7) + " ";
+    }
+    if (group_head.empty() && payload.rfind("group ", 0) == 0) {
+      const size_t fused_end = payload.find(' ', payload.find(" fused=") + 1);
+      group_head = payload.substr(6, fused_end - 6) + " ";
+    }
+  }
+  ASSERT_FALSE(layout_head.empty()) << "the tuned network assigns no layout";
+  ASSERT_FALSE(group_head.empty());
+  const std::string mutated = TempPath("artifact_tokens_mutated.altart");
+
+  for (const char* token : {
+           "split:9999999999999999999:2",                // out-of-range integers
+           "split:1:99999999999999999999999999",
+           "unfold:0:123456789123456789123456789:1",
+           "split:1",                                    // truncated primitives
+           "unfold:1:2",
+           "pad:0:1",
+           "store_at:3",
+           "split::",                                    // empty fields
+           ":::",
+           "frobnicate:1",                               // unknown kind
+           "\x01\x02\x03",                               // garbage
+       }) {
+    SCOPED_TRACE(std::string("layout token: ") + token);
+    ASSERT_TRUE(WriteFile(mutated, with_line("layout ", layout_head + token)).ok());
+    auto loaded = LoadArtifact(mutated);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+  for (const char* tokens : {
+           "par=x",                                      // non-numeric fields
+           "rot=abc",
+           "s=a,b,c,d",
+           "r=1,z",
+           "par=99999999999999999999",                   // out-of-range integers
+           "s=99999999999999999999999,1,1,1",
+           "s=0,1,7,4;1,1,16,1 r=4,4",                   // structurally invalid
+           "s=-2,1,7,4;1,1,16,1 r=4,4",
+           "s=2,1,7,4;1,1,16,1 r=0,4",
+           "s=2,1,7,4;1,1,16,1 r=-1,4",
+           "par=-1",
+           "par=1000",
+           "rot=-3",
+           "rot=999",
+           "unroll",                                     // no '='
+       }) {
+    SCOPED_TRACE(std::string("schedule tokens: ") + tokens);
+    ASSERT_TRUE(WriteFile(mutated, with_line("group ", group_head + tokens)).ok());
+    auto loaded = LoadArtifact(mutated);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+
+  // The same edit with the original payloads loads: the failures above come
+  // from the tokens, not from re-framing.
+  ASSERT_TRUE(WriteFile(mutated, Join(lines, "\n")).ok());
+  EXPECT_TRUE(LoadArtifact(mutated).ok());
 }
 
 TEST(Artifact, RejectsUnknownVersion) {

@@ -280,8 +280,8 @@ TEST(JointTuner, AllFailingMeasurementsLeaveHistoryEmpty) {
   core::AltOptions options;
   options.budget = 60;
   options.method = autotune::SearchMethod::kRandom;
-  options.fault.injection.always_fail_first = 1000;  // beyond any retry count
-  options.fault.retry.max_attempts = 1;
+  options.measure.faults.always_fail_first = 1000;  // beyond any retry count
+  options.measure.retry.max_attempts = 1;
 
   auto result = core::Compile(g, sim::Machine::IntelCpu(), options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -295,7 +295,7 @@ TEST(JointTuner, TracedRunWritesChromeTraceAndMatchingMetrics) {
   options.method = autotune::SearchMethod::kRandom;
   const std::string trace_path = ::testing::TempDir() + "tuner_trace_test.json";
   RemoveFile(trace_path);
-  options.trace.path = trace_path;
+  options.trace_path = trace_path;
 
   auto result = core::Compile(g, sim::Machine::IntelCpu(), options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -332,7 +332,7 @@ TEST(JointTuner, TracedRunWritesChromeTraceAndMatchingMetrics) {
 
   // The recorder is session-scoped: a later untraced compile records nothing.
   core::AltOptions untraced = options;
-  untraced.trace.path.clear();
+  untraced.trace_path.clear();
   auto again = core::Compile(g, sim::Machine::IntelCpu(), untraced);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(TraceRecorder::Global().enabled());

@@ -8,6 +8,7 @@
 #include "src/graph/networks.h"
 #include "src/loop/lowering.h"
 #include "src/loop/schedule.h"
+#include "src/loop/serialization.h"
 
 namespace alt::loop {
 namespace {
@@ -184,6 +185,22 @@ TEST(ScheduleEmission, FusedConsumersShareTheNest) {
   // Both the conv output (intermediate) and relu output (output) are decls.
   EXPECT_NE(program->FindBuffer(c), nullptr);
   EXPECT_EQ(program->FindBuffer(c)->role, ir::BufferRole::kIntermediate);
+}
+
+TEST(Serialization, PrimitiveCodecRoundTrips) {
+  for (const auto& p : {
+           layout::Primitive::Split(1, {4, 8}),
+           layout::Primitive::Reorder({0, 2, 1}),
+           layout::Primitive::Fuse(0, 2),
+           layout::Primitive::Unfold(2, 3, 1),
+           layout::Primitive::Pad(1, 0, 3),
+           layout::Primitive::StoreAt(7, 1),
+       }) {
+    std::string text = EncodePrimitive(p);
+    auto decoded = DecodePrimitive(text);
+    ASSERT_TRUE(decoded.ok()) << text << ": " << decoded.status().ToString();
+    EXPECT_EQ(EncodePrimitive(*decoded), text);
+  }
 }
 
 }  // namespace

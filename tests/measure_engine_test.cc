@@ -81,28 +81,6 @@ TEST(MeasureEngine, TrajectoryIsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(MeasureEngine, CacheOnMatchesCacheOffResult) {
-  // Memoization changes how budget is spent, never what a candidate measures:
-  // a cached tuning run must report cache hits and stay a valid compilation.
-  graph::Graph g = SmallConvGraph();
-  const auto& machine = sim::Machine::IntelCpu();
-
-  core::AltOptions cached = BaseOptions();
-  cached.measure.cache = true;
-  auto rc = core::Compile(g, machine, cached);
-  ASSERT_TRUE(rc.ok());
-  EXPECT_GT(rc->measure_stats.cache_hits, 0);
-  EXPECT_EQ(rc->measure_stats.requested,
-            rc->measure_stats.measured + rc->measure_stats.cache_hits +
-                rc->measure_stats.failed + rc->measure_stats.db_hits);
-
-  core::AltOptions uncached = BaseOptions();
-  uncached.measure.cache = false;
-  auto ru = core::Compile(g, machine, uncached);
-  ASSERT_TRUE(ru.ok());
-  EXPECT_EQ(ru->measure_stats.cache_hits, 0);
-}
-
 TEST(MeasureEngine, RepeatedMeasurementHitsCache) {
   graph::Graph g = SmallConvGraph();
   const auto& machine = sim::Machine::IntelCpu();
@@ -153,14 +131,6 @@ TEST(MeasureEngine, DuplicateCandidatesInOneBatchMeasureOnce) {
   EXPECT_EQ(results[1].latency_us, results[0].latency_us);
   EXPECT_EQ(engine.stats().measured, 1);
   EXPECT_EQ(engine.stats().cache_hits, 2);
-
-  // With the cache disabled every slot is measured (historical behavior).
-  config.cache_enabled = false;
-  autotune::MeasureEngine raw(machine, config);
-  auto raw_results = raw.Measure(g, la, group, {sched, sched});
-  EXPECT_FALSE(raw_results[0].cache_hit);
-  EXPECT_FALSE(raw_results[1].cache_hit);
-  EXPECT_EQ(raw.stats().measured, 2);
 }
 
 TEST(MeasureEngine, ParallelBatchMatchesSequentialBatch) {
@@ -181,7 +151,6 @@ TEST(MeasureEngine, ParallelBatchMatchesSequentialBatch) {
   }
 
   autotune::MeasureEngineConfig config;
-  config.cache_enabled = false;
   config.threads = 1;
   autotune::MeasureEngine seq(machine, config);
   config.threads = 4;
@@ -358,8 +327,7 @@ TEST(MeasureEngine, DatabaseHitAnswersWithoutMeasuring) {
 
   autotune::MeasureEngineConfig config;
   config.threads = 1;
-  config.database = &db;
-  autotune::MeasureEngine engine(machine, config);
+  autotune::MeasureEngine engine(machine, config, &db);
 
   auto result = engine.MeasureOne(c.g, c.la, c.group, c.sched);
   ASSERT_TRUE(result.status.ok());
@@ -389,8 +357,7 @@ TEST(MeasureEngine, DatabaseFailureQuarantines) {
 
   autotune::MeasureEngineConfig config;
   config.threads = 1;
-  config.database = &db;
-  autotune::MeasureEngine engine(machine, config);
+  autotune::MeasureEngine engine(machine, config, &db);
 
   auto result = engine.MeasureOne(c.g, c.la, c.group, c.sched);
   EXPECT_FALSE(result.status.ok());
@@ -423,23 +390,20 @@ TEST(MeasureEngine, StatsInvariantHoldsAcrossConfigurations) {
   graph::Graph g = SmallConvGraph();
   const auto& machine = sim::Machine::IntelCpu();
   for (int threads : {1, 4}) {
-    for (bool cache : {false, true}) {
-      for (bool faults : {false, true}) {
-        core::AltOptions options = BaseOptions();
-        options.measure.threads = threads;
-        options.measure.cache = cache;
-        if (faults) {
-          options.fault.injection.always_fail_first = 1;
-          options.fault.retry.max_attempts = 3;
-        }
-        auto result = core::Compile(g, machine, options);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        const autotune::MeasureStats& s = result->measure_stats;
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " cache=" + std::to_string(cache) + " faults=" + std::to_string(faults));
-        ExpectStatsInvariant(s);
-        EXPECT_GT(s.requested, 0);
+    for (bool faults : {false, true}) {
+      core::AltOptions options = BaseOptions();
+      options.measure.threads = threads;
+      if (faults) {
+        options.measure.faults.always_fail_first = 1;
+        options.measure.retry.max_attempts = 3;
       }
+      auto result = core::Compile(g, machine, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const autotune::MeasureStats& s = result->measure_stats;
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " faults=" + std::to_string(faults));
+      ExpectStatsInvariant(s);
+      EXPECT_GT(s.requested, 0);
+      EXPECT_GT(s.cache_hits, 0);
     }
   }
 }
@@ -450,8 +414,8 @@ TEST(MeasureEngine, FaultInjectedTuningCompletesAndIsDeterministic) {
   graph::Graph g = SmallConvGraph();
   const auto& machine = sim::Machine::IntelCpu();
   core::AltOptions options = BaseOptions();
-  options.fault.injection.failure_rate = 0.1;
-  options.fault.injection.seed = 5;
+  options.measure.faults.failure_rate = 0.1;
+  options.measure.faults.seed = 5;
 
   auto r1 = core::Compile(g, machine, options);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
@@ -503,8 +467,8 @@ TEST(MeasureEngine, MetricsSnapshotMirrorsMeasureStats) {
   graph::Graph g = SmallConvGraph();
   const auto& machine = sim::Machine::IntelCpu();
   core::AltOptions options = BaseOptions();
-  options.fault.injection.always_fail_first = 1;  // exercise the retry counters too
-  options.fault.retry.max_attempts = 3;
+  options.measure.faults.always_fail_first = 1;  // exercise the retry counters too
+  options.measure.retry.max_attempts = 3;
   auto result = core::Compile(g, machine, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 

@@ -166,7 +166,7 @@ TEST(InferenceSession, ConcurrentRunsAreDeterministic) {
   EXPECT_LE(session->arena_count(), kThreads + 1);
 }
 
-TEST(InferenceSession, RunBatchMatchesSequentialRuns) {
+TEST(InferenceSession, RunBatchDetailedMatchesSequentialRuns) {
   Graph g = SmallWorkload();
   LayoutAssignment la;
   AssignSplitLayouts(g, la);
@@ -179,13 +179,14 @@ TEST(InferenceSession, RunBatchMatchesSequentialRuns) {
   for (int i = 0; i < 10; ++i) {
     requests.push_back(MakeRequest(g, 200 + i));
   }
-  auto batch = session->RunBatch(requests, 4);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->size(), requests.size());
+  ThreadPool pool(4);
+  auto batch = session->RunBatchDetailed(requests, pool);
+  ASSERT_EQ(batch.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(batch[i].ok()) << batch[i].status().ToString();
     auto one = session->Run(requests[i]);
     ASSERT_TRUE(one.ok());
-    EXPECT_EQ((*batch)[i], *one) << "request " << i;
+    EXPECT_EQ(*batch[i], *one) << "request " << i;
   }
 }
 
@@ -216,20 +217,6 @@ TEST(InferenceSession, RunBatchDetailedKeepsGoodResultsOfMixedBatch) {
   ASSERT_TRUE(expect_0.ok() && expect_2.ok());
   EXPECT_EQ(*results[0], *expect_0);  // ...and the good outputs survive
   EXPECT_EQ(*results[2], *expect_2);
-
-  // The all-or-nothing wrapper still collapses a mixed batch to its first
-  // failure.
-  EXPECT_FALSE(session->RunBatch(requests, 2).ok());
-}
-
-TEST(InferenceSession, ResolveBatchThreadsClampsZeroHardwareConcurrency) {
-  // hardware_concurrency() may legitimately report 0; a ThreadPool(0) must
-  // never be constructed from it.
-  EXPECT_EQ(ResolveBatchThreads(0, 0), 1);
-  EXPECT_EQ(ResolveBatchThreads(-3, 0), 1);
-  EXPECT_EQ(ResolveBatchThreads(0, 8), 8);
-  EXPECT_EQ(ResolveBatchThreads(3, 0), 3);
-  EXPECT_EQ(ResolveBatchThreads(3, 8), 3);
 }
 
 TEST(InferenceSession, ArenaPoolIsCappedAndBorrowersBlock) {

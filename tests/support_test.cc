@@ -143,6 +143,57 @@ TEST(StringUtilTest, CheckedIntParsing) {
   ASSERT_TRUE(ParseInt64("9223372036854775807").ok());
   EXPECT_FALSE(ParseInt32("4000000000").ok());
   EXPECT_EQ(*ParseInt32("-17"), -17);
+  EXPECT_FALSE(ParseInt64("12x").ok());
+  EXPECT_FALSE(ParseInt64("x12").ok());
+  EXPECT_FALSE(ParseInt64("99999999999999999999999").ok());
+  EXPECT_FALSE(ParseInt64("-99999999999999999999999").ok());
+  EXPECT_FALSE(ParseInt32("2147483648").ok());
+  EXPECT_FALSE(ParseInt32("-2147483649").ok());
+  ASSERT_TRUE(ParseInt32("2147483647").ok());
+  EXPECT_EQ(*ParseInt32("2147483647"), 2147483647);
+}
+
+// The field readers of the framed text formats accept exactly what
+// FormatU64Hex / FormatDouble / decimal writers produce, whole field only.
+TEST(StringUtilTest, StrictFieldParsersAcceptOnlyTheWrittenForm) {
+  for (uint64_t v : {uint64_t{0}, uint64_t{0x1234abcd}, ~uint64_t{0}}) {
+    auto back = ParseU64Hex(FormatU64Hex(v));
+    ASSERT_TRUE(back.ok()) << FormatU64Hex(v);
+    EXPECT_EQ(*back, v);
+  }
+  for (const char* bad : {"", "0", "123456789abcdef", "0123456789abcdef0",
+                          "0123456789ABCDEF", "0x0123456789abcd", "-123456789abcdef",
+                          "+123456789abcdef", " 123456789abcdef", "0123456789abcdeg"}) {
+    EXPECT_FALSE(ParseU64Hex(bad).ok()) << "accepted hex: '" << bad << "'";
+  }
+
+  ASSERT_TRUE(ParseU64Dec("18446744073709551615").ok());
+  EXPECT_EQ(*ParseU64Dec("18446744073709551615"), ~uint64_t{0});
+  EXPECT_EQ(*ParseU64Dec("0"), 0u);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(ParseU64Dec(bad).ok()) << "accepted decimal: '" << bad << "'";
+  }
+
+  for (double v : {0.0, -1.5, 123.456, 1e-300, 6.02214076e23,
+                   std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::infinity()}) {
+    auto back = ParseDouble(FormatDouble(v));
+    ASSERT_TRUE(back.ok()) << FormatDouble(v);
+    EXPECT_EQ(*back, v);
+  }
+  auto nan = ParseDouble(FormatDouble(std::nan("")));
+  ASSERT_TRUE(nan.ok());
+  EXPECT_TRUE(std::isnan(*nan));
+  for (const char* bad : {"", "12.5junk", "12.5 ", " 12.5", "1e999", "x"}) {
+    EXPECT_FALSE(ParseDouble(bad).ok()) << "accepted float: '" << bad << "'";
+  }
+
+  std::string s = "record 12";
+  EXPECT_FALSE(ConsumePrefix(s, "trailer "));
+  EXPECT_EQ(s, "record 12");
+  EXPECT_TRUE(ConsumePrefix(s, "record "));
+  EXPECT_EQ(s, "12");
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {

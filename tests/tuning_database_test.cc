@@ -86,7 +86,7 @@ void ExpectResumeMatchesUninterrupted(core::AltOptions options, Damage damage,
   const auto& machine = sim::Machine::IntelCpu();
   const std::string full_path = TempPath(name + "_full.altdb");
   RemoveFile(full_path);
-  options.measure.database = full_path;
+  options.tuning_db = full_path;
   auto full_run = core::Compile(g, machine, options);
   ASSERT_TRUE(full_run.ok()) << full_run.status().ToString();
 
@@ -105,7 +105,7 @@ void ExpectResumeMatchesUninterrupted(core::AltOptions options, Damage damage,
   }
   const std::string resumed_path = TempPath(name + "_resumed.altdb");
   ASSERT_TRUE(WriteFile(resumed_path, damaged).ok());
-  options.measure.database = resumed_path;
+  options.tuning_db = resumed_path;
   auto resumed = core::Compile(g, machine, options);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 
@@ -178,7 +178,7 @@ TEST(TuningDatabase, WarmStartIssuesZeroFreshMeasurements) {
   const auto& machine = sim::Machine::IntelCpu();
 
   core::AltOptions options = BaseOptions();
-  options.measure.database = path;
+  options.tuning_db = path;
   auto cold = core::Compile(g, machine, options);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_GT(cold->measure_stats.measured, 0);
@@ -210,7 +210,7 @@ TEST(TuningDatabase, ColdRunWritingADatabaseMatchesPlainCompile) {
   auto plain = core::Compile(g, machine, BaseOptions());
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   core::AltOptions options = BaseOptions();
-  options.measure.database = path;
+  options.tuning_db = path;
   auto recorded = core::Compile(g, machine, options);
   ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
   ExpectIdenticalResults(*plain, *recorded);
@@ -227,8 +227,8 @@ TEST(TuningDatabase, ResumeUnderInjectedFaultsMatchesUninterrupted) {
   // Resume and fault injection compose: the injector is a pure function of
   // (site, attempt), so the continuation sees the same faults.
   core::AltOptions options = BaseOptions();
-  options.fault.injection.failure_rate = 0.1;
-  options.fault.injection.seed = 5;
+  options.measure.faults.failure_rate = 0.1;
+  options.measure.faults.seed = 5;
   ExpectResumeMatchesUninterrupted(options, Damage::kCutMidLine, "db_kill_faults");
 }
 
@@ -240,7 +240,7 @@ TEST(TuningDatabase, ResumeAfterBitFlipMatchesUninterrupted) {
 
 TEST(TuningDatabase, ResumeWithIsolatedWorkersMatchesUninterrupted) {
   core::AltOptions options = BaseOptions();
-  options.measure.isolate = true;
+  options.measure.isolate.workers = 2;
   ExpectResumeMatchesUninterrupted(options, Damage::kCutMidLine, "db_kill_isolated");
 }
 
@@ -253,11 +253,10 @@ TEST(TuningDatabase, FailureRecordsQuarantineOnWarmStart) {
   // Cold run under persistent faults: some candidates fail for good and are
   // recorded as failures.
   core::AltOptions options = BaseOptions();
-  options.measure.database = path;
-  options.fault.injection.failure_rate = 0.3;
-  options.fault.injection.seed = 11;
-  options.fault.retry.max_attempts = 1;  // any injected failure is persistent
-  options.fault.retry.backoff_base_ms = 0;
+  options.tuning_db = path;
+  options.measure.faults.failure_rate = 0.3;
+  options.measure.faults.seed = 11;
+  options.measure.retry.max_attempts = 1;  // any injected failure is persistent
   auto cold = core::Compile(g, machine, options);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   ASSERT_GT(cold->measure_stats.failed, 0);
@@ -266,7 +265,7 @@ TEST(TuningDatabase, FailureRecordsQuarantineOnWarmStart) {
   // as db-hit failures that feed quarantine — never silently retried as if
   // the previous run hadn't learned they were bad.
   core::AltOptions warm_options = BaseOptions();
-  warm_options.measure.database = path;
+  warm_options.tuning_db = path;
   auto warm = core::Compile(g, machine, warm_options);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(warm->measure_stats.measured, 0);
@@ -367,6 +366,18 @@ TEST(TuningDatabase, CorruptionCorpusIsSkippedNotFatal) {
                    8, 1});
   cases.push_back({"unknown-outcome",
                    clean + FrameLine("record " + machine_hex + " 0000000000000009 zap") + "\n",
+                   8, 1});
+  // Fields must be exactly what the writer produces: a latency with trailing
+  // text, and 16-character site fields that are signed or 0x-prefixed.
+  cases.push_back({"latency-trailing-text",
+                   clean + FrameLine("record " + machine_hex + " 0000000000000009 ok 12.5junk") +
+                       "\n",
+                   8, 1});
+  cases.push_back({"signed-hex-site",
+                   clean + FrameLine("record " + machine_hex + " -000000000000009 ok 1.5") + "\n",
+                   8, 1});
+  cases.push_back({"0x-prefixed-site",
+                   clean + FrameLine("record " + machine_hex + " 0x00000000000009 ok 1.5") + "\n",
                    8, 1});
   // An unknown record kind (a newer writer) is ignored, not corruption.
   cases.push_back({"unknown-kind", clean + FrameLine("future-kind anything goes") + "\n", 8, 0});

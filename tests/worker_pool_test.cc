@@ -123,7 +123,6 @@ TEST(WorkerPool, IsolatedMatchesInProcessBitForBit) {
   auto expected = inproc_engine.Measure(c.g, c.la, c.group, c.scheds);
 
   autotune::MeasureEngineConfig iso;
-  iso.isolate.enabled = true;
   iso.isolate.workers = 3;
   autotune::MeasureEngine iso_engine(machine, iso);
   auto got = iso_engine.Measure(c.g, c.la, c.group, c.scheds);
@@ -146,15 +145,14 @@ TEST(WorkerPool, InjectedFaultsMatchInProcessAccounting) {
   const auto& machine = sim::Machine::IntelCpu();
 
   autotune::MeasureEngineConfig in_proc;
+  in_proc.threads = 2;
   in_proc.faults.failure_rate = 0.4;
   in_proc.faults.seed = 5;
   in_proc.retry.max_attempts = 3;
-  in_proc.retry.backoff_base_ms = 0;
   autotune::MeasureEngine inproc_engine(machine, in_proc);
   auto expected = inproc_engine.Measure(c.g, c.la, c.group, c.scheds);
 
   autotune::MeasureEngineConfig iso = in_proc;
-  iso.isolate.enabled = true;
   iso.isolate.workers = 2;
   autotune::MeasureEngine iso_engine(machine, iso);
   auto got = iso_engine.Measure(c.g, c.la, c.group, c.scheds);
@@ -175,12 +173,10 @@ TEST(WorkerPool, CrashedWorkerIsRespawnedAndCandidateRetries) {
   const uint64_t victim = SiteOf(c, c.scheds[2]);
 
   autotune::MeasureEngineConfig config;
-  config.isolate.enabled = true;
   config.isolate.workers = 2;
   config.isolate.faults.crash_site = victim;
   config.isolate.faults.crash_attempts = 1;  // kill -9 on the first attempt only
   config.retry.max_attempts = 3;
-  config.retry.backoff_base_ms = 0;
   autotune::MeasureEngine engine(machine, config);
 
   auto results = engine.Measure(c.g, c.la, c.group, c.scheds);
@@ -207,12 +203,10 @@ TEST(WorkerPool, PersistentlyCrashingCandidateIsQuarantined) {
   const uint64_t victim = SiteOf(c, c.scheds[0]);
 
   autotune::MeasureEngineConfig config;
-  config.isolate.enabled = true;
   config.isolate.workers = 2;
   config.isolate.faults.crash_site = victim;
   config.isolate.faults.crash_attempts = 0;  // every attempt crashes
   config.retry.max_attempts = 2;
-  config.retry.backoff_base_ms = 0;
   autotune::MeasureEngine engine(machine, config);
 
   auto results = engine.Measure(c.g, c.la, c.group, c.scheds);
@@ -240,13 +234,11 @@ TEST(WorkerPool, HungWorkerIsKilledByWatchdog) {
   const uint64_t victim = SiteOf(c, c.scheds[1]);
 
   autotune::MeasureEngineConfig config;
-  config.isolate.enabled = true;
   config.isolate.workers = 2;
   config.isolate.deadline_ms = 200;  // watchdog fires fast
   config.isolate.faults.hang_site = victim;
   config.isolate.faults.hang_attempts = 1;  // hangs once, then behaves
   config.retry.max_attempts = 3;
-  config.retry.backoff_base_ms = 0;
   autotune::MeasureEngine engine(machine, config);
 
   auto results = engine.Measure(c.g, c.la, c.group, c.scheds);
@@ -264,12 +256,10 @@ TEST(WorkerPool, GarbledReplyIsCaughtByCrcAndRetried) {
   const uint64_t victim = SiteOf(c, c.scheds[3]);
 
   autotune::MeasureEngineConfig config;
-  config.isolate.enabled = true;
   config.isolate.workers = 2;
   config.isolate.faults.garble_site = victim;
   config.isolate.faults.garble_attempts = 1;  // corrupts its reply once
   config.retry.max_attempts = 3;
-  config.retry.backoff_base_ms = 0;
   autotune::MeasureEngine engine(machine, config);
 
   auto results = engine.Measure(c.g, c.la, c.group, c.scheds);
@@ -299,20 +289,17 @@ TEST(WorkerPool, FullTunerSurvivesWorkerKillMidMeasurement) {
   base.budget = 120;
   base.method = autotune::SearchMethod::kRandom;
   base.seed = 7;
-  base.fault.retry.max_attempts = 3;
-  base.fault.retry.backoff_base_ms = 0;
+  base.measure.retry.max_attempts = 3;
 
   core::AltOptions faultfree = base;
-  faultfree.measure.isolate = true;
-  faultfree.measure.workers = 2;
+  faultfree.measure.isolate.workers = 2;
   auto clean = core::Compile(g, machine, faultfree);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
   core::AltOptions crashy = base;
-  crashy.measure.isolate = true;
-  crashy.measure.workers = 2;
-  crashy.fault.worker.crash_site = autotune::kAnyMeasureSite;
-  crashy.fault.worker.crash_attempts = 1;  // first attempt of every site dies
+  crashy.measure.isolate.workers = 2;
+  crashy.measure.isolate.faults.crash_site = autotune::kAnyMeasureSite;
+  crashy.measure.isolate.faults.crash_attempts = 1;  // first attempt of every site dies
   auto survived = core::Compile(g, machine, crashy);
   ASSERT_TRUE(survived.ok()) << survived.status().ToString();
 
