@@ -1,6 +1,12 @@
 // Gradient-boosted regression trees — the cost model family the paper uses
 // (an XGBoost ensemble, §5.2.3). Trained online on measured points to rank
 // candidate programs so only the predicted top-k get "measured".
+//
+// Fit is XGBoost's exact greedy algorithm over column blocks sorted once per
+// fit (Chen & Guestrin, KDD 2016), with ties within a column broken by
+// residual: a node's split search is one linear pass per column, and the
+// trees equal, bit for bit, those of a per-node sort of (value, residual)
+// pairs (DESIGN.md §9).
 
 #ifndef ALT_AUTOTUNE_GBT_H_
 #define ALT_AUTOTUNE_GBT_H_
@@ -10,18 +16,11 @@
 
 namespace alt::autotune {
 
-struct GbtOptions {
-  int num_trees = 40;
-  int max_depth = 4;
-  double learning_rate = 0.3;
-  int min_samples_leaf = 4;
-};
-
 class GradientBoostedTrees {
  public:
-  explicit GradientBoostedTrees(GbtOptions options = {}) : options_(options) {}
-
-  // Fits on (features, targets); squared loss, exact greedy splits.
+  // Fits on (features, targets); squared loss, exact greedy splits. Every
+  // row has the same width. A pure function of its rows: refitting the same
+  // rows yields the same model.
   void Fit(const std::vector<std::vector<double>>& x, const std::vector<double>& y);
 
   double Predict(const std::vector<double>& x) const;
@@ -40,13 +39,9 @@ class GradientBoostedTrees {
     std::vector<Node> nodes;
     double Predict(const std::vector<double>& x) const;
   };
+  // One Fit's presorted columns, reused across its trees (gbt.cc).
+  class TreeBuilder;
 
-  Tree FitTree(const std::vector<std::vector<double>>& x, const std::vector<double>& residual);
-  void Split(Tree& tree, int node, const std::vector<std::vector<double>>& x,
-             const std::vector<double>& residual, std::vector<int>& indices, int begin, int end,
-             int depth);
-
-  GbtOptions options_;
   double base_ = 0.0;
   std::vector<Tree> trees_;
 };

@@ -157,10 +157,11 @@ void JointTuner::LoopTuneBatch(const Graph& g, const LayoutAssignment& la,
   }
 
   // Rank with the cost model; only the predicted top-k are measured.
+  const bool model_ranks = options_.use_cost_model && cost_model_.trained();
   std::vector<std::pair<double, int>> ranked;
   for (int i = 0; i < static_cast<int>(batch.size()); ++i) {
     double score = 0.0;
-    if (options_.use_cost_model && cost_model_.trained()) {
+    if (model_ranks) {
       score = cost_model_.Predict(Features(sig, state.space.Decode(batch[i]), layout_state));
     } else {
       score = rng.NextDouble();
@@ -199,8 +200,31 @@ void JointTuner::LoopTuneBatch(const Graph& g, const LayoutAssignment& la,
       state.best_schedule = scheds[r];
     }
   }
-  if (options_.use_cost_model && train_x_.size() >= 24 && train_x_.size() % 24 == 0) {
+  if (model_ranks) {
+    // How well the model ranked what it sent to measurement, over every pair
+    // of the measured top-k: Kendall tau is (c - d) / (c + d). `ranked` is in
+    // ascending score order, so a pair agrees when the earlier one measured
+    // faster; a tie in either score or latency counts for neither.
+    static Counter& concordant = MetricsRegistry::Global().counter("autotune.rank_concordant");
+    static Counter& discordant = MetricsRegistry::Global().counter("autotune.rank_discordant");
+    for (int a = 0; a < to_measure; ++a) {
+      for (int b = a + 1; b < to_measure; ++b) {
+        if (!results[a].status.ok() || !results[b].status.ok() ||
+            ranked[a].first == ranked[b].first ||
+            results[a].latency_us == results[b].latency_us) {
+          continue;
+        }
+        (results[a].latency_us < results[b].latency_us ? concordant : discordant).Add();
+      }
+    }
+  }
+  // Fit is a pure function of its rows and rows are only ever appended, so a
+  // refit at an unchanged row count (a batch of cache hits) would rebuild the
+  // same model.
+  if (options_.use_cost_model && train_x_.size() >= 24 && train_x_.size() % 24 == 0 &&
+      train_x_.size() != fitted_rows_) {
     cost_model_.Fit(train_x_, train_y_);
+    fitted_rows_ = train_x_.size();
   }
 }
 

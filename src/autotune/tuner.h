@@ -175,6 +175,7 @@ class JointTuner {
   GradientBoostedTrees cost_model_;
   std::vector<std::vector<double>> train_x_;
   std::vector<double> train_y_;
+  size_t fitted_rows_ = 0;  // train_x_.size() at the last cost-model fit
   int measurements_ = 0;
   double best_total_us_ = kNoBest;
   std::vector<double> history_us_;

@@ -2,7 +2,10 @@
 // and the joint tuner (including the headline property that joint layout +
 // loop tuning beats loop-only tuning).
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -55,6 +58,231 @@ TEST(Gbt, RanksMonotoneData) {
   autotune::GradientBoostedTrees gbt;
   gbt.Fit(x, y);
   EXPECT_LT(gbt.Predict({10.0}), gbt.Predict({80.0}));
+}
+
+// The sort-per-node GBT the presorted fit replaced, kept as its oracle: the
+// same hyper-parameters (gbt.cc), node partition, node sums, gain formula and
+// feature scan order, with each node's split found by sorting its
+// (value, residual) pairs for every feature.
+class SortPerNodeGbt {
+ public:
+  void Fit(const std::vector<std::vector<double>>& x, const std::vector<double>& y) {
+    trees_.clear();
+    base_ = std::accumulate(y.begin(), y.end(), 0.0) / y.size();
+    std::vector<double> pred(y.size(), base_);
+    for (int t = 0; t < kNumTrees; ++t) {
+      std::vector<double> residual(y.size());
+      for (size_t i = 0; i < y.size(); ++i) {
+        residual[i] = y[i] - pred[i];
+      }
+      Tree tree;
+      tree.nodes.push_back(Node{});
+      std::vector<int> indices(x.size());
+      std::iota(indices.begin(), indices.end(), 0);
+      Split(tree, 0, x, residual, indices, 0, static_cast<int>(x.size()), 0);
+      for (size_t i = 0; i < y.size(); ++i) {
+        pred[i] += kLearningRate * tree.Predict(x[i]);
+      }
+      trees_.push_back(std::move(tree));
+    }
+  }
+
+  double Predict(const std::vector<double>& x) const {
+    double out = base_;
+    for (const auto& tree : trees_) {
+      out += kLearningRate * tree.Predict(x);
+    }
+    return out;
+  }
+
+ private:
+  static constexpr int kNumTrees = 40;
+  static constexpr int kMaxDepth = 4;
+  static constexpr double kLearningRate = 0.3;
+  static constexpr int kMinSamplesLeaf = 4;
+
+  struct Node {
+    int feature = -1;
+    double threshold = 0.0;
+    double value = 0.0;
+    int left = -1;
+    int right = -1;
+  };
+  struct Tree {
+    std::vector<Node> nodes;
+    double Predict(const std::vector<double>& x) const {
+      int node = 0;
+      while (nodes[node].feature >= 0) {
+        const Node& n = nodes[node];
+        double v = n.feature < static_cast<int>(x.size()) ? x[n.feature] : 0.0;
+        node = v <= n.threshold ? n.left : n.right;
+      }
+      return nodes[node].value;
+    }
+  };
+
+  void Split(Tree& tree, int node_id, const std::vector<std::vector<double>>& x,
+             const std::vector<double>& residual, std::vector<int>& indices, int begin, int end,
+             int depth) {
+    int count = end - begin;
+    double sum = 0.0;
+    for (int i = begin; i < end; ++i) {
+      sum += residual[indices[i]];
+    }
+    double mean = count > 0 ? sum / count : 0.0;
+    tree.nodes[node_id].value = mean;
+    if (depth >= kMaxDepth || count < 2 * kMinSamplesLeaf) {
+      return;
+    }
+
+    int num_features = static_cast<int>(x[0].size());
+    double best_gain = 1e-12;
+    int best_feature = -1;
+    double best_threshold = 0.0;
+
+    std::vector<std::pair<double, double>> vals(count);  // (feature value, residual)
+    for (int f = 0; f < num_features; ++f) {
+      for (int i = 0; i < count; ++i) {
+        int idx = indices[begin + i];
+        vals[i] = {x[idx][f], residual[idx]};
+      }
+      std::sort(vals.begin(), vals.end());
+      double left_sum = 0.0;
+      for (int i = 0; i + 1 < count; ++i) {
+        left_sum += vals[i].second;
+        if (vals[i].first == vals[i + 1].first) {
+          continue;
+        }
+        int nl = i + 1;
+        int nr = count - nl;
+        if (nl < kMinSamplesLeaf || nr < kMinSamplesLeaf) {
+          continue;
+        }
+        double right_sum = sum - left_sum;
+        double gain = left_sum * left_sum / nl + right_sum * right_sum / nr - sum * sum / count;
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = f;
+          best_threshold = 0.5 * (vals[i].first + vals[i + 1].first);
+        }
+      }
+    }
+    if (best_feature < 0) {
+      return;
+    }
+
+    auto mid_it = std::partition(indices.begin() + begin, indices.begin() + end,
+                                 [&](int idx) { return x[idx][best_feature] <= best_threshold; });
+    int mid = static_cast<int>(mid_it - indices.begin());
+    if (mid == begin || mid == end) {
+      return;
+    }
+    tree.nodes[node_id].feature = best_feature;
+    tree.nodes[node_id].threshold = best_threshold;
+    int left = static_cast<int>(tree.nodes.size());
+    tree.nodes.push_back(Node{});
+    int right = static_cast<int>(tree.nodes.size());
+    tree.nodes.push_back(Node{});
+    tree.nodes[node_id].left = left;
+    tree.nodes[node_id].right = right;
+    Split(tree, left, x, residual, indices, begin, mid, depth + 1);
+    Split(tree, right, x, residual, indices, mid, end, depth + 1);
+  }
+
+  double base_ = 0.0;
+  std::vector<Tree> trees_;
+};
+
+// Fits the model and the oracle on (x, y) and counts the rows on which their
+// predictions differ in any bit: every training row, and per training row a
+// copy with each feature moved to the midpoint between its value and another
+// row's (a split threshold whenever the two values are adjacent) or just past
+// it.
+int PredictionMismatches(const std::vector<std::vector<double>>& x, const std::vector<double>& y,
+                         Rng& rng) {
+  autotune::GradientBoostedTrees model;
+  model.Fit(x, y);
+  SortPerNodeGbt oracle;
+  oracle.Fit(x, y);
+  std::vector<std::vector<double>> probes = x;
+  for (const auto& row : x) {
+    std::vector<double> probe = row;
+    for (size_t f = 0; f < probe.size(); ++f) {
+      const double mid = 0.5 * (probe[f] + x[rng.NextBelow(x.size())][f]);
+      const uint64_t move = rng.NextBelow(3);  // to the midpoint, just past it, or not
+      if (move == 0) {
+        probe[f] = mid;
+      } else if (move == 1) {
+        probe[f] = std::nextafter(mid, HUGE_VAL);
+      }
+    }
+    probes.push_back(std::move(probe));
+  }
+  int mismatches = 0;
+  for (const auto& probe : probes) {
+    if (std::bit_cast<uint64_t>(model.Predict(probe)) !=
+        std::bit_cast<uint64_t>(oracle.Predict(probe))) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(Gbt, PresortedFitMatchesPerNodeSortOracle) {
+  Rng rng(19);
+  // Edge cases: a single row, fewer rows than two leaves need, all targets
+  // equal (every residual ties).
+  EXPECT_EQ(PredictionMismatches({{0.5, 1.0}}, {2.0}, rng), 0) << "n = 1";
+  EXPECT_EQ(PredictionMismatches({{1.0}, {2.0}, {3.0}, {4.0}, {5.0}, {6.0}, {7.0}},
+                                 {0.1, 0.9, 0.2, 0.8, 0.3, 0.7, 0.4}, rng),
+            0)
+      << "n < 2 * min_samples_leaf";
+  {
+    std::vector<std::vector<double>> x;
+    for (int i = 0; i < 40; ++i) {
+      x.push_back({static_cast<double>(i % 5), rng.NextDouble()});
+    }
+    EXPECT_EQ(PredictionMismatches(x, std::vector<double>(40, 0.3), rng), 0)
+        << "all targets equal";
+  }
+
+  // Seeded corpus over the column kinds the tuner's features take (constant
+  // padding, few-level knob encodings, many-level ones, continuous values),
+  // with duplicate rows and tied or continuous targets.
+  for (int c = 0; c < 200; ++c) {
+    const int n = static_cast<int>(rng.NextInt(1, 120));
+    const int width = static_cast<int>(rng.NextInt(1, 8));
+    std::vector<std::vector<double>> x(n, std::vector<double>(width));
+    for (int f = 0; f < width; ++f) {
+      const uint64_t kind = rng.NextBelow(4);  // constant, few-, many-level, continuous
+      const uint64_t levels = kind == 1 ? rng.NextInt(2, 4) : rng.NextInt(8, 40);
+      const double constant = rng.NextDouble();
+      for (int i = 0; i < n; ++i) {
+        if (kind == 0) {
+          x[i][f] = constant;
+        } else if (kind == 3) {
+          x[i][f] = 10.0 * rng.NextDouble() - 5.0;
+        } else {
+          x[i][f] = std::log1p(static_cast<double>(rng.NextBelow(levels)));
+        }
+      }
+    }
+    for (int i = 1; i < n; ++i) {
+      if (rng.NextBelow(5) == 0) {
+        x[i] = x[rng.NextBelow(i)];  // duplicate row
+      }
+    }
+    const bool tied = rng.NextBelow(2) == 0;
+    const std::vector<double> tied_values = {0.1, 0.3, 0.7, 1.1};
+    std::vector<double> y(n);
+    for (int i = 0; i < n; ++i) {
+      y[i] = tied ? tied_values[rng.NextBelow(tied_values.size())]
+                  : x[i][0] + rng.NextGaussian();
+    }
+    EXPECT_EQ(PredictionMismatches(x, y, rng), 0)
+        << "case " << c << ": n = " << n << ", width = " << width
+        << (tied ? ", tied targets" : "");
+  }
 }
 
 TEST(Ppo, LearnsBanditTarget) {
@@ -336,6 +564,39 @@ TEST(JointTuner, TracedRunWritesChromeTraceAndMatchingMetrics) {
   auto again = core::Compile(g, sim::Machine::IntelCpu(), untraced);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(TraceRecorder::Global().enabled());
+}
+
+TEST(JointTuner, PinnedBertTinyTrajectory) {
+  // BERT-tiny at sequence length 8, full ALT, budget 200, seed 1: the tuned
+  // network's predicted latency, the budget spent and the whole tuning curve,
+  // bit for bit. The cost model ranks most of its batches; it is fit at two
+  // distinct training-row counts, and a refit of unchanged rows is skipped.
+  const graph::Graph g = graph::BuildBert(1, 128, 2, /*seq_len=*/8);
+  core::AltOptions options;
+  options.budget = 200;
+  options.seed = 1;
+  auto compiled = core::Compile(g, sim::Machine::IntelCpu(), options);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_EQ(compiled->perf.latency_us, 0x1.006dafb340041p+6);  // 64.10711556 us
+  EXPECT_EQ(compiled->measurements_used, 184);
+  // The curve, run-length encoded as (best latency so far, measurements).
+  const std::vector<std::pair<double, int>> runs = {{0x1.084d1887ce1eap+3, 12},
+                                                    {0x1.0688f861a60d4p+2, 5},
+                                                    {0x1.58965e63d9f3ep+1, 4},
+                                                    {0x1.8fcf364b7519ap-1, 13},
+                                                    {0x1.564c2f837b4a2p-1, 150}};
+  std::vector<double> curve;
+  for (const auto& [best_us, measurements] : runs) {
+    curve.insert(curve.end(), measurements, best_us);
+  }
+  EXPECT_EQ(compiled->history_us, curve);
+  EXPECT_EQ(compiled->metrics.counter("autotune.fits"), 2);
+  const HistogramSnapshot* fit_us = compiled->metrics.histogram("autotune.fit_us");
+  ASSERT_NE(fit_us, nullptr);
+  EXPECT_EQ(fit_us->count, 2);
+  EXPECT_GT(compiled->metrics.counter("autotune.rank_concordant") +
+                compiled->metrics.counter("autotune.rank_discordant"),
+            0);
 }
 
 TEST(JointTuner, BudgetIsRespected) {
