@@ -1,5 +1,6 @@
-// Interpreter throughput: a three-way race — generic tree walk, affine
-// engine, and the JIT-compiled native backend — on conv2d and GMM programs
+// Interpreter throughput: a three-way race — the generic engine (every store
+// evaluated per element), the affine engine, and the JIT-compiled native
+// backend — on conv2d and GMM programs
 // under several layouts (including the pad-guard and unfold templates that
 // stress guard splitting and the bytecode fallback).
 //
@@ -21,6 +22,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -273,21 +275,18 @@ bool StoresMatch(const loop::LoweredNetwork& net, const runtime::BufferStore& go
 
 int Main() {
   bench::PrintHeader(
-      "Interpreter throughput: generic tree walk vs affine engine vs native "
-      "JIT (elements = innermost store executions)");
+      "Interpreter throughput: generic per-element engine vs affine engine vs "
+      "native JIT (elements = innermost store executions)");
 
-  // The three-way race is a SINGLE-THREAD engine comparison: intra-op
-  // sharding is pinned off so the ratios keep measuring per-core execution.
-  // The thread sweep below is where kParallel roots fan out.
+  // The three-way race is a SINGLE-THREAD engine comparison: no intra-op
+  // pool, so the ratios keep measuring per-core execution. The thread sweep
+  // below is where kParallel roots fan out.
   runtime::ExecOptions affine;
   affine.engine = runtime::ExecEngine::kAffine;
-  affine.intra_threads = 1;
   runtime::ExecOptions generic;
   generic.engine = runtime::ExecEngine::kGeneric;
-  generic.intra_threads = 1;
   runtime::ExecOptions native;
   native.engine = runtime::ExecEngine::kNative;
-  native.intra_threads = 1;
   const int64_t fallback_before =
       MetricsRegistry::Global().Snapshot().counter("codegen.fallback_programs");
 
@@ -432,7 +431,6 @@ int Main() {
       }
       runtime::ExecOptions ref_opts;
       ref_opts.engine = engine;
-      ref_opts.intra_threads = 1;
       auto ref_prepared = PrepareNet(*net, ref_store, ref_opts);
       if (!ref_prepared.ok()) {
         std::fprintf(stderr, "%s: prepare failed: %s\n", cfg.name.c_str(),
@@ -449,7 +447,7 @@ int Main() {
         }
         runtime::ExecOptions opts;
         opts.engine = engine;
-        opts.intra_threads = t;
+        opts.intra_pool = std::make_shared<runtime::IntraOpPool>(t);
         auto prepared = PrepareNet(*net, store, opts);
         if (!prepared.ok()) {
           std::fprintf(stderr, "%s: prepare failed: %s\n", cfg.name.c_str(),
@@ -460,7 +458,7 @@ int Main() {
         std::string bad;
         if (!StoresMatch(*net, store, ref_store, &bad)) {
           std::fprintf(stderr,
-                       "%s: BIT-IDENTITY VIOLATION at %s intra_threads=%d on tensor %s\n",
+                       "%s: BIT-IDENTITY VIOLATION at %s %d intra-op threads on tensor %s\n",
                        cfg.name.c_str(), engine_name, t, bad.c_str());
           return 1;
         }

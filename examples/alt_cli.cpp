@@ -318,7 +318,12 @@ int main(int argc, char** argv) {
   }
 
   graph::Graph g = BuildNetwork(net_name);
-  const sim::Machine& machine = sim::Machine::ByName(machine_name);
+  const sim::Machine* found = sim::Machine::Find(machine_name);
+  if (found == nullptr) {
+    std::fprintf(stderr, "unknown machine '%s'\n", machine_name.c_str());
+    return 2;
+  }
+  const sim::Machine& machine = *found;
   std::printf("tuning %s on %s with %s (budget %d)...\n", g.name().c_str(),
               machine.name.c_str(), method.c_str(), budget);
 

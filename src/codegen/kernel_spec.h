@@ -1,9 +1,11 @@
-// The flattened execution plan of one lowered program, shared by the affine
-// interpreter and the native backend.
+// The flattened execution plan of one lowered program, shared by every
+// interpreter engine and the native backend.
 //
-// The runtime's affine builder (runtime/interpreter.cc) writes a KernelSpec
+// The runtime's plan builder (runtime/interpreter.cc) writes a KernelSpec
 // straight from the statement tree: loops become begin/end instructions that
-// bump offset accumulators, and each innermost store becomes a leaf. The
+// bump offset accumulators, and each innermost store becomes a leaf. For the
+// generic engine it skips the affine analysis, so loops carry no bumps and
+// every leaf is a bytecode leaf; such a spec is never compiled. The
 // spec holds no pointers: buffers are ids into a table the caller passes at
 // run time, numbered in the order the builder commits accesses, and the
 // per-element values of kEval branches and bytecode leaves stay with the
@@ -95,8 +97,9 @@ struct KernelSpec {
   struct Leaf {
     int64_t extent = 1;  // leaf loop trip count (1 for singleton stores)
     int vslot = -1;      // env slot of the consumed loop (-1: singleton)
-    // True when the store offset is not affine: the host runs the leaf's
-    // generic compiled store per element, and the fields below are unused.
+    // True when the store offset is not affine, or the spec is the generic
+    // engine's: the host runs the leaf's generic compiled store per element,
+    // and the fields below are unused.
     bool bytecode = false;
     int out_buffer = -1;
     int64_t out_size = 0;

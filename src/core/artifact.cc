@@ -23,20 +23,6 @@ using graph::Graph;
 using graph::Op;
 using graph::OpKind;
 
-// sim::Machine::ByName aborts on unknown names; artifacts carry untrusted
-// text, so perf re-estimation uses this lookup instead and is skipped for
-// machines this build doesn't know.
-const sim::Machine* FindMachineByName(const std::string& name) {
-  static const sim::Machine kMachines[] = {sim::Machine::IntelCpu(), sim::Machine::NvidiaGpu(),
-                                           sim::Machine::ArmCpu(), sim::Machine::CortexA76()};
-  for (const sim::Machine& m : kMachines) {
-    if (m.name == name) {
-      return &m;
-    }
-  }
-  return nullptr;
-}
-
 // --- kernel section (v2) ------------------------------------------------
 
 // Bytes of object code per kdata line (128 hex characters of payload).
@@ -711,7 +697,9 @@ StatusOr<LoadedArtifact> LoadArtifact(const std::string& path) {
     }
   }
 
-  if (const sim::Machine* m = FindMachineByName(result.info.machine)) {
+  // Artifacts carry untrusted text: perf re-estimation is skipped for a
+  // machine this build doesn't know.
+  if (const sim::Machine* m = sim::Machine::Find(result.info.machine)) {
     network.perf = sim::EstimatePrograms(network.programs, *m);
   }
   return result;

@@ -28,7 +28,6 @@ namespace alt::graph {
 class LayoutAssignment {
  public:
   void Set(int tensor_id, layout::LayoutSeq seq) { seqs_[tensor_id] = std::move(seq); }
-  void Clear(int tensor_id) { seqs_.erase(tensor_id); }
 
   bool Has(int tensor_id) const { return seqs_.count(tensor_id) > 0; }
 

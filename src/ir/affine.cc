@@ -407,22 +407,6 @@ std::optional<std::pair<int64_t, int64_t>> GuardRange(int64_t c0, int64_t cv, in
   return std::make_pair(begin, end);
 }
 
-int64_t ContiguousInnerRun(const std::vector<int64_t>& strides,
-                           const std::vector<int64_t>& extents) {
-  int64_t run = 1;
-  for (int i = static_cast<int>(strides.size()) - 1; i >= 0; --i) {
-    int64_t s = strides[i] < 0 ? -strides[i] : strides[i];
-    if (s == 0) {
-      continue;  // temporal reuse: does not break contiguity
-    }
-    if (s != run) {
-      break;
-    }
-    run *= extents[i];
-  }
-  return run;
-}
-
 namespace {
 
 // Per-tensor union footprint of every access, expressed relative to the root

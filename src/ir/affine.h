@@ -109,13 +109,6 @@ std::optional<std::pair<int64_t, int64_t>> GuardRange(int64_t c0, int64_t cv, in
                                                       int64_t hi, int64_t modulus,
                                                       int64_t rem, int64_t extent);
 
-// Length (in elements) of the contiguous run an access touches when the
-// trailing loops are walked innermost-first: extents multiply into the run
-// while each loop's |stride| equals the run length accumulated so far.
-// `strides` and `extents` are parallel, outermost first.
-int64_t ContiguousInnerRun(const std::vector<int64_t>& strides,
-                           const std::vector<int64_t>& extents);
-
 // Conservative cross-iteration disjointness proof for the program's
 // outermost loop, the enabling analysis for intra-op sharding of a
 // ForKind::kParallel root (runtime/interpreter.cc, codegen sliced kernels).

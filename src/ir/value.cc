@@ -6,12 +6,6 @@ namespace alt::ir {
 
 namespace {
 
-Val MakeVal(ValKind kind) {
-  auto node = std::make_shared<ValNode>();
-  node->kind = kind;
-  return node;
-}
-
 Val MakeBinary(ValKind kind, const Val& a, const Val& b) {
   auto node = std::make_shared<ValNode>();
   node->kind = kind;

@@ -55,17 +55,6 @@ struct CompiledStore {
   ir::StoreMode mode;
 };
 
-// Execution plan node mirroring the statement tree.
-struct PlanNode {
-  ir::StmtKind kind;
-  // For
-  int slot = -1;
-  int64_t extent = 0;
-  std::vector<PlanNode> children;  // For: 1 child; Block: n children
-  // Store
-  CompiledStore store;
-};
-
 // Execution-time error state. A malformed program (e.g. loaded from a
 // corrupt artifact) may compute an out-of-range element offset; the
 // first such fault is recorded here and execution unwinds instead of
@@ -92,10 +81,11 @@ ir::Expr LinearIndexExpr(const std::vector<ir::Expr>& indices,
 }
 
 struct Compiler {
+  // Loop-variable slots, numbered by AffineBuilder::Build.
   VarSlotMap slots;
   const BindingMap* bindings = nullptr;
   const ir::Program* program = nullptr;
-  // First compile error; the returned plan is a safe placeholder after that.
+  // First compile error; what is compiled after that is a safe placeholder.
   Status status = Status::Ok();
 
   void Fail(const std::string& msg) {
@@ -166,33 +156,14 @@ struct Compiler {
     return out;
   }
 
-  PlanNode CompileStmt(const ir::Stmt& stmt) {
-    PlanNode node;
-    node.kind = stmt->kind;
-    switch (stmt->kind) {
-      case ir::StmtKind::kFor: {
-        node.slot = slots.AddVar(stmt->loop_var->var_id);
-        node.extent = stmt->extent;
-        node.children.push_back(CompileStmt(stmt->body));
-        break;
-      }
-      case ir::StmtKind::kBlock: {
-        for (const auto& s : stmt->stmts) {
-          node.children.push_back(CompileStmt(s));
-        }
-        break;
-      }
-      case ir::StmtKind::kStore: {
-        auto& st = node.store;
-        int64_t size = 0;
-        st.buffer = Binding(stmt->tensor_id, &size);
-        st.offset = LinearOffset(stmt->tensor_id, stmt->indices, &st.buffer_size);
-        st.value = CompileVal(stmt->value);
-        st.mode = stmt->mode;
-        break;
-      }
-    }
-    return node;
+  CompiledStore CompileStore(const ir::StmtNode& st) {
+    CompiledStore out;
+    int64_t size = 0;
+    out.buffer = Binding(st.tensor_id, &size);
+    out.offset = LinearOffset(st.tensor_id, st.indices, &out.buffer_size);
+    out.value = CompileVal(st.value);
+    out.mode = st.mode;
+    return out;
   }
 };
 
@@ -250,49 +221,8 @@ double EvalVal(const CompiledVal& v, const int64_t* env, ExecContext& ctx) {
   return 0.0;
 }
 
-void ExecNode(const PlanNode& node, int64_t* env, ExecContext& ctx) {
-  switch (node.kind) {
-    case ir::StmtKind::kFor: {
-      for (int64_t i = 0; i < node.extent && !ctx.failed; ++i) {
-        env[node.slot] = i;
-        ExecNode(node.children[0], env, ctx);
-      }
-      break;
-    }
-    case ir::StmtKind::kBlock: {
-      for (const auto& child : node.children) {
-        if (ctx.failed) {
-          break;
-        }
-        ExecNode(child, env, ctx);
-      }
-      break;
-    }
-    case ir::StmtKind::kStore: {
-      const auto& st = node.store;
-      int64_t off = st.offset.Eval(env);
-      if (off < 0 || off >= st.buffer_size) {
-        std::ostringstream oss;
-        oss << "store out of bounds: " << off << " size " << st.buffer_size;
-        ctx.Fail(oss.str());
-        break;
-      }
-      double v = EvalVal(st.value, env, ctx);
-      if (ctx.failed) {
-        break;
-      }
-      if (st.mode == ir::StoreMode::kAssign) {
-        (*st.buffer)[off] = static_cast<float>(v);
-      } else {
-        (*st.buffer)[off] += static_cast<float>(v);
-      }
-      break;
-    }
-  }
-}
-
 // ===========================================================================
-// Affine engine.
+// The execution plan.
 //
 // The statement tree is flattened into a codegen::KernelSpec: a linear
 // instruction array (LoopBegin / LoopEnd / Leaf). Every affine load/store
@@ -305,20 +235,27 @@ void ExecNode(const PlanNode& node, int64_t* env, ExecContext& ctx) {
 // still bumped; top-level pad/unfold Selects whose guards are affine in the
 // leaf variable are split into contiguous [else)[then)[else) ranges so the
 // condition check leaves the inner loop. Stores with a non-affine offset
-// become bytecode leaves that reuse the generic CompiledStore. The spec holds
+// become bytecode leaves that run the generic CompiledStore. The spec holds
 // only indices; the HostTable beside it holds what they name in this process.
 // The affine engine runs the spec below and the native engine compiles the
 // same spec, and every kernel performs the exact double→float conversion
 // sequence of the generic evaluator, in the same element order, so the three
 // engines are bit-identical by construction.
+//
+// The generic engine builds its spec with the analysis off: plain loops with
+// no bumps, and every store a bytecode leaf. Its offsets come from
+// CompiledExpr and its values from EvalVal, with no accumulator, guard or
+// clamp split, kernel or shard, so it stays an independent oracle for the
+// other two.
 // ===========================================================================
 
 using Spec = codegen::KernelSpec;
 
 struct HostLeaf {
-  // The generic compiled store the leaf came from. Bytecode leaves run it on
-  // both engines; the native kernel's callback runs it for eval leaves too.
-  const CompiledStore* store = nullptr;
+  // The leaf's generic compiled store, compiled for bytecode and eval leaves
+  // only. Bytecode leaves run it on every engine; the native kernel's
+  // callback runs it for eval leaves too.
+  std::unique_ptr<CompiledStore> store;
   // Per-element values of the leaf's kEval branches (null for other kinds):
   // the store's own value, or a split select branch owned by HostTable::evals.
   const CompiledVal* then_eval = nullptr;
@@ -371,6 +308,9 @@ std::optional<SelParts> ExtractSelect(const ir::Val& v) {
 
 struct AffineBuilder {
   Compiler* compiler = nullptr;
+  // Off for the generic engine: no access is analyzed, so every leaf is a
+  // bytecode leaf and no loop carries bumps.
+  bool analyze = true;
   Spec spec;
   HostTable host;
   // Enclosing loops, outermost first. When building a consumed leaf the leaf
@@ -623,9 +563,8 @@ struct AffineBuilder {
     return p.k;
   }
 
-  // A value no kernel covers: the host evaluates `value` per element.
-  static Spec::Branch EvalBranch(const CompiledVal* value, const CompiledVal** eval) {
-    *eval = value;
+  // A value no kernel covers: the host evaluates it per element.
+  static Spec::Branch EvalBranch() {
     Spec::Branch k;
     k.kind = Spec::BranchKind::kEval;
     return k;
@@ -638,23 +577,36 @@ struct AffineBuilder {
       return CommitBranch(std::move(*k), consumed);
     }
     host.evals.push_back(std::make_unique<CompiledVal>(compiler->CompileVal(v)));
-    return EvalBranch(host.evals.back().get(), eval);
+    *eval = host.evals.back().get();
+    return EvalBranch();
   }
 
-  void BuildLeaf(const ir::StmtNode* st, const PlanNode* pstore, bool consumed, int vslot) {
+  void BuildLeaf(const ir::StmtNode* st, bool consumed, int vslot) {
     Spec::Leaf leaf;
     HostLeaf hl;
-    hl.store = &pstore->store;
     leaf.extent = consumed ? loops.back().extent : 1;
     leaf.vslot = consumed ? vslot : -1;
     leaf.accumulate = st->mode == ir::StoreMode::kAccumulate;
+    // Unanalyzed, or a non-affine store offset: the host runs the generic
+    // compiled store.
+    leaf.bytecode = !analyze || !ClassifyLeaf(st, consumed, leaf, hl);
+    if (leaf.bytecode || leaf.HasEval()) {
+      hl.store = std::make_unique<CompiledStore>(compiler->CompileStore(*st));
+      if (leaf.then_k.kind == Spec::BranchKind::kEval && hl.then_eval == nullptr) {
+        hl.then_eval = &hl.store->value;  // the whole store value, per element
+      }
+    }
+    EmitLeaf(std::move(leaf), std::move(hl));
+  }
+
+  // Fills the kernel fields of `leaf` (and `hl`'s split-branch values) from
+  // the affine analysis. False, committing nothing, when the store offset is
+  // not affine.
+  bool ClassifyLeaf(const ir::StmtNode* st, bool consumed, Spec::Leaf& leaf, HostLeaf& hl) {
     ir::AffineAnalyzer az(loops);
     auto sp = Analyze(st->tensor_id, st->indices, az);
     if (!sp) {
-      // Non-affine store offset: the host runs the generic compiled store.
-      leaf.bytecode = true;
-      EmitLeaf(std::move(leaf), std::move(hl));
-      return;
+      return false;
     }
     const Spec::Access out = Commit(*sp, consumed);
     leaf.out_buffer = out.buffer;
@@ -710,9 +662,9 @@ struct AffineBuilder {
       leaf.then_k = CommitBranch(std::move(ck->then_b), consumed);
       leaf.else_k = CommitBranch(std::move(ck->else_b), consumed);
     } else {
-      leaf.then_k = EvalBranch(&pstore->store.value, &hl.then_eval);
+      leaf.then_k = EvalBranch();
     }
-    EmitLeaf(std::move(leaf), std::move(hl));
+    return true;
   }
 
   void EmitLeaf(Spec::Leaf&& leaf, HostLeaf&& hl) {
@@ -724,21 +676,22 @@ struct AffineBuilder {
     spec.instrs.push_back(std::move(ins));
   }
 
-  void Build(const ir::Stmt& s, const PlanNode& p) {
+  // Loop slots are numbered in statement pre-order, at each loop before its
+  // body compiles, so a spec's env slots are a function of program structure.
+  void Build(const ir::Stmt& s) {
     switch (s->kind) {
       case ir::StmtKind::kFor: {
+        const int slot = compiler->slots.AddVar(s->loop_var->var_id);
         // Unwrap single-statement blocks to see whether this loop's body is
         // exactly one store — if so, consume the loop into a leaf.
         const ir::StmtNode* body = s->body.get();
-        const PlanNode* pb = &p.children[0];
         while (body->kind == ir::StmtKind::kBlock && body->stmts.size() == 1) {
           body = body->stmts[0].get();
-          pb = &pb->children[0];
         }
         if (body->kind == ir::StmtKind::kStore) {
           loops.push_back({s->loop_var->var_id, s->extent});
           loop_instrs.push_back(-1);
-          BuildLeaf(body, pb, /*consumed=*/true, p.slot);
+          BuildLeaf(body, /*consumed=*/true, slot);
           loops.pop_back();
           loop_instrs.pop_back();
           return;
@@ -746,12 +699,12 @@ struct AffineBuilder {
         int begin = static_cast<int>(spec.instrs.size());
         Spec::Instr ins;
         ins.kind = Spec::Instr::kLoopBegin;
-        ins.slot = p.slot;
+        ins.slot = slot;
         ins.extent = s->extent;
         spec.instrs.push_back(std::move(ins));
         loops.push_back({s->loop_var->var_id, s->extent});
         loop_instrs.push_back(begin);
-        Build(s->body, p.children[0]);
+        Build(s->body);
         loops.pop_back();
         loop_instrs.pop_back();
         int end = static_cast<int>(spec.instrs.size());
@@ -763,13 +716,13 @@ struct AffineBuilder {
         return;
       }
       case ir::StmtKind::kBlock: {
-        for (size_t i = 0; i < s->stmts.size(); ++i) {
-          Build(s->stmts[i], p.children[i]);
+        for (const auto& child : s->stmts) {
+          Build(child);
         }
         return;
       }
       case ir::StmtKind::kStore: {
-        BuildLeaf(s.get(), &p, /*consumed=*/false, -1);
+        BuildLeaf(s.get(), /*consumed=*/false, -1);
         return;
       }
     }
@@ -928,8 +881,9 @@ void RunBranch(const Spec::Leaf& lf, const Spec::Branch& k, float* const* bufs,
   }
 }
 
-// Env-only store loop: evaluates `st` for every leaf position. Runs bytecode
-// leaves on the affine engine and every host-routed leaf of a native kernel.
+// Env-only store loop: evaluates `st` for every leaf position. Runs every
+// bytecode leaf (all of the generic engine's) and every host-routed leaf of a
+// native kernel.
 void RunStoreLoop(const CompiledStore& st, int64_t extent, int vslot, int64_t* env,
                   ExecContext& ctx) {
   for (int64_t v = 0; v < extent && !ctx.failed; ++v) {
@@ -1177,10 +1131,7 @@ ThreadPool* IntraOpPool::TryAcquire() {
 
 void IntraOpPool::Release() { busy_.store(false); }
 
-// All compiled state for one prepared program. The host table points into
-// the PlanNode tree (each leaf's generic `store`), so the tree is moved into
-// place here BEFORE the affine build runs, and the whole Impl lives behind a
-// unique_ptr that never relocates it.
+// All compiled state for one prepared program.
 struct PreparedProgram::Impl {
   struct InputCheck {
     const std::vector<float>* buffer = nullptr;
@@ -1195,20 +1146,19 @@ struct PreparedProgram::Impl {
   // Accumulate-first outputs/intermediates re-zeroed on every Run.
   std::vector<ZeroFill> zero_fills;
   bool has_root = false;
-  bool use_affine = false;
-  size_t env_size = 0;
-  PlanNode plan;
-  // The affine plan and what its indices name; built unless kGeneric.
+  // The plan and what its indices name; analyzed unless kGeneric.
   codegen::KernelSpec spec;
   HostTable host;
   // The compiled `spec`: set when the program was prepared with kNative AND
   // its kernel compiled (or was already cached); otherwise Run executes the
-  // affine plan.
+  // spec on the host.
   std::shared_ptr<codegen::NativeKernel> native;
+  // Counts Runs under the engine that executes them.
+  Counter* runs = nullptr;
   // Intra-op sharding: set when the root loop is kParallel, spans the whole
   // instruction array, and every iteration provably writes a disjoint region
   // (ir::ParallelRootWritesDisjoint). `intra` is non-null only when sharding
-  // is both provable and enabled (> 1 intra-op threads).
+  // is both provable and enabled (a caller pool of > 1 threads).
   bool shardable = false;
   int64_t root_extent = 0;
   std::shared_ptr<IntraOpPool> intra;
@@ -1268,39 +1218,33 @@ StatusOr<PreparedProgram> PreparedProgram::Prepare(const ir::Program& program,
   Compiler compiler;
   compiler.bindings = &bindings;
   compiler.program = &program;
-  impl.plan = compiler.CompileStmt(program.root);
+  AffineBuilder builder;
+  builder.compiler = &compiler;
+  builder.analyze = options.engine != ExecEngine::kGeneric;
+  builder.Build(program.root);
   if (!compiler.status.ok()) {
     return compiler.status;
   }
   impl.has_root = true;
-  impl.env_size = compiler.slots.size();
-  impl.use_affine = options.engine != ExecEngine::kGeneric;
-  if (impl.use_affine) {
-    AffineBuilder builder;
-    builder.compiler = &compiler;
-    builder.spec.env_size = static_cast<int>(impl.env_size);
-    builder.Build(program.root, impl.plan);
-    if (!compiler.status.ok()) {
-      return compiler.status;  // eval-branch compiles share the error state
+  impl.spec = std::move(builder.spec);
+  impl.spec.env_size = compiler.slots.size();
+  impl.host = std::move(builder.host);
+  // Each leaf counts once, by what runs it: a kernel (every branch fill,
+  // copy or mul-acc — exactly what the native kernel compiles), a
+  // per-element value tree, or the generic store.
+  static Counter& kernel_leaves = MetricsRegistry::Global().counter("interp.kernel_leaves");
+  static Counter& eval_leaves = MetricsRegistry::Global().counter("interp.eval_leaves");
+  static Counter& bytecode_leaves = MetricsRegistry::Global().counter("interp.bytecode_leaves");
+  for (const Spec::Leaf& lf : impl.spec.leaves) {
+    if (lf.bytecode) {
+      bytecode_leaves.Add();
+    } else if (lf.HasEval()) {
+      eval_leaves.Add();
+    } else {
+      kernel_leaves.Add();
     }
-    impl.spec = std::move(builder.spec);
-    impl.host = std::move(builder.host);
-    // Each leaf counts once, by what runs it: a kernel (every branch fill,
-    // copy or mul-acc — exactly what the native kernel compiles), a
-    // per-element value tree, or the generic store.
-    static Counter& kernel_leaves = MetricsRegistry::Global().counter("interp.kernel_leaves");
-    static Counter& eval_leaves = MetricsRegistry::Global().counter("interp.eval_leaves");
-    static Counter& bytecode_leaves =
-        MetricsRegistry::Global().counter("interp.bytecode_leaves");
-    for (const Spec::Leaf& lf : impl.spec.leaves) {
-      if (lf.bytecode) {
-        bytecode_leaves.Add();
-      } else if (lf.HasEval()) {
-        eval_leaves.Add();
-      } else {
-        kernel_leaves.Add();
-      }
-    }
+  }
+  if (builder.analyze) {
     // Intra-op sharding analysis. The root loop is shardable when the
     // schedule marked it kParallel AND the conservative disjointness proof
     // holds; a kParallel root that fails the proof (e.g. a parallel
@@ -1324,13 +1268,8 @@ StatusOr<PreparedProgram> PreparedProgram::Prepare(const ir::Program& program,
     // proof it reflects — is a pure function of ProgramStructureKey, so
     // cached kernels stay shareable across sessions with different budgets.
     impl.spec.sliced = impl.shardable;
-    if (impl.shardable) {
-      std::shared_ptr<IntraOpPool> pool =
-          options.intra_pool ? options.intra_pool
-                             : std::make_shared<IntraOpPool>(options.intra_threads);
-      if (pool->threads() > 1) {
-        impl.intra = std::move(pool);
-      }
+    if (impl.shardable && options.intra_pool && options.intra_pool->threads() > 1) {
+      impl.intra = options.intra_pool;
     }
   }
   if (options.engine == ExecEngine::kNative) {
@@ -1351,6 +1290,10 @@ StatusOr<PreparedProgram> PreparedProgram::Prepare(const ir::Program& program,
       fallback_programs.Add();
     }
   }
+  static Counter& generic_runs = MetricsRegistry::Global().counter("interp.generic_programs");
+  static Counter& affine_runs = MetricsRegistry::Global().counter("interp.affine_programs");
+  static Counter& native_runs = MetricsRegistry::Global().counter("interp.native_programs");
+  impl.runs = impl.native ? &native_runs : builder.analyze ? &affine_runs : &generic_runs;
   return prepared;
 }
 
@@ -1371,7 +1314,8 @@ Status PreparedProgram::Run() {
   if (!impl.has_root) {
     return Status::Ok();
   }
-  std::vector<int64_t> env(impl.env_size, 0);
+  impl.runs->Add();
+  std::vector<int64_t> env(static_cast<size_t>(impl.spec.env_size), 0);
   ExecContext ctx;
   // Shard dispatch: split [0, root_extent) into one contiguous slice per
   // pool member and run each with private acc/env/error state. The zero
@@ -1404,13 +1348,11 @@ Status PreparedProgram::Run() {
       ctx.error = pool_status;
     }
   };
+  PoolLease lease(impl.intra.get());
   if (impl.native) {
-    static Counter& native = MetricsRegistry::Global().counter("interp.native_programs");
-    native.Add();
-    PoolLease lease(impl.intra.get());
     if (lease.threads != nullptr) {
       run_sharded(*lease.threads, [&](int64_t b, int64_t e, ExecContext& sc) {
-        std::vector<int64_t> shard_env(impl.env_size, 0);
+        std::vector<int64_t> shard_env(static_cast<size_t>(impl.spec.env_size), 0);
         NativeThunkCtx thunk_ctx{&sc, &impl.spec, &impl.host};
         ApplyNativeRc(impl.native->fn()(impl.host.bufs.data(), shard_env.data(), &thunk_ctx,
                                         &NativeFallbackThunk, b, e),
@@ -1426,22 +1368,13 @@ Status PreparedProgram::Run() {
     }
     return ctx.error;
   }
-  if (!impl.use_affine) {
-    static Counter& generic = MetricsRegistry::Global().counter("interp.generic_programs");
-    generic.Add();
-    ExecNode(impl.plan, env.data(), ctx);
+  if (lease.threads != nullptr) {
+    run_sharded(*lease.threads, [&](int64_t b, int64_t e, ExecContext& sc) {
+      RunAffineShard(impl.spec, impl.host, b, e, sc);
+    });
   } else {
-    static Counter& affine = MetricsRegistry::Global().counter("interp.affine_programs");
-    affine.Add();
-    PoolLease lease(impl.intra.get());
-    if (lease.threads != nullptr) {
-      run_sharded(*lease.threads, [&](int64_t b, int64_t e, ExecContext& sc) {
-        RunAffineShard(impl.spec, impl.host, b, e, sc);
-      });
-    } else {
-      std::vector<int64_t> acc = impl.spec.acc_init;
-      RunAffine(impl.spec, impl.host, acc, env.data(), ctx);
-    }
+    std::vector<int64_t> acc = impl.spec.acc_init;
+    RunAffine(impl.spec, impl.host, acc, env.data(), ctx);
   }
   return ctx.error;
 }
@@ -1461,10 +1394,6 @@ StatusOr<std::string> EnsureNativeKernel(const ir::Program& program) {
     return prepared.status();
   }
   return codegen::KernelCache::KeyForStructure(ir::ProgramStructureKey(program));
-}
-
-Status Execute(const ir::Program& program, BufferStore& store) {
-  return Execute(program, store, ExecOptions());
 }
 
 Status Execute(const ir::Program& program, BufferStore& store, const ExecOptions& options) {

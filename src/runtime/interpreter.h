@@ -5,17 +5,18 @@
 // reference implementation (reference.h), whatever primitive sequences and
 // schedules were applied.
 //
-// Three engines share one compile step:
-//   - kAffine (default): the program is flattened into a codegen::KernelSpec
-//     whose loads/stores have offsets base + Σ stride_i · loop_i
-//     (ir/affine.h), executed by an iterative loop-nest executor with
-//     incremental offset bumping, guard-range splitting and tight
-//     inner-loop kernels. A value no kernel covers is evaluated per element
-//     (an eval leaf); a store with a non-affine offset runs the generic
-//     compiled store (a bytecode leaf).
-//   - kGeneric: the recursive tree-walking path, retained as the fallback
-//     target and as the oracle for differential testing.
-//   - kNative: the same KernelSpec emitted as C++ (src/codegen), JIT-compiled
+// Every engine flattens the program into one codegen::KernelSpec (loop
+// begin/end instructions and leaves) and runs it one of three ways:
+//   - kAffine (default): loads/stores get offsets base + Σ stride_i · loop_i
+//     (ir/affine.h), run by the iterative loop-nest executor with incremental
+//     offset bumping, guard-range splitting and tight inner-loop kernels. A
+//     value no kernel covers is evaluated per element (an eval leaf); a store
+//     with a non-affine offset runs the generic compiled store (a bytecode
+//     leaf).
+//   - kGeneric: the same executor on a spec built without the affine
+//     analysis — every store a bytecode leaf, every offset and value
+//     evaluated per element — kept as the oracle for differential testing.
+//   - kNative: the affine spec emitted as C++ (src/codegen), JIT-compiled
 //     into a dlopened shared object and cached process-wide by program
 //     structure. Eval and bytecode leaves call back into the interpreter per
 //     leaf; if the kernel cannot be compiled at all (no host compiler),
@@ -54,7 +55,7 @@ class BufferStore {
 
 enum class ExecEngine {
   kAffine,   // affine engine with per-store generic fallback (the default)
-  kGeneric,  // force the recursive tree-walking engine
+  kGeneric,  // every store evaluated per element, without the affine analysis
   kNative,   // JIT-compiled kernels with per-leaf interpreter fallback;
              // degrades to kAffine when compilation is unavailable
 };
@@ -94,24 +95,22 @@ class IntraOpPool {
 
 struct ExecOptions {
   ExecEngine engine = ExecEngine::kAffine;
-  // Intra-op threads for sharding a root ForKind::kParallel loop whose
-  // iterations provably write disjoint regions (ir::ParallelRootWritesDisjoint).
-  // <= 0 selects HardwareThreads(); 1 keeps execution serial. Results are
-  // bit-identical at any thread count. Ignored when `intra_pool` is set.
-  int intra_threads = 0;
-  // Session-shared pool + budget. When null, Prepare builds a private pool
-  // (at `intra_threads`) for each shardable program; sessions install one
-  // shared pool here so concurrent Runs never stack worker threads.
+  // Intra-op pool for sharding a root ForKind::kParallel loop whose
+  // iterations provably write disjoint regions (ir::ParallelRootWritesDisjoint)
+  // on the affine and native engines. Null, or a 1-thread pool, keeps
+  // execution serial; results are bit-identical at any thread count. Sessions
+  // share one pool across their programs so concurrent Runs never stack
+  // worker threads.
   std::shared_ptr<IntraOpPool> intra_pool;
 };
 
 // A program compiled once against a fixed BufferStore, executable many times.
 //
 // Prepare() performs everything Execute() used to do per call except the
-// execution itself: buffer allocation/validation, generic plan compilation,
-// and affine plan construction. The compiled plans capture raw pointers into
-// `store`'s buffers, so between Prepare() and the last Run() the store must
-// stay alive and its buffers must never be erased or resized. Run() re-zeros
+// execution itself: buffer allocation/validation and plan construction. The
+// compiled plan captures raw pointers into `store`'s buffers, so between
+// Prepare() and the last Run() the store must stay alive and its buffers must
+// never be erased or resized. Run() re-zeros
 // only the accumulate-first output/intermediate buffers (via std::fill — no
 // reallocation) and executes; repeated Runs on the same inputs are
 // bit-identical to repeated one-shot Execute() calls.
@@ -137,8 +136,8 @@ class PreparedProgram {
 // inputs/constants must be present and correctly sized; outputs and
 // intermediates are allocated up front in one pass before plan compilation
 // (zero-filled only when the program's first write to them accumulates).
-Status Execute(const ir::Program& program, BufferStore& store);
-Status Execute(const ir::Program& program, BufferStore& store, const ExecOptions& options);
+Status Execute(const ir::Program& program, BufferStore& store,
+               const ExecOptions& options = ExecOptions());
 
 // Compiles (or fetches from the process-wide codegen::KernelCache) the
 // native kernel for `program` against scratch buffers and returns its cache

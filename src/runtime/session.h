@@ -42,7 +42,7 @@ struct SessionOptions {
   // allocating N full buffer arenas.
   int max_arenas = 0;
   // Intra-op threads for sharding provably-parallel root loops (see
-  // ExecOptions::intra_threads). <= 0 selects HardwareThreads(); 1 keeps
+  // ExecOptions::intra_pool). <= 0 selects HardwareThreads(); 1 keeps
   // every program serial. All arenas share ONE IntraOpPool built at Create,
   // whose single-holder budget keeps batch fan-out from multiplying with
   // intra-op sharding: with fan-out F, peak live threads are F +

@@ -66,25 +66,20 @@ Machine Machine::CortexA76() {
   return m;
 }
 
+const Machine* Machine::Find(const std::string& name) {
+  static const Machine kMachines[] = {IntelCpu(), NvidiaGpu(), ArmCpu(), CortexA76()};
+  for (const Machine& m : kMachines) {
+    if (m.name == name) {
+      return &m;
+    }
+  }
+  return nullptr;
+}
+
 const Machine& Machine::ByName(const std::string& name) {
-  static const Machine kIntel = IntelCpu();
-  static const Machine kGpu = NvidiaGpu();
-  static const Machine kArm = ArmCpu();
-  static const Machine kA76 = CortexA76();
-  if (name == kIntel.name) {
-    return kIntel;
-  }
-  if (name == kGpu.name) {
-    return kGpu;
-  }
-  if (name == kArm.name) {
-    return kArm;
-  }
-  if (name == kA76.name) {
-    return kA76;
-  }
-  ALT_CHECK_MSG(false, "unknown machine " << name);
-  return kIntel;
+  const Machine* m = Find(name);
+  ALT_CHECK_MSG(m != nullptr, "unknown machine " << name);
+  return *m;
 }
 
 }  // namespace alt::sim

@@ -46,6 +46,9 @@ struct Machine {
   // Cortex-A76-like single-core profile used by the Table 2 experiment.
   static Machine CortexA76();
 
+  // The profile named `name`, or nullptr when no profile has that name.
+  static const Machine* Find(const std::string& name);
+  // Find for a name the caller knows exists: aborts on an unknown name.
   static const Machine& ByName(const std::string& name);
 };
 

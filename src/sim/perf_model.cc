@@ -242,9 +242,6 @@ PerfCounters EstimateProgram(const ir::Program& program, const Machine& machine)
   collector.program = &program;
   collector.Walk(program.root, 1);
 
-  const int line_bytes = machine.caches.empty() ? 64 : machine.caches[0].line_bytes;
-  const int line_elems = line_bytes / 4;
-
   double compute_cycles = 0.0;
   double mem_stall_cycles = 0.0;
 

@@ -72,15 +72,6 @@ double Histogram::Percentile(double p) const {
   return PercentileFromBuckets(buckets, count(), p);
 }
 
-void Histogram::Reset() {
-  for (auto& b : buckets_) {
-    b.store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();  // never destroyed
   return *registry;
@@ -141,19 +132,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snap.histograms.push_back(std::move(h));
   }
   return snap;
-}
-
-void MetricsRegistry::ResetForTest() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) {
-    counter->Reset();
-  }
-  for (auto& [name, gauge] : gauges_) {
-    gauge->Reset();
-  }
-  for (auto& [name, histogram] : histograms_) {
-    histogram->Reset();
-  }
 }
 
 int64_t MetricsSnapshot::counter(const std::string& name) const {

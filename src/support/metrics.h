@@ -55,7 +55,6 @@ class Gauge {
   void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
   void Add(int64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -77,7 +76,6 @@ class Histogram {
   // Approximate percentile in [0, 100]: the upper bound of the bucket that
   // contains the requested rank (0 when empty).
   double Percentile(double p) const;
-  void Reset();
 
   int64_t bucket(int i) const { return buckets_[i].load(std::memory_order_relaxed); }
   // Upper bound of bucket i's value range.
@@ -134,10 +132,6 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name);
 
   MetricsSnapshot Snapshot() const;
-
-  // Zeroes every instrument's value (identities survive, so references cached
-  // by call sites stay valid). Test isolation only.
-  void ResetForTest();
 
  private:
   MetricsRegistry() = default;

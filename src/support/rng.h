@@ -33,13 +33,6 @@ class Rng {
   // Standard normal via Box-Muller.
   double NextGaussian();
 
-  // Picks a uniformly random element index of a non-empty container size.
-  template <typename T>
-  const T& Choose(const std::vector<T>& v) {
-    ALT_CHECK(!v.empty());
-    return v[NextBelow(v.size())];
-  }
-
   template <typename T>
   void Shuffle(std::vector<T>& v) {
     for (size_t i = v.size(); i > 1; --i) {

@@ -227,17 +227,19 @@ void ExpectProgramsBitIdentical(const std::vector<ir::Program>& programs,
     runtime::BufferStore store;
   };
   std::vector<EngineRun> runs;
-  auto add = [&](const std::string& name, runtime::ExecEngine engine, int intra) {
+  auto add = [&](const std::string& name, runtime::ExecEngine engine,
+                 std::shared_ptr<runtime::IntraOpPool> pool) {
     runs.push_back({name, {}, inputs});
     runs.back().options.engine = engine;
-    runs.back().options.intra_threads = intra;
+    runs.back().options.intra_pool = std::move(pool);
   };
-  add("affine", runtime::ExecEngine::kAffine, 1);  // runs[0]: the reference
-  add("generic", runtime::ExecEngine::kGeneric, 1);
-  add("native", runtime::ExecEngine::kNative, 1);
+  add("affine", runtime::ExecEngine::kAffine, nullptr);  // runs[0]: the reference
+  add("generic", runtime::ExecEngine::kGeneric, nullptr);
+  add("native", runtime::ExecEngine::kNative, nullptr);
   for (int t : {2, 8}) {
-    add("affine@" + std::to_string(t), runtime::ExecEngine::kAffine, t);
-    add("native@" + std::to_string(t), runtime::ExecEngine::kNative, t);
+    auto pool = std::make_shared<runtime::IntraOpPool>(t);
+    add("affine@" + std::to_string(t), runtime::ExecEngine::kAffine, pool);
+    add("native@" + std::to_string(t), runtime::ExecEngine::kNative, pool);
   }
   for (const auto& program : programs) {
     Status ref = runtime::Execute(program, runs[0].store, runs[0].options);
@@ -555,9 +557,9 @@ TEST(IntraOpSharding, DisjointParallelRootShards) {
   FillParallelInput(serial_store, 32);
   FillParallelInput(sharded_store, 32);
   runtime::ExecOptions serial;
-  serial.intra_threads = 1;
   runtime::ExecOptions sharded;
-  sharded.intra_threads = 8;  // above the root extent: clamped to 4 shards
+  // Above the root extent: clamped to 4 shards.
+  sharded.intra_pool = std::make_shared<runtime::IntraOpPool>(8);
   ASSERT_TRUE(runtime::Execute(program, serial_store, serial).ok());
   const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
   ASSERT_TRUE(runtime::Execute(program, sharded_store, sharded).ok());
@@ -577,9 +579,8 @@ TEST(IntraOpSharding, ParallelReductionDegradesToSerial) {
   FillParallelInput(serial_store, 32);
   FillParallelInput(degraded_store, 32);
   runtime::ExecOptions serial;
-  serial.intra_threads = 1;
   runtime::ExecOptions wants_parallel;
-  wants_parallel.intra_threads = 8;
+  wants_parallel.intra_pool = std::make_shared<runtime::IntraOpPool>(8);
   ASSERT_TRUE(runtime::Execute(program, serial_store, serial).ok());
   const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
   ASSERT_TRUE(runtime::Execute(program, degraded_store, wants_parallel).ok());
@@ -697,10 +698,13 @@ ir::Program GuardedEvalProgram() {
 }
 
 // {interp.kernel_leaves, interp.eval_leaves, interp.bytecode_leaves} added by
-// preparing `program` for the affine engine.
-std::array<int64_t, 3> LeafCounts(const ir::Program& program, runtime::BufferStore store) {
+// preparing `program` for `engine`.
+std::array<int64_t, 3> LeafCounts(const ir::Program& program, runtime::BufferStore store,
+                                  runtime::ExecEngine engine = runtime::ExecEngine::kAffine) {
+  runtime::ExecOptions options;
+  options.engine = engine;
   const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
-  auto prepared = runtime::PreparedProgram::Prepare(program, store);
+  auto prepared = runtime::PreparedProgram::Prepare(program, store, options);
   EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
   const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
   auto delta = [&](const char* name) { return after.counter(name) - before.counter(name); };
@@ -727,6 +731,18 @@ TEST(LeafKinds, EachLeafCountsOnceByWhatRunsIt) {
   EXPECT_EQ(LeafCounts(GuardedEvalProgram(), inputs), (Counts{0, 1, 0}));
   // A copy loop is exactly what the native kernel compiles.
   EXPECT_EQ(LeafCounts(CopyProgram(16, ir::StoreMode::kAssign), inputs), (Counts{1, 0, 0}));
+
+  // The generic engine analyzes nothing: each program is one bytecode leaf,
+  // and its outputs stay bit-identical to the affine engine's.
+  constexpr Counts kOneBytecodeLeaf{0, 0, 1};
+  EXPECT_EQ(LeafCounts(net->programs[0], gelu_inputs, runtime::ExecEngine::kGeneric),
+            kOneBytecodeLeaf);
+  ExpectProgramsBitIdentical({net->programs[0]}, gelu_inputs, "gelu");
+  for (const ir::Program& program : {BytecodeStoreProgram(), GuardedEvalProgram(),
+                                     CopyProgram(16, ir::StoreMode::kAssign)}) {
+    EXPECT_EQ(LeafCounts(program, inputs, runtime::ExecEngine::kGeneric), kOneBytecodeLeaf);
+    ExpectProgramsBitIdentical({program}, inputs, "leaf kinds");
+  }
 }
 
 TEST(AffineDifferential, BytecodeStoreLeaf) {

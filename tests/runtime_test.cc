@@ -2,6 +2,7 @@
 // the store_at materialization path.
 
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,27 @@ namespace {
 using graph::Graph;
 using graph::LayoutAssignment;
 using graph::OpKind;
+
+// Executes the malformed `program` on every engine, each on its own copy of
+// `inputs`, and requires all three to fail with one StatusCode. Returns the
+// affine engine's status.
+Status ExpectSameFailureOnEveryEngine(const ir::Program& program, const BufferStore& inputs) {
+  auto run = [&](ExecEngine engine) {
+    BufferStore store = inputs;
+    ExecOptions options;
+    options.engine = engine;
+    return Execute(program, store, options);
+  };
+  const Status affine = run(ExecEngine::kAffine);
+  EXPECT_FALSE(affine.ok());
+  for (auto [engine, name] : {std::pair{ExecEngine::kGeneric, "generic"},
+                              std::pair{ExecEngine::kNative, "native"}}) {
+    const Status s = run(engine);
+    EXPECT_EQ(s.code(), affine.code())
+        << name << ": " << s.ToString() << " vs affine: " << affine.ToString();
+  }
+  return affine;
+}
 
 TEST(Interpreter, ExecutesSimpleAccumulation) {
   // for i in 8: out[0] += in[i]
@@ -77,8 +99,7 @@ TEST(Interpreter, MissingInputBufferFails) {
   in.tensor.shape = {4};
   in.role = ir::BufferRole::kInput;
   program.buffers = {in};
-  BufferStore store;
-  EXPECT_FALSE(Execute(program, store).ok());
+  ExpectSameFailureOnEveryEngine(program, BufferStore());
 }
 
 TEST(Interpreter, MathFunctions) {
@@ -304,8 +325,7 @@ TEST(Interpreter, OutOfBoundsStoreReturnsStatusNotCrash) {
 
   BufferStore store;
   store.Get(0) = {1, 2, 3, 4, 5, 6, 7, 8};
-  Status s = Execute(program, store);
-  EXPECT_FALSE(s.ok());
+  Status s = ExpectSameFailureOnEveryEngine(program, store);
   EXPECT_NE(s.ToString().find("out"), std::string::npos);
 }
 
@@ -331,7 +351,7 @@ TEST(Interpreter, OutOfBoundsLoadReturnsStatus) {
 
   BufferStore store;
   store.Get(0) = {1, 2, 3, 4};
-  EXPECT_FALSE(Execute(program, store).ok());
+  ExpectSameFailureOnEveryEngine(program, store);
 }
 
 TEST(Interpreter, UnboundVariableReturnsStatus) {
@@ -349,9 +369,7 @@ TEST(Interpreter, UnboundVariableReturnsStatus) {
       i, 4, ir::ForKind::kSerial,
       ir::MakeStore(0, {ghost}, ir::Imm(1.0), ir::StoreMode::kAssign));
 
-  BufferStore store;
-  Status s = Execute(program, store);
-  EXPECT_FALSE(s.ok());
+  Status s = ExpectSameFailureOnEveryEngine(program, BufferStore());
   EXPECT_NE(s.ToString().find("never_bound"), std::string::npos);
 }
 
@@ -368,8 +386,7 @@ TEST(Interpreter, StoreToUndeclaredBufferReturnsStatus) {
       i, 2, ir::ForKind::kSerial,
       ir::MakeStore(/*buffer_id=*/5, {i}, ir::Imm(1.0), ir::StoreMode::kAssign));
 
-  BufferStore store;
-  EXPECT_FALSE(Execute(program, store).ok());
+  ExpectSameFailureOnEveryEngine(program, BufferStore());
 }
 
 }  // namespace
