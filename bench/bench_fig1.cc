@@ -18,13 +18,13 @@ using graph::LayoutAssignment;
 
 double LoopTuneFixedLayout(const Graph& g, const LayoutAssignment& la,
                            const sim::Machine& machine, int budget, uint64_t seed) {
-  autotune::TuningOptions options;
-  options.tune_layout = false;
-  options.initial_assignment = &la;
-  options.total_budget = budget;
+  core::AltOptions options;
+  options.variant = core::AltVariant::kLoopOnly;
+  options.budget = budget;
   options.seed = seed;
-  autotune::JointTuner tuner(g, machine, options);
-  auto result = tuner.Tune();
+  autotune::TuningOptions tuning = core::ToTuningOptions(options, machine);
+  tuning.initial_assignment = &la;  // loop-tune exactly this layout
+  auto result = core::RunTuner(g, machine, options, tuning);
   if (!result.ok()) {
     std::fprintf(stderr, "  tuning failed: %s\n", result.status().ToString().c_str());
     return -1.0;

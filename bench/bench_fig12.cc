@@ -19,29 +19,16 @@ struct Fig12Result {
   double conversion_us = 0.0;
 };
 
-Fig12Result RunVariant(const std::string& name, const graph::Graph& g,
+Fig12Result RunVariant(core::AltVariant variant, const graph::Graph& g,
                        const sim::Machine& machine, int budget) {
   Fig12Result out;
-  StatusOr<autotune::CompiledNetwork> compiled = Status::Ok();
-  if (name == "Ansor") {
-    compiled = baselines::RunBaseline(baselines::BaselineKind::kAnsor, g, machine, budget, 5);
-  } else {
-    autotune::TuningOptions options;
-    options.total_budget = budget;
-    options.seed = 5;
-    options.method = autotune::SearchMethod::kPpoPretrained;
-    options.pretrained_agent = &core::SharedPretrainedAgent(machine);
-    if (name == "ALT-FP") {
-      options.input_policy = autotune::InputLayoutPolicy::kInheritProducer;
-    } else if (name == "ALT-BP") {
-      options.input_policy = autotune::InputLayoutPolicy::kForceProducer;
-      options.reverse_op_order = true;
-    }
-    autotune::JointTuner tuner(g, machine, options);
-    compiled = tuner.Tune();
-  }
+  core::AltOptions options;
+  options.budget = budget;
+  options.seed = 5;
+  options.variant = variant;
+  auto compiled = core::Compile(g, machine, options);
   if (!compiled.ok()) {
-    std::fprintf(stderr, "  [%s] FAILED: %s\n", name.c_str(),
+    std::fprintf(stderr, "  [%s] FAILED: %s\n", core::VariantName(variant),
                  compiled.status().ToString().c_str());
     return out;
   }
@@ -63,17 +50,19 @@ void RunSubgraph(int index, const sim::Machine& machine) {
   bench::PrintHeader(title);
   const int kBudget = 160;
   double alt_total = -1, fp_total = -1, bp_total = -1;
-  for (const char* name : {"Ansor", "ALT-FP", "ALT-BP", "ALT"}) {
-    Fig12Result r = RunVariant(name, g, machine, kBudget);
-    std::printf("%-8s total %9.1f us", name, r.total_us);
-    if (std::string(name) == "ALT") {
+  for (core::AltVariant variant :
+       {core::AltVariant::kAnsor, core::AltVariant::kInheritProducer,
+        core::AltVariant::kForceProducer, core::AltVariant::kFull}) {
+    Fig12Result r = RunVariant(variant, g, machine, kBudget);
+    std::printf("%-8s total %9.1f us", core::VariantName(variant), r.total_us);
+    if (variant == core::AltVariant::kFull) {
       std::printf("   (conversion op: %.1f us)", r.conversion_us);
       alt_total = r.total_us;
     }
-    if (std::string(name) == "ALT-FP") {
+    if (variant == core::AltVariant::kInheritProducer) {
       fp_total = r.total_us;
     }
-    if (std::string(name) == "ALT-BP") {
+    if (variant == core::AltVariant::kForceProducer) {
       bp_total = r.total_us;
     }
     std::printf("\n");

@@ -12,17 +12,15 @@ namespace alt {
 
 double RunSetting(const graph::Graph& g, const sim::Machine& machine, bool two_level,
                   int budget) {
-  // Direct tuner invocation so the seeded layout candidates can be disabled:
-  // this experiment isolates the template-space-size vs budget tradeoff.
-  autotune::TuningOptions options;
-  options.total_budget = budget;
+  core::AltOptions options;
+  options.budget = budget;
   options.two_level_templates = two_level;
   options.seed = 23;
-  options.seed_layout_candidates = false;
-  options.method = autotune::SearchMethod::kPpoPretrained;
-  options.pretrained_agent = &core::SharedPretrainedAgent(machine);
-  autotune::JointTuner tuner(g, machine, options);
-  auto result = tuner.Tune();
+  autotune::TuningOptions tuning = core::ToTuningOptions(options, machine);
+  // No seeded layout candidates: this experiment isolates the
+  // template-space-size vs budget tradeoff.
+  tuning.seed_layout_candidates = false;
+  auto result = core::RunTuner(g, machine, options, tuning);
   if (!result.ok()) {
     std::fprintf(stderr, "  failed: %s\n", result.status().ToString().c_str());
     return -1.0;

@@ -15,7 +15,9 @@
 // Gates: affine must hold a 2x geomean over generic, and native must not
 // slip below affine (geomean >= 1x) — unless the host has no toolchain
 // (codegen.fallback_programs > 0), in which case the native gate is skipped
-// because "native" silently served through the affine engine.
+// because "native" silently served through the affine engine. On hosts with
+// at least 4 cores, 4 intra-op threads must buy a 2x geomean on the
+// canonical configs, measured as alternating 1-thread/4-thread pairs.
 
 #include <algorithm>
 #include <chrono>
@@ -398,6 +400,12 @@ int Main() {
     double eps = 0.0;
     double speedup = 0.0;  // vs the same engine at 1 thread
   };
+  // The scaling gate's samples: on the canonical configs, whose kParallel
+  // roots provably shard, the same prepared 1-thread and 4-thread programs
+  // run in alternation, so a host phase that slows one width slows its pair
+  // partner too. Each point's speedup is the median 1t/4t pair time ratio.
+  constexpr int kScalePairs = 20;
+  std::vector<SweepPoint> scale_points;
   const int64_t parallel_before =
       MetricsRegistry::Global().Snapshot().counter("interp.parallel_programs");
   std::vector<int> sweep_threads = {1, 2, 4, HardwareThreads()};
@@ -439,8 +447,15 @@ int Main() {
       }
       RunPrepared(*ref_prepared);
       double base_eps = 0.0;
+      // The prepared 1- and 4-thread programs, kept for the scaling pairs.
+      struct Width {
+        std::unique_ptr<runtime::BufferStore> store;
+        std::vector<runtime::PreparedProgram> programs;
+      };
+      Width serial, four;
       for (int t : sweep_threads) {
-        runtime::BufferStore store;
+        auto owned_store = std::make_unique<runtime::BufferStore>();
+        runtime::BufferStore& store = *owned_store;
         if (!SeedStore(cfg.g, cfg.la, store, 11).ok()) {
           std::fprintf(stderr, "%s: input physicalization failed\n", cfg.name.c_str());
           return 1;
@@ -479,6 +494,17 @@ int Main() {
         std::printf("%-22s %-7s %8d %14.3e %8.2fx\n", p.config.c_str(), engine_name, t,
                     p.eps, p.speedup);
         sweep.push_back(std::move(p));
+        if (t == 1 || t == 4) {
+          (t == 1 ? serial : four) = {std::move(owned_store), std::move(*prepared)};
+        }
+      }
+      if (cfg.name == "conv2d/canonical" || cfg.name == "gmm/canonical") {
+        std::vector<double> ratios;
+        for (int r = 0; r < kScalePairs; ++r) {
+          const double serial_s = RunPrepared(serial.programs);
+          ratios.push_back(serial_s / RunPrepared(four.programs));
+        }
+        scale_points.push_back({cfg.name, engine_name, 4, 0.0, bench::Summarize(ratios).p50});
       }
     }
   }
@@ -555,19 +581,19 @@ int Main() {
   // roots, so 4 intra-op threads must buy >= 2x geomean over serial — for the
   // affine engine always, and for native whenever every kernel compiled
   // (under fallback "native" shards the affine plan, double-counting it).
-  // Skipped on hosts without 4 cores, where the speedup physically cannot
-  // materialize.
+  // Each config and engine contributes the median of its alternating 1t/4t
+  // pair ratios. Skipped on hosts without 4 cores, where the speedup
+  // physically cannot materialize.
   if (HardwareThreads() < 4) {
     std::printf("scaling gate skipped: host has %d hardware threads (< 4)\n",
                 HardwareThreads());
   } else {
     double scale_log_sum = 0.0;
     int scale_n = 0;
-    for (const auto& p : sweep) {
-      if (p.threads != 4 ||
-          (p.config != "conv2d/canonical" && p.config != "gmm/canonical")) {
-        continue;
-      }
+    std::printf("\nscaling at 4 threads (median of %d alternating 1t/4t pairs):\n",
+                kScalePairs);
+    for (const auto& p : scale_points) {
+      std::printf("  %-22s %-7s %6.2fx\n", p.config.c_str(), p.engine.c_str(), p.speedup);
       if (p.engine == "native" && native_fallbacks > 0) {
         continue;
       }

@@ -13,10 +13,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "src/baselines/baselines.h"
 #include "src/core/alt.h"
 #include "src/graph/networks.h"
 #include "src/support/fileio.h"
@@ -60,7 +60,7 @@ inline SampleStats Summarize(std::vector<double> samples) {
 }
 
 // Directory for per-run telemetry artifacts, from ALT_TRACE_DIR ("" = off).
-// When set, every ALT-variant RunMethod writes <net>_<method>_trace.json
+// When set, every RunMethod writes <net>_<method>_trace.json
 // (Chrome trace-event format) and <net>_<method>_metrics.json there.
 inline std::string TraceDir() {
   const char* dir = std::getenv("ALT_TRACE_DIR");
@@ -83,52 +83,40 @@ struct MethodResult {
   int measurements = 0;
 };
 
+// Compiles `g` with the method the paper calls `name` (core::VariantFromName:
+// "ALT", "ALT-OL", "Ansor", ...). A failed or unknown method reports a
+// negative latency.
 inline MethodResult RunMethod(const std::string& name, const graph::Graph& g,
                               const sim::Machine& machine, int budget, uint64_t seed) {
   MethodResult result;
   result.name = name;
-  StatusOr<autotune::CompiledNetwork> compiled = Status::Ok();
-  if (name == "Vendor") {
-    compiled = baselines::RunBaseline(baselines::BaselineKind::kVendor, g, machine, 0, seed);
-  } else if (name == "AutoTVM") {
-    compiled = baselines::RunBaseline(baselines::BaselineKind::kAutoTvm, g, machine, budget,
-                                      seed);
-  } else if (name == "FlexTensor") {
-    compiled = baselines::RunBaseline(baselines::BaselineKind::kFlexTensor, g, machine,
-                                      budget, seed);
-  } else if (name == "Ansor") {
-    compiled = baselines::RunBaseline(baselines::BaselineKind::kAnsor, g, machine, budget,
-                                      seed);
-  } else {
-    core::AltOptions options;
-    options.budget = budget;
-    options.seed = seed;
-    options.method = autotune::SearchMethod::kPpoPretrained;
-    if (name == "ALT-OL") {
-      options.variant = core::AltVariant::kLoopOnly;
-    } else if (name == "ALT-WP") {
-      options.variant = core::AltVariant::kWithoutPropagation;
-    }
-    const std::string trace_dir = TraceDir();
-    const std::string tag = SanitizeTag(g.name() + "_" + name);
-    if (!trace_dir.empty()) {
-      options.trace_path = trace_dir + "/" + tag + "_trace.json";
-    }
-    compiled = core::Compile(g, machine, options);
-    if (!trace_dir.empty() && compiled.ok()) {
-      Status ws = WriteFile(trace_dir + "/" + tag + "_metrics.json",
-                            compiled->metrics.ToJson());
-      if (!ws.ok()) {
-        std::fprintf(stderr, "  [%s] metrics snapshot not written: %s\n", name.c_str(),
-                     ws.ToString().c_str());
-      }
-    }
+  result.latency_us = -1.0;
+  const std::optional<core::AltVariant> variant = core::VariantFromName(name);
+  if (!variant) {
+    std::fprintf(stderr, "  [%s] FAILED: unknown method\n", name.c_str());
+    return result;
   }
+  core::AltOptions options;
+  options.budget = budget;
+  options.seed = seed;
+  options.variant = *variant;
+  const std::string trace_dir = TraceDir();
+  const std::string tag = SanitizeTag(g.name() + "_" + name);
+  if (!trace_dir.empty()) {
+    options.trace_path = trace_dir + "/" + tag + "_trace.json";
+  }
+  auto compiled = core::Compile(g, machine, options);
   if (!compiled.ok()) {
     std::fprintf(stderr, "  [%s] FAILED: %s\n", name.c_str(),
                  compiled.status().ToString().c_str());
-    result.latency_us = -1.0;
     return result;
+  }
+  if (!trace_dir.empty()) {
+    Status ws = WriteFile(trace_dir + "/" + tag + "_metrics.json", compiled->metrics.ToJson());
+    if (!ws.ok()) {
+      std::fprintf(stderr, "  [%s] metrics snapshot not written: %s\n", name.c_str(),
+                   ws.ToString().c_str());
+    }
   }
   result.latency_us = compiled->perf.latency_us;
   result.measurements = compiled->measurements_used;

@@ -5,30 +5,34 @@
 //
 //   network: r18 | r18b16 | mv2 | bert-base | bert-tiny | r3d | first-layer | gmm16
 //   machine: intel-cpu | nvidia-gpu | arm-cpu
-//   method:  alt | alt-ol | alt-wp | ansor | autotvm | flextensor | vendor
+//   method:  any core::VariantName, in any letter case: alt | alt-ol | alt-wp |
+//            alt-fp | alt-bp | vendor | autotvm | flextensor | ansor
+//            (vendor spends no budget)
 //   budget:  measurement count (default 400)
 //
-// Telemetry (alt/alt-ol/alt-wp methods only):
+// Every method compiles through core::Compile, so every flag below applies
+// to all of them. Malformed numbers and unknown names exit 2.
+//
+// Telemetry:
 //   ALT_TRACE=<path>    write a Chrome trace of the run (chrome://tracing)
 //   ALT_METRICS=<path>  write the run's metrics snapshot as JSON (also
 //                       honored on the artifact-serving paths, where the
 //                       snapshot carries the codegen.* kernel-cache counters)
 //
-// Execution engine (alt/alt-ol/alt-wp methods only):
-//   --engine affine|generic|native or ALT_ENGINE=<name> (default affine)
+// Execution engine:
+//   --engine affine|generic|native (default affine)
 //     Engine for serving (runtime::ExecEngine). With `native`, tuning+save
 //     embeds the JIT-compiled kernel objects in the artifact and serving
 //     prefers them; a reloaded artifact then serves with zero recompiles
 //     (codegen.compiles stays 0, codegen.cache_hits counts the reuse).
-//   --intra-threads <n> or ALT_INTRA_THREADS=<n>
+//   --intra-threads <n>
 //     Intra-op threads for serving: root loops the schedule marked
 //     ForKind::kParallel shard across n threads when provably safe
 //     (bit-identical results at any n). <= 0 uses one per hardware core;
 //     1 keeps execution serial.
 //
-// Deployment (alt/alt-ol/alt-wp methods only; with a baseline method the
-// CLI exits 2, since baselines produce no artifact):
-//   --artifact <path> or ALT_ARTIFACT=<path>
+// Deployment:
+//   --artifact <path>
 //     When the file exists: skip tuning, load the artifact, and serve one
 //     request through runtime::InferenceSession (printing its provenance).
 //     Otherwise: tune as usual, then save the artifact to that path.
@@ -38,15 +42,13 @@
 //     size/timeout policy — and print the operator metrics (per-model
 //     p50/p95/p99, batch sizes, queue waits) when the traffic drains.
 //
-// Robustness (alt/alt-ol/alt-wp methods only; with a baseline method the
-// CLI exits 2, since baselines measure neither in workers nor through the
-// database):
-//   --workers <n> or ALT_WORKERS=<n>
+// Robustness:
+//   --workers <n>
 //     Evaluate candidates in n forked worker subprocesses (crash isolation):
 //     a candidate that crashes, hangs, or corrupts its reply is retried and
 //     quarantined instead of killing the tuner. Trajectory-identical to
 //     in-process measurement.
-//   --tuning-db <path> or ALT_TUNING_DB=<path>
+//   --tuning-db <path>
 //     Persistent tuning database: measurements are looked up here before
 //     running and appended after, so re-running the same tuning command
 //     warm-starts with zero redundant measurements. Re-running the same
@@ -60,7 +62,6 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/baselines.h"
 #include "src/core/alt.h"
 #include "src/graph/networks.h"
 #include "src/runtime/session.h"
@@ -83,22 +84,16 @@ bool ParseEngine(const std::string& name, alt::runtime::ExecEngine* out) {
   return true;
 }
 
-// The baseline a method name selects; nullopt for the ALT methods.
-std::optional<alt::baselines::BaselineKind> BaselineFor(const std::string& method) {
-  using alt::baselines::BaselineKind;
-  if (method == "ansor") {
-    return BaselineKind::kAnsor;
+// Parses the integer `text` given for `what` into `out`; false (after
+// printing why) when it is not a whole decimal int.
+bool ParseCount(const char* what, const std::string& text, int* out) {
+  auto v = alt::ParseInt32(text);
+  if (!v.ok()) {
+    std::fprintf(stderr, "%s: %s\n", what, v.status().message().c_str());
+    return false;
   }
-  if (method == "autotvm") {
-    return BaselineKind::kAutoTvm;
-  }
-  if (method == "flextensor") {
-    return BaselineKind::kFlexTensor;
-  }
-  if (method == "vendor") {
-    return BaselineKind::kVendor;
-  }
-  return std::nullopt;
+  *out = *v;
+  return true;
 }
 
 // ALT_METRICS honored on the serving paths too: the process-global snapshot
@@ -231,29 +226,36 @@ int ServeTraffic(const alt::core::LoadedArtifact& loaded, int count,
 
 int main(int argc, char** argv) {
   using namespace alt;
-  std::string artifact_path = std::getenv("ALT_ARTIFACT") ? std::getenv("ALT_ARTIFACT") : "";
-  std::string tuning_db_path = std::getenv("ALT_TUNING_DB") ? std::getenv("ALT_TUNING_DB") : "";
-  int workers = std::getenv("ALT_WORKERS") ? std::atoi(std::getenv("ALT_WORKERS")) : 0;
-  std::string engine_name = std::getenv("ALT_ENGINE") ? std::getenv("ALT_ENGINE") : "affine";
-  int intra_threads =
-      std::getenv("ALT_INTRA_THREADS") ? std::atoi(std::getenv("ALT_INTRA_THREADS")) : 0;
+  std::string artifact_path;
+  std::string tuning_db_path;
+  std::string engine_name = "affine";
+  int workers = 0;
+  int intra_threads = 0;
   int serve_requests = 0;
   std::vector<std::string> pos;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--artifact" && i + 1 < argc) {
+    const std::string arg = argv[i];
+    const bool has_value = i + 1 < argc;
+    if (arg == "--artifact" && has_value) {
       artifact_path = argv[++i];
-    } else if (std::string(argv[i]) == "--serve" && i + 1 < argc) {
-      serve_requests = std::atoi(argv[++i]);
-    } else if (std::string(argv[i]) == "--workers" && i + 1 < argc) {
-      workers = std::atoi(argv[++i]);
-    } else if (std::string(argv[i]) == "--tuning-db" && i + 1 < argc) {
+    } else if (arg == "--serve" && has_value) {
+      if (!ParseCount("--serve", argv[++i], &serve_requests)) {
+        return 2;
+      }
+    } else if (arg == "--workers" && has_value) {
+      if (!ParseCount("--workers", argv[++i], &workers)) {
+        return 2;
+      }
+    } else if (arg == "--tuning-db" && has_value) {
       tuning_db_path = argv[++i];
-    } else if (std::string(argv[i]) == "--engine" && i + 1 < argc) {
+    } else if (arg == "--engine" && has_value) {
       engine_name = argv[++i];
-    } else if (std::string(argv[i]) == "--intra-threads" && i + 1 < argc) {
-      intra_threads = std::atoi(argv[++i]);
+    } else if (arg == "--intra-threads" && has_value) {
+      if (!ParseCount("--intra-threads", argv[++i], &intra_threads)) {
+        return 2;
+      }
     } else {
-      pos.push_back(argv[i]);
+      pos.push_back(arg);
     }
   }
   runtime::ExecEngine engine = runtime::ExecEngine::kAffine;
@@ -265,30 +267,17 @@ int main(int argc, char** argv) {
   std::string net_name = pos.size() > 0 ? pos[0] : "first-layer";
   std::string machine_name = pos.size() > 1 ? pos[1] : "intel-cpu";
   std::string method = pos.size() > 2 ? pos[2] : "alt";
-  int budget = pos.size() > 3 ? std::atoi(pos[3].c_str()) : 400;
-
-  // Refuse flag combinations the run would otherwise silently ignore,
-  // whether the value came from the flag or its environment variable.
-  const std::optional<baselines::BaselineKind> baseline = BaselineFor(method);
-  const struct {
-    bool set;
-    const char* flag;
-    const char* env;
-    const char* reason;
-  } alt_only[] = {
-      {!artifact_path.empty(), "--artifact", "ALT_ARTIFACT", "produces no artifact"},
-      {!tuning_db_path.empty(), "--tuning-db", "ALT_TUNING_DB",
-       "does not use the tuning database"},
-      {workers > 0, "--workers", "ALT_WORKERS", "does not measure in worker processes"},
-  };
-  for (const auto& f : alt_only) {
-    if (baseline && f.set) {
-      std::fprintf(stderr,
-                   "%s needs an ALT method (alt|alt-ol|alt-wp), also when set through %s: "
-                   "baseline '%s' %s\n",
-                   f.flag, f.env, method.c_str(), f.reason);
-      return 2;
-    }
+  int budget = 400;
+  if (pos.size() > 3 && !ParseCount("budget", pos[3], &budget)) {
+    return 2;
+  }
+  const std::optional<core::AltVariant> variant = core::VariantFromName(method);
+  if (!variant) {
+    std::fprintf(stderr,
+                 "unknown method '%s' (alt|alt-ol|alt-wp|alt-fp|alt-bp|vendor|autotvm|"
+                 "flextensor|ansor)\n",
+                 method.c_str());
+    return 2;
   }
   const bool artifact_exists = !artifact_path.empty() && FileExists(artifact_path);
   if (serve_requests > 0 && !artifact_exists) {
@@ -297,12 +286,19 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  core::AltOptions options;
+  options.budget = budget;
+  options.variant = *variant;
+  options.engine = engine;
+  options.intra_threads = intra_threads;
+  if (const char* trace = std::getenv("ALT_TRACE")) {
+    options.trace_path = trace;
+  }
+  options.measure.isolate.workers = workers;  // <= 0 measures in process
+  options.tuning_db = tuning_db_path;
   // One flag set drives every serving path: ToSessionOptions maps the facade
   // options (engine, intra-op budget) onto session options.
-  core::AltOptions serve_options;
-  serve_options.engine = engine;
-  serve_options.intra_threads = intra_threads;
-  const runtime::SessionOptions session_options = core::ToSessionOptions(serve_options);
+  const runtime::SessionOptions session_options = core::ToSessionOptions(options);
 
   if (artifact_exists) {
     auto loaded = core::LoadArtifact(artifact_path);
@@ -327,37 +323,13 @@ int main(int argc, char** argv) {
   std::printf("tuning %s on %s with %s (budget %d)...\n", g.name().c_str(),
               machine.name.c_str(), method.c_str(), budget);
 
-  StatusOr<autotune::CompiledNetwork> compiled = Status::Ok();
-  if (baseline) {
-    // The vendor baseline is a fixed heuristic: it spends no budget.
-    const bool vendor = *baseline == baselines::BaselineKind::kVendor;
-    compiled = baselines::RunBaseline(*baseline, g, machine, vendor ? 0 : budget);
-  } else {
-    core::AltOptions options;
-    options.budget = budget;
-    options.engine = engine;
-    options.intra_threads = intra_threads;
-    if (const char* trace = std::getenv("ALT_TRACE")) {
-      options.trace_path = trace;
-    }
-    options.measure.isolate.workers = workers;  // <= 0 measures in process
-    options.tuning_db = tuning_db_path;
-    if (method == "alt-ol") {
-      options.variant = core::AltVariant::kLoopOnly;
-    } else if (method == "alt-wp") {
-      options.variant = core::AltVariant::kWithoutPropagation;
-    } else if (method != "alt") {
-      std::fprintf(stderr, "unknown method '%s'\n", method.c_str());
-      return 2;
-    }
-    compiled = core::Compile(g, machine, options);
-    if (compiled.ok() && !artifact_path.empty()) {
-      Status ws = core::SaveArtifact(*compiled, machine, options, artifact_path);
-      if (!ws.ok()) {
-        std::fprintf(stderr, "artifact not written: %s\n", ws.ToString().c_str());
-      } else {
-        std::printf("artifact written to %s\n", artifact_path.c_str());
-      }
+  auto compiled = core::Compile(g, machine, options);
+  if (compiled.ok() && !artifact_path.empty()) {
+    Status ws = core::SaveArtifact(*compiled, machine, options, artifact_path);
+    if (!ws.ok()) {
+      std::fprintf(stderr, "artifact not written: %s\n", ws.ToString().c_str());
+    } else {
+      std::printf("artifact written to %s\n", artifact_path.c_str());
     }
   }
   if (!compiled.ok()) {

@@ -95,11 +95,6 @@ void JointTuner::BeginPhase(const char* phase) {
   TraceInstant("tuner.phase", phase);
 }
 
-MeasureResult JointTuner::MeasureGroup(const Graph& g, const LayoutAssignment& la,
-                                       const FusedGroup& group, const LoopSchedule& sched) {
-  return engine_.MeasureOne(g, la, group, sched);
-}
-
 std::vector<double> JointTuner::Features(const loop::LoopNestSignature& sig,
                                          const LoopSchedule& sched,
                                          const std::vector<double>& layout_state) const {
@@ -376,7 +371,7 @@ StatusOr<std::optional<DecodedLayouts>> JointTuner::TuneOpLayout(int op_id,
     LoopTuneState loop_state;
     loop_state.space = LoopSpace::ForSignature(*sig, machine_, options_.restricted_loop_space);
     LoopSchedule def = LoopSpace::Default(*sig, machine_);
-    MeasureResult def_res = MeasureGroup(graph_, la, group, def);
+    MeasureResult def_res = engine_.MeasureOne(graph_, la, group, def);
     if (def_res.status.ok()) {
       if (!def_res.cache_hit) {
         RecordMeasurement(def_res.latency_us, true);
@@ -601,8 +596,8 @@ StatusOr<CompiledNetwork> JointTuner::Tune() {
   if (options_.tune_layout) {
     TraceSpan joint_span("tuner.joint_stage");
     auto complex_ops = graph_.ComplexOps();
-    if (options_.reverse_op_order) {
-      std::reverse(complex_ops.begin(), complex_ops.end());
+    if (options_.input_policy == InputLayoutPolicy::kForceProducer) {
+      std::reverse(complex_ops.begin(), complex_ops.end());  // consumer-first
     }
     // Deduplicate ops by workload signature: operators with identical shapes
     // and attributes share one tuning task (our stand-in for the paper's much
@@ -679,7 +674,7 @@ StatusOr<CompiledNetwork> JointTuner::Tune() {
     // Seed with the heuristic default and, for complex groups, the best
     // schedule the joint stage found for the committed layout.
     LoopSchedule def = LoopSpace::Default(sigs[i], machine_);
-    MeasureResult def_res = MeasureGroup(graph_, assignment_, groups[i], def);
+    MeasureResult def_res = engine_.MeasureOne(graph_, assignment_, groups[i], def);
     if (def_res.status.ok()) {
       if (!def_res.cache_hit) {
         RecordMeasurement(def_res.latency_us, graph::IsComplex(anchor.kind));
@@ -690,7 +685,7 @@ StatusOr<CompiledNetwork> JointTuner::Tune() {
     }
     auto joint_it = joint_best_schedules_.find(groups[i].anchor_op);
     if (joint_it != joint_best_schedules_.end()) {
-      MeasureResult jres = MeasureGroup(graph_, assignment_, groups[i], joint_it->second);
+      MeasureResult jres = engine_.MeasureOne(graph_, assignment_, groups[i], joint_it->second);
       if (jres.status.ok()) {
         if (!jres.cache_hit) {
           RecordMeasurement(jres.latency_us, true);

@@ -44,7 +44,8 @@ enum class SearchMethod { kPpoPretrained, kPpo, kRandom };
 //   * kInheritProducer (ALT-FP) — the consumer reads the producer's output
 //     layout directly; its own input-layout preference is discarded.
 //   * kForceProducer (ALT-BP) — the consumer's input layout overrides the
-//     producer's output layout (tuned consumer-first).
+//     producer's output layout; the joint stage tunes complex ops
+//     consumer-first so the consumer's choice comes first.
 enum class InputLayoutPolicy { kIndependent, kInheritProducer, kForceProducer };
 
 // Fixed layout family used when layout tuning is disabled (ALT-OL, Ansor).
@@ -66,7 +67,6 @@ struct TuningOptions {
   // exploration. Disabled by the Fig. 13 ablation to expose the raw
   // space-size-vs-budget tradeoff.
   bool seed_layout_candidates = true;
-  bool reverse_op_order = false;  // tune complex ops consumer-first (ALT-BP)
 
   // Measurement engine settings (see measure.h): threads, fault injection,
   // retry policy, and crash isolation.
@@ -127,9 +127,6 @@ class JointTuner {
     std::optional<loop::LoopSchedule> best_schedule;
     double best_latency = 1e30;
   };
-
-  MeasureResult MeasureGroup(const graph::Graph& g, const graph::LayoutAssignment& la,
-                             const loop::FusedGroup& group, const loop::LoopSchedule& sched);
 
   // One batch of loop tuning on a group; updates `state`, spends budget.
   // `rng` supplies the batch's random draws: the joint stage passes a

@@ -1,5 +1,8 @@
 #include "src/core/alt.h"
 
+#include <algorithm>
+#include <cctype>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -9,16 +12,31 @@
 
 namespace alt::core {
 
+namespace {
+
+// Indexed by AltVariant.
+constexpr const char* kVariantNames[] = {"ALT",    "ALT-OL",  "ALT-WP",     "ALT-FP", "ALT-BP",
+                                         "Vendor", "AutoTVM", "FlexTensor", "Ansor"};
+static_assert(std::size(kVariantNames) == static_cast<size_t>(AltVariant::kAnsor) + 1);
+
+}  // namespace
+
 const char* VariantName(AltVariant variant) {
-  switch (variant) {
-    case AltVariant::kFull:
-      return "ALT";
-    case AltVariant::kLoopOnly:
-      return "ALT-OL";
-    case AltVariant::kWithoutPropagation:
-      return "ALT-WP";
+  const size_t v = static_cast<size_t>(variant);
+  return v < std::size(kVariantNames) ? kVariantNames[v] : "?";
+}
+
+std::optional<AltVariant> VariantFromName(std::string_view name) {
+  auto same_letter = [](char a, char b) {
+    return std::tolower(static_cast<unsigned char>(a)) ==
+           std::tolower(static_cast<unsigned char>(b));
+  };
+  for (size_t v = 0; v < std::size(kVariantNames); ++v) {
+    if (std::ranges::equal(name, std::string_view(kVariantNames[v]), same_letter)) {
+      return static_cast<AltVariant>(v);
+    }
   }
-  return "?";
+  return std::nullopt;
 }
 
 const std::vector<double>& SharedPretrainedAgent(const sim::Machine& machine) {
@@ -51,6 +69,31 @@ autotune::TuningOptions ToTuningOptions(const AltOptions& options,
       break;
     case AltVariant::kWithoutPropagation:
       tuning.propagate_multi_hop = false;
+      break;
+    case AltVariant::kInheritProducer:
+      tuning.input_policy = autotune::InputLayoutPolicy::kInheritProducer;
+      break;
+    case AltVariant::kForceProducer:
+      tuning.input_policy = autotune::InputLayoutPolicy::kForceProducer;
+      break;
+    case AltVariant::kAutoTvm:
+      tuning.tune_layout = false;
+      tuning.restricted_loop_space = true;
+      tuning.fixed_layout = autotune::FixedLayout::kBlocked;
+      break;
+    case AltVariant::kFlexTensor:
+      tuning.tune_layout = false;
+      tuning.use_cost_model = false;  // every sampled candidate is measured
+      tuning.fixed_layout = autotune::FixedLayout::kCanonical;
+      break;
+    case AltVariant::kVendor:
+      tuning.total_budget = 0;  // the default schedules, no search
+      [[fallthrough]];
+    case AltVariant::kAnsor:
+      // The libraries' layouts: MKL-DNN's blocked NCHWc, cuDNN's NCHW.
+      tuning.tune_layout = false;
+      tuning.fixed_layout = machine.gpu_like ? autotune::FixedLayout::kCanonical
+                                             : autotune::FixedLayout::kBlocked;
       break;
   }
   if (tuning.tune_layout && options.method == autotune::SearchMethod::kPpoPretrained) {

@@ -34,26 +34,45 @@
 //       loaded->network.graph, loaded->network.assignment,
 //       {loaded->network.groups, loaded->network.programs});
 //
-// Variants mirror the paper's ablations (§7.2):
+// Variants: every method the paper's evaluation (§7) compares, each a setting
+// of the one joint tuner (ToTuningOptions):
 //   * kFull — joint layout + loop tuning with full propagation (ALT).
-//   * kLoopOnly — loop tuning only, NHWO/NDHWO layouts (ALT-OL).
+//   * kLoopOnly — loop tuning only, NHWO/NDHWO layouts (ALT-OL, §7.2).
 //   * kWithoutPropagation — joint tuning but only direct producer-side
 //     conversion elimination, no multi-hop propagation, so fusion conflicts
-//     remain (ALT-WP).
+//     remain (ALT-WP, §7.2).
+//   * kInheritProducer / kForceProducer — a complex consumer reads its
+//     complex producer's output layout (ALT-FP), or, tuned first, imposes
+//     its input layout on the producer (ALT-BP) (§7.3.2).
+//   * kVendor / kAutoTvm / kFlexTensor / kAnsor — the competitors: loop-only
+//     tuning on a fixed layout, with zero budget (vendor libraries), a
+//     restricted loop space (AutoTVM), no cost model (FlexTensor), or the
+//     full loop space and cost model (Ansor).
+// Artifacts store the enum's number: append new variants at the end.
 
 #ifndef ALT_CORE_ALT_H_
 #define ALT_CORE_ALT_H_
 
+#include <optional>
+#include <string_view>
+
 #include "src/autotune/tuner.h"
-#include "src/baselines/baselines.h"
 #include "src/runtime/interpreter.h"
 #include "src/runtime/session.h"
 
 namespace alt::core {
 
-enum class AltVariant { kFull, kLoopOnly, kWithoutPropagation };
+enum class AltVariant {
+  kFull, kLoopOnly, kWithoutPropagation, kInheritProducer, kForceProducer,
+  kVendor, kAutoTvm, kFlexTensor, kAnsor
+};
 
+// The paper's name for a variant: "ALT", "ALT-OL", ..., "Vendor", "AutoTVM",
+// "FlexTensor", "Ansor".
 const char* VariantName(AltVariant variant);
+// The variant VariantName calls `name`, compared case-insensitively ("alt-ol"
+// and "ALT-OL" both name kLoopOnly); nullopt for any other name.
+std::optional<AltVariant> VariantFromName(std::string_view name);
 
 struct AltOptions {
   int budget = 600;
@@ -88,9 +107,11 @@ struct AltOptions {
   std::string trace_path;
 };
 
-// Maps the facade options onto the tuner's options (variant selection, shared
-// pretrained agent, measurement settings). Exposed so callers that drive
-// RunTuner directly derive the exact options a plain Compile would use.
+// Maps the facade options onto the tuner's options: the one place a variant
+// becomes tuner switches (machine-dependent fixed layouts included), plus
+// the shared pretrained agent and the measurement settings. Exposed so
+// callers that drive RunTuner directly derive the exact options a plain
+// Compile would use.
 autotune::TuningOptions ToTuningOptions(const AltOptions& options,
                                         const sim::Machine& machine);
 
@@ -103,11 +124,12 @@ StatusOr<autotune::CompiledNetwork> Compile(const graph::Graph& graph,
                                             const sim::Machine& machine,
                                             const AltOptions& options);
 
-// Shared tail of every compile path: opens the tuning database when
-// `options.tuning_db` is set (wiring it into `tuning`), runs the
-// tuner, and closes the database. Callers that adjust `tuning` beyond what
-// AltOptions expresses call this directly; Compile is just
-// RunTuner(graph, machine, options, ToTuningOptions(options, machine)).
+// Shared tail of every compile path and the only place a JointTuner is
+// built: opens the tuning database when `options.tuning_db` is set (wiring
+// it into `tuning`), runs the tuner, and closes the database. Callers that
+// adjust `tuning` beyond what a variant expresses call this directly;
+// Compile is just RunTuner(graph, machine, options,
+// ToTuningOptions(options, machine)).
 StatusOr<autotune::CompiledNetwork> RunTuner(const graph::Graph& graph,
                                              const sim::Machine& machine,
                                              const AltOptions& options,

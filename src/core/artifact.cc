@@ -459,7 +459,7 @@ StatusOr<LoadedArtifact> LoadArtifact(const std::string& path) {
           if (!v.ok()) {
             return v.status();
           }
-          if (*v < 0 || *v > static_cast<int>(AltVariant::kWithoutPropagation)) {
+          if (*v < 0 || *v > static_cast<int>(AltVariant::kAnsor)) {
             return Status::InvalidArgument("bad prov variant: " + value);
           }
           result.info.variant = static_cast<AltVariant>(*v);

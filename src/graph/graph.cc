@@ -219,10 +219,6 @@ int Graph::AddLayerNorm(int input, const std::string& name) {
   return AddOpNode(std::move(op), tensors_[input].shape, "");
 }
 
-int Graph::AddIdentity(int input, const std::string& name) {
-  return AddElementwise(OpKind::kIdentity, input, name);
-}
-
 int Graph::AddCustomOp(Op op, std::vector<int64_t> output_shape, const std::string& tensor_name) {
   return AddOpNode(std::move(op), std::move(output_shape), tensor_name);
 }

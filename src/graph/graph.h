@@ -46,7 +46,6 @@ class Graph {
   int AddSoftmax(int input, const std::string& name = "");
   int AddReshape(int input, std::vector<int64_t> shape, const std::string& name = "");
   int AddLayerNorm(int input, const std::string& name = "");
-  int AddIdentity(int input, const std::string& name = "");
 
   // Inserts `op` consuming existing tensors; output shape given explicitly.
   // Used by layout propagation to insert conversion operators.

@@ -44,7 +44,6 @@ struct Tensor {
     return n;
   }
   int64_t SizeBytes() const { return NumElements() * DTypeBytes(dtype); }
-  int Rank() const { return static_cast<int>(shape.size()); }
 };
 
 // Row-major strides (in elements) for a shape.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/support/crc32.h"
 #include "src/support/string_util.h"
 
 namespace alt::layout {
@@ -118,14 +119,11 @@ std::vector<double> StepState(const LayoutSeq& seq) {
   return s;
 }
 
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+// The FNV-1a basis relation fingerprints have always used: the standard one
+// (14695981039346656037) missing its last decimal digit. Fingerprints seed
+// the joint stage's per-candidate generators, so another basis would change
+// every tuning trajectory.
+constexpr uint64_t kFingerprintBasis = 1469598103934665603ull;
 
 }  // namespace
 
@@ -471,7 +469,7 @@ uint64_t LayoutRelation::Fingerprint() const {
   std::ostringstream oss;
   if (opaque_) {
     oss << "O|c=" << Join(canonical_shape_, ",") << "|" << steps_.ToString();
-    return Fnv1a(oss.str());
+    return Fnv1a64(oss.str(), kFingerprintBasis);
   }
   oss << "R|c=" << Join(canonical_shape_, ",") << "|";
   for (const PhysDim& d : dims_) {
@@ -485,7 +483,7 @@ uint64_t LayoutRelation::Fingerprint() const {
   if (expands_data_) {
     oss << "|x";
   }
-  return Fnv1a(oss.str());
+  return Fnv1a64(oss.str(), kFingerprintBasis);
 }
 
 std::vector<int64_t> LayoutRelation::DigitExtents(int dim) const {

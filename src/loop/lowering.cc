@@ -824,6 +824,9 @@ StatusOr<ir::Program> LowerGroup(const Graph& graph, const LayoutAssignment& ass
 namespace {
 
 // Softmax / LayerNorm over the last canonical dim: fixed two-buffer lowering.
+// The loops walk canonical (row, column) coordinates and map every input and
+// output access through that tensor's layout relation. A non-bijective
+// output layout would leave physical elements unwritten: it is refused.
 StatusOr<ir::Program> LowerRowOp(const Graph& graph, const LayoutAssignment& assignment,
                                  const FusedGroup& group) {
   const Op& op = graph.op(group.anchor_op);
@@ -835,6 +838,18 @@ StatusOr<ir::Program> LowerRowOp(const Graph& graph, const LayoutAssignment& ass
   }
   int in_id = op.inputs[0];
   int out_id = op.output;
+  auto in_rel = layout::LayoutRelation::FromSeq(assignment.Get(in_id), graph.tensor(in_id).shape);
+  if (!in_rel.ok()) {
+    return in_rel.status();
+  }
+  auto out_rel = layout::LayoutRelation::FromSeq(assignment.Get(out_id), shape);
+  if (!out_rel.ok()) {
+    return out_rel.status();
+  }
+  if (!out_rel->IsBijective()) {
+    return Status::FailedPrecondition(op.name + ": the output layout of a row op must be a "
+                                      "bijection, got " + assignment.Get(out_id).ToString());
+  }
 
   ir::Program program;
   program.name = op.name;
@@ -848,8 +863,10 @@ StatusOr<ir::Program> LowerRowOp(const Graph& graph, const LayoutAssignment& ass
   Expr c2 = ir::MakeVar("c2");
   Expr c3 = ir::MakeVar("c3");
 
-  // Flatten leading dims: canonical index = (m decomposed, c).
-  auto make_idx = [&](const Expr& row, const Expr& col) {
+  // Physical index of canonical element (row, col) of tensor `tid`; the
+  // leading dims are the flattened row.
+  Status failed = Status::Ok();
+  auto at = [&](int tid, const Expr& row, const Expr& col) {
     std::vector<Expr> idx(shape.size());
     Expr rem = row;
     for (int d = static_cast<int>(shape.size()) - 2; d >= 0; --d) {
@@ -857,60 +874,72 @@ StatusOr<ir::Program> LowerRowOp(const Graph& graph, const LayoutAssignment& ass
       rem = ir::FloorDiv(rem, shape[d]);
     }
     idx[shape.size() - 1] = col;
-    return idx;
+    if (assignment.Get(tid).empty()) {
+      return idx;
+    }
+    auto mapped = (tid == in_id ? *in_rel : *out_rel).MapRead(idx);
+    if (!mapped.ok()) {
+      failed = mapped.status();
+      return idx;
+    }
+    return *mapped;
   };
+  auto in = [&](const Expr& col) { return ir::Load(in_id, at(in_id, m, col)); };
+  auto out_idx = [&](const Expr& col) { return at(out_id, m, col); };
 
   std::vector<Stmt> body;
   if (op.kind == OpKind::kSoftmax) {
     body.push_back(ir::MakeStore(stat_a, {m}, ir::Imm(-1e30)));
     body.push_back(ir::MakeFor(
         c, cols, ir::ForKind::kSerial,
-        ir::MakeStore(stat_a, {m},
-                      ir::VMax(ir::Load(stat_a, {m}), ir::Load(in_id, make_idx(m, c))))));
+        ir::MakeStore(stat_a, {m}, ir::VMax(ir::Load(stat_a, {m}), in(c)))));
     body.push_back(ir::MakeStore(stat_b, {m}, ir::Imm(0.0)));
     body.push_back(ir::MakeFor(
         c2, cols, ir::ForKind::kSerial,
         ir::MakeBlock(
-            {ir::MakeStore(out_id, make_idx(m, c2),
-                           ir::VExp(ir::VSub(ir::Load(in_id, make_idx(m, c2)),
-                                             ir::Load(stat_a, {m})))),
-             ir::MakeStore(stat_b, {m}, ir::Load(out_id, make_idx(m, c2)),
+            {ir::MakeStore(out_id, out_idx(c2), ir::VExp(ir::VSub(in(c2), ir::Load(stat_a, {m})))),
+             ir::MakeStore(stat_b, {m}, ir::Load(out_id, out_idx(c2)),
                            ir::StoreMode::kAccumulate)})));
     body.push_back(ir::MakeFor(
         c3, cols, ir::ForKind::kVectorized,
-        ir::MakeStore(out_id, make_idx(m, c3),
-                      ir::VDiv(ir::Load(out_id, make_idx(m, c3)), ir::Load(stat_b, {m})))));
+        ir::MakeStore(out_id, out_idx(c3),
+                      ir::VDiv(ir::Load(out_id, out_idx(c3)), ir::Load(stat_b, {m})))));
   } else {  // LayerNorm (no affine params)
     body.push_back(ir::MakeStore(stat_a, {m}, ir::Imm(0.0)));
-    body.push_back(ir::MakeFor(c, cols, ir::ForKind::kSerial,
-                               ir::MakeStore(stat_a, {m}, ir::Load(in_id, make_idx(m, c)),
-                                             ir::StoreMode::kAccumulate)));
+    body.push_back(ir::MakeFor(
+        c, cols, ir::ForKind::kSerial,
+        ir::MakeStore(stat_a, {m}, in(c), ir::StoreMode::kAccumulate)));
     body.push_back(
         ir::MakeStore(stat_a, {m}, ir::VMul(ir::Load(stat_a, {m}), ir::Imm(1.0 / cols))));
     body.push_back(ir::MakeStore(stat_b, {m}, ir::Imm(0.0)));
     body.push_back(ir::MakeFor(
         c2, cols, ir::ForKind::kSerial,
         ir::MakeStore(stat_b, {m},
-                      ir::VMul(ir::VSub(ir::Load(in_id, make_idx(m, c2)), ir::Load(stat_a, {m})),
-                               ir::VSub(ir::Load(in_id, make_idx(m, c2)), ir::Load(stat_a, {m}))),
+                      ir::VMul(ir::VSub(in(c2), ir::Load(stat_a, {m})),
+                               ir::VSub(in(c2), ir::Load(stat_a, {m}))),
                       ir::StoreMode::kAccumulate)));
     body.push_back(
         ir::MakeStore(stat_b, {m}, ir::VMul(ir::Load(stat_b, {m}), ir::Imm(1.0 / cols))));
     body.push_back(ir::MakeFor(
         c3, cols, ir::ForKind::kVectorized,
-        ir::MakeStore(out_id, make_idx(m, c3),
-                      ir::VDiv(ir::VSub(ir::Load(in_id, make_idx(m, c3)), ir::Load(stat_a, {m})),
+        ir::MakeStore(out_id, out_idx(c3),
+                      ir::VDiv(ir::VSub(in(c3), ir::Load(stat_a, {m})),
                                ir::VSqrt(ir::VAdd(ir::Load(stat_b, {m}), ir::Imm(1e-5)))))));
+  }
+  if (!failed.ok()) {
+    return failed;
   }
 
   program.root = ir::MakeFor(m, rows, ir::ForKind::kParallel, ir::MakeBlock(std::move(body)));
 
   ir::BufferDecl in_decl;
   in_decl.tensor = graph.tensor(in_id);
+  in_decl.tensor.shape = in_rel->physical_shape();
   in_decl.role = ir::BufferRole::kInput;
   program.buffers.push_back(in_decl);
   ir::BufferDecl out_decl;
   out_decl.tensor = graph.tensor(out_id);
+  out_decl.tensor.shape = out_rel->physical_shape();
   out_decl.role = ir::BufferRole::kOutput;
   program.buffers.push_back(out_decl);
   ir::BufferDecl sa;

@@ -30,8 +30,8 @@ uint32_t Crc32(std::string_view data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-uint64_t Fnv1a64(std::string_view data) {
-  uint64_t hash = 0xcbf29ce484222325ull;
+uint64_t Fnv1a64(std::string_view data, uint64_t basis) {
+  uint64_t hash = basis;
   for (unsigned char byte : data) {
     hash ^= byte;
     hash *= 0x100000001b3ull;

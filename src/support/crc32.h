@@ -21,8 +21,9 @@ namespace alt {
 // CRC-32 (IEEE) of `data`, starting from the conventional ~0 seed.
 uint32_t Crc32(std::string_view data);
 
-// FNV-1a 64-bit hash of `data`.
-uint64_t Fnv1a64(std::string_view data);
+// FNV-1a 64-bit hash of `data`, starting from `basis` (the standard FNV
+// offset basis unless a caller must keep values it hashed from another).
+uint64_t Fnv1a64(std::string_view data, uint64_t basis = 0xcbf29ce484222325ull);
 
 // Line framing shared by every CRC-checked text format (tuning database,
 // compiled-network artifacts): "<crc32-hex-8> <payload>", checksum over

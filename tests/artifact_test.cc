@@ -260,6 +260,43 @@ TEST(Artifact, MalformedLayoutAndScheduleTokensAreInvalidArgument) {
   EXPECT_TRUE(LoadArtifact(mutated).ok());
 }
 
+// `prov variant=` carries the AltVariant number: every one of the nine
+// loads back, and no other number does.
+TEST(Artifact, ProvenanceAcceptsExactlyTheNineVariants) {
+  const auto& machine = sim::Machine::IntelCpu();
+  AltOptions options;
+  auto tuned = TuneSmall(machine, &options);
+  ASSERT_TRUE(tuned.ok());
+  const std::string path = TempPath("artifact_variant.altart");
+  for (int v = 0; v <= static_cast<int>(AltVariant::kAnsor); ++v) {
+    options.variant = static_cast<AltVariant>(v);
+    ASSERT_TRUE(SaveArtifact(*tuned, machine, options, path).ok());
+    auto loaded = LoadArtifact(path);
+    ASSERT_TRUE(loaded.ok()) << VariantName(options.variant) << ": "
+                             << loaded.status().ToString();
+    EXPECT_EQ(loaded->info.variant, options.variant);
+  }
+  auto contents = ReadFile(path);  // saved with variant=8 (Ansor)
+  ASSERT_TRUE(contents.ok());
+  const std::string mutated = TempPath("artifact_variant_mutated.altart");
+  for (const std::string bad : {"-1", "9", "x"}) {
+    std::vector<std::string> lines = Split(*contents, '\n');
+    for (auto& line : lines) {
+      std::string payload;
+      if (UnframeLine(line, &payload) && payload.rfind("prov ", 0) == 0) {
+        const size_t at = payload.find(" variant=8 ");
+        ASSERT_NE(at, std::string::npos) << payload;
+        line = FrameLine(payload.replace(at, 11, " variant=" + bad + " "));
+      }
+    }
+    ASSERT_TRUE(WriteFile(mutated, Join(lines, "\n")).ok());
+    auto loaded = LoadArtifact(mutated);
+    ASSERT_FALSE(loaded.ok()) << "variant=" << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+}
+
 TEST(Artifact, RejectsUnknownVersion) {
   const auto& machine = sim::Machine::IntelCpu();
   AltOptions options;

@@ -13,7 +13,6 @@
 #include "src/autotune/ppo.h"
 #include "src/autotune/space.h"
 #include "src/autotune/tuner.h"
-#include "src/baselines/baselines.h"
 #include "src/core/alt.h"
 #include "src/graph/networks.h"
 #include "src/layout/relation.h"
@@ -447,7 +446,9 @@ TEST(JointTuner, TunedBeatsDefaultSchedules) {
   graph::Graph g = SmallConvGraph();
   const auto& machine = sim::Machine::IntelCpu();
 
-  auto vendor = baselines::RunBaseline(baselines::BaselineKind::kVendor, g, machine, 0);
+  core::AltOptions vendor_options;
+  vendor_options.variant = core::AltVariant::kVendor;
+  auto vendor = core::Compile(g, machine, vendor_options);
   ASSERT_TRUE(vendor.ok()) << vendor.status().ToString();
 
   core::AltOptions options;
@@ -627,16 +628,46 @@ TEST(JointTuner, TunedNetworkStaysNumericallyCorrect) {
   EXPECT_LT(*diff, 2e-3);
 }
 
-TEST(Baselines, AllRunOnGmm) {
-  graph::Graph g = graph::BuildSingleMatmul(64, 128, 64);
-  const auto& machine = sim::Machine::NvidiaGpu();
-  for (auto kind : {baselines::BaselineKind::kVendor, baselines::BaselineKind::kAutoTvm,
-                    baselines::BaselineKind::kFlexTensor, baselines::BaselineKind::kAnsor}) {
-    auto result = baselines::RunBaseline(kind, g, machine, 60, 2);
-    ASSERT_TRUE(result.ok()) << baselines::BaselineName(kind) << ": "
+// The four competitors are variants of the one tuner, compiled through
+// core::Compile. Each pins the budget it spent and its tuned latency, bit
+// for bit.
+struct PinnedRun {
+  core::AltVariant variant;
+  int measurements;
+  double latency_us;
+};
+
+void ExpectPinnedRuns(const graph::Graph& g, const sim::Machine& machine,
+                      const std::vector<PinnedRun>& pins) {
+  for (const PinnedRun& pin : pins) {
+    core::AltOptions options;
+    options.budget = 60;
+    options.seed = 2;
+    options.variant = pin.variant;
+    auto result = core::Compile(g, machine, options);
+    ASSERT_TRUE(result.ok()) << core::VariantName(pin.variant) << ": "
                              << result.status().ToString();
-    EXPECT_GT(result->perf.latency_us, 0.0);
+    EXPECT_EQ(result->measurements_used, pin.measurements) << core::VariantName(pin.variant);
+    EXPECT_EQ(result->perf.latency_us, pin.latency_us) << core::VariantName(pin.variant);
   }
+}
+
+TEST(Baselines, AllRunOnGmm) {
+  ExpectPinnedRuns(graph::BuildSingleMatmul(64, 128, 64), sim::Machine::NvidiaGpu(),
+                   {{core::AltVariant::kVendor, 1, 0x1.01cb825dcb826p+5},
+                    {core::AltVariant::kAutoTvm, 28, 0x1.3b3d402d28c55p+2},
+                    {core::AltVariant::kFlexTensor, 62, 0x1.ed8c73953a881p+3},
+                    {core::AltVariant::kAnsor, 53, 0x1.1db9720ee05b9p+2}});
+}
+
+// On a CPU the vendor library, AutoTVM and Ansor tune convolutions on
+// blocked NCHWc layouts and FlexTensor on canonical ones.
+TEST(Baselines, AllRunOnFirstLayer) {
+  ExpectPinnedRuns(graph::BuildResNetFirstLayer(1), sim::Machine::IntelCpu(),
+                   {{core::AltVariant::kVendor, 2, 0x1.a301db61dc5e9p+11},
+                    {core::AltVariant::kAutoTvm, 62, 0x1.a301db61dc5e9p+11},
+                    {core::AltVariant::kFlexTensor, 79, 0x1.0333ee1f732bbp+11},
+                    {core::AltVariant::kAnsor, 55, 0x1.6767d96d01384p+10}});
 }
 
 TEST(Pretraining, SnapshotRoundTrips) {
