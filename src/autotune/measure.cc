@@ -5,7 +5,6 @@
 #include <exception>
 #include <sstream>
 
-#include "src/ir/affine.h"
 #include "src/ir/tensor.h"
 #include "src/loop/serialization.h"
 #include "src/support/crc32.h"
@@ -48,19 +47,6 @@ void AppendOpKey(const graph::Graph& g, const graph::LayoutAssignment& la, int o
       << loop::EncodeLayoutSeq(la.Get(op.output));
 }
 
-// Adds the lifetime of the enclosing scope (in nanoseconds) to `*sink`; used
-// to charge lower+estimate attempt time to cpu_ms, whatever exit path the
-// attempt takes.
-class NsAccumulator {
- public:
-  explicit NsAccumulator(int64_t* sink) : sink_(sink), start_(TraceRecorder::NowNs()) {}
-  ~NsAccumulator() { *sink_ += TraceRecorder::NowNs() - start_; }
-
- private:
-  int64_t* sink_;
-  int64_t start_;
-};
-
 }  // namespace
 
 std::string GroupCacheKey(const graph::Graph& graph,
@@ -93,11 +79,6 @@ int64_t MeasureEngine::quarantine_size() const {
   return static_cast<int64_t>(quarantine_.size());
 }
 
-int64_t MeasureEngine::analysis_cache_size() const {
-  std::lock_guard<std::mutex> lock(analysis_mu_);
-  return static_cast<int64_t>(analysis_cache_.size());
-}
-
 bool MeasureEngine::InsertQuarantine(const std::string& key) {
   if (!quarantine_.insert(key).second) {
     return false;
@@ -124,7 +105,7 @@ std::vector<MeasureResult> MeasureEngine::Measure(
   stats_.requested += n;
 
   // Resolve cache hits, quarantined keys, database hits, and intra-batch
-  // duplicates up front so only genuine misses reach the pool.
+  // duplicates up front so only genuine misses reach a back end.
   // `measure_slot[i]` marks slots that need work; `alias_of[i]` points a
   // duplicate at the slot that measures its key.
   std::vector<std::string> keys(n);
@@ -187,132 +168,90 @@ std::vector<MeasureResult> MeasureEngine::Measure(
     }
   }
 
-  // Lower + estimate the misses concurrently, retrying transient (injected)
-  // failures at once. Each task writes only its own slots — result and retry
-  // tallies — so the reduction below is deterministic.
-  // LowerGroup/EstimateProgram are pure; a deterministic failure (bad
-  // schedule, lowering error) is never retried.
-  const int w_count = static_cast<int>(work.size());
-  std::vector<int> slot_retries(w_count, 0);
-  std::vector<int> slot_injected(w_count, 0);
-  std::vector<int64_t> slot_cpu_ns(w_count, 0);
-  std::vector<char> slot_done(w_count, 0);
-  std::vector<char> slot_analysis_hit(w_count, 0);
-  const int max_attempts = std::max(1, config_.retry.max_attempts);
-  Histogram& queue_wait_hist = MetricsRegistry::Global().histogram("measure.queue_wait_us");
-  Histogram& candidate_hist = MetricsRegistry::Global().histogram("measure.candidate_us");
-  const int64_t submit_ns = TraceRecorder::NowNs();
-  Status pool_status = Status::Ok();
-  if (config_.isolate.workers > 0 && w_count > 0) {
-    // Out-of-process evaluation: a WorkerPool schedules the misses onto
-    // forked worker subprocesses, handling retries and injected faults
-    // itself with the same accounting as the loop below; the engine keeps
-    // only the slot-ordered reduction. The analysis cache is skipped —
-    // children cannot publish into the parent's cache — which changes
-    // analysis_cache_hits but never a latency (EstimateProgram is pure).
-    auto eval = [&](int i) -> WorkerEval {
-      auto program = loop::LowerGroup(graph, assignment, group, schedules[i]);
-      if (!program.ok()) {
-        return {program.status(), 0.0};
-      }
-      return {Status::Ok(), sim::EstimateProgram(*program, machine_).latency_us};
-    };
-    WorkerPool workers(config_.isolate, config_.retry,
-                       injector_.enabled() ? &injector_ : nullptr, sites, eval);
-    std::vector<WorkerOutcome> outcomes = workers.Run(work);
-    for (int w = 0; w < w_count; ++w) {
-      const int i = work[w];
-      const WorkerOutcome& o = outcomes[w];
-      results[i].status = o.status;
-      if (o.status.ok()) {
-        results[i].latency_us = o.latency_us;
-      }
-      results[i].attempts = o.attempts;
-      slot_retries[w] = o.retries;
-      slot_injected[w] = o.injected;
-      slot_cpu_ns[w] = o.eval_ns;
-      slot_done[w] = 1;
-      candidate_hist.Observe(static_cast<double>(o.eval_ns) * 1e-3);
+  // The one candidate evaluation, run by both back ends. LowerGroup and
+  // EstimateProgram are pure, so a lowering error is deterministic and never
+  // retried; only injected faults and worker deaths are transient.
+  auto evaluate = [&](int i) -> WorkerEval {
+    auto program = loop::LowerGroup(graph, assignment, group, schedules[i]);
+    if (!program.ok()) {
+      return {program.status(), 0.0};
     }
+    return {Status::Ok(), sim::EstimateProgram(*program, machine_).latency_us};
+  };
+  // One outcome per work item, in `work` order.
+  std::vector<WorkerOutcome> outcomes;
+  if (config_.isolate.workers > 0 && !work.empty()) {
+    // Forked worker subprocesses; WorkerPool applies the retry policy and
+    // the injected faults parent-side, with the same accounting as below.
+    WorkerPool workers(config_.isolate, config_.retry,
+                       injector_.enabled() ? &injector_ : nullptr, sites, evaluate);
+    outcomes = workers.Run(work);
     stats_.worker_restarts += workers.restarts();
   } else {
-    pool_status = pool_.ParallelFor(w_count, [&](int w) {
-      int i = work[w];
+    // The thread pool, retrying injected faults at once. Each slot starts
+    // failed and only a finished attempt overwrites it, so a task that dies
+    // outside the catch below never reads as a measurement.
+    outcomes.assign(work.size(), WorkerOutcome{Status::Internal("measurement never ran")});
+    const int max_attempts = std::max(1, config_.retry.max_attempts);
+    Histogram& queue_wait_hist = MetricsRegistry::Global().histogram("measure.queue_wait_us");
+    const int64_t submit_ns = TraceRecorder::NowNs();
+    const Status pool_status = pool_.ParallelFor(static_cast<int>(work.size()), [&](int w) {
+      const int i = work[w];
       // Time from batch submission until a pool thread picked this slot up.
       queue_wait_hist.Observe(static_cast<double>(TraceRecorder::NowNs() - submit_ns) *
                               1e-3);
       TraceSpan candidate_span("measure.candidate");
+      WorkerOutcome& o = outcomes[w];
       for (int attempt = 0; attempt < max_attempts; ++attempt) {
         if (attempt > 0) {
-          ++slot_retries[w];
+          ++o.retries;
         }
-        NsAccumulator attempt_timer(&slot_cpu_ns[w]);
-        ++results[i].attempts;
+        ++o.attempts;
         if (injector_.enabled() && injector_.ShouldFail(sites[i], attempt)) {
-          ++slot_injected[w];
-          results[i].status = Status::Unavailable("injected transient measurement fault");
+          ++o.injected;
+          o.status = Status::Unavailable("injected transient measurement fault");
           continue;  // transient: retry
         }
+        const int64_t start_ns = TraceRecorder::NowNs();
         try {
-          auto program = loop::LowerGroup(graph, assignment, group, schedules[i]);
-          if (!program.ok()) {
-            results[i].status = program.status();  // deterministic: no retry
-            break;
-          }
-          // Structurally identical programs (e.g. schedules differing only
-          // in omitted unit loops) analyze once; EstimateProgram is pure in
-          // the structure + buffer shapes the key captures, so a hit returns
-          // the exact latency a fresh analysis would.
-          std::string akey = ir::ProgramStructureKey(*program);
-          bool hit = false;
-          double latency = 0.0;
-          {
-            std::lock_guard<std::mutex> lock(analysis_mu_);
-            auto it = analysis_cache_.find(akey);
-            if (it != analysis_cache_.end()) {
-              hit = true;
-              latency = it->second;
-            }
-          }
-          if (hit) {
-            slot_analysis_hit[w] = 1;
-          } else {
-            latency = sim::EstimateProgram(*program, machine_).latency_us;
-            std::lock_guard<std::mutex> lock(analysis_mu_);
-            analysis_cache_.emplace(std::move(akey), latency);
-          }
-          results[i].latency_us = latency;
-          results[i].status = Status::Ok();
-          break;
+          WorkerEval eval = evaluate(i);
+          o.status = std::move(eval.status);
+          o.latency_us = eval.latency_us;
         } catch (const std::exception& e) {
-          results[i].status =
-              Status::Internal(std::string("measurement threw: ") + e.what());
-          break;
+          o.status = Status::Internal(std::string("measurement threw: ") + e.what());
+        } catch (...) {
+          o.status = Status::Internal("measurement threw");
         }
+        o.eval_ns += TraceRecorder::NowNs() - start_ns;
+        break;
       }
-      candidate_hist.Observe(static_cast<double>(slot_cpu_ns[w]) * 1e-3);
-      slot_done[w] = 1;
     });
+    for (WorkerOutcome& o : outcomes) {
+      if (o.attempts == 0 && !pool_status.ok()) {
+        o.status = pool_status;  // the pool refused the batch or lost the task
+      }
+    }
   }
 
   // Reduce in deterministic slot order on the calling thread.
-  for (int w = 0; w < w_count; ++w) {
-    int i = work[w];
-    if (!slot_done[w] && results[i].status.ok()) {
-      // A pool-level fault (task exception escaping the engine's own
-      // try/catch) must not masquerade as a successful measurement.
-      results[i].status = pool_status.ok() ? Status::Internal("measurement never ran")
-                                           : pool_status;
+  Histogram& candidate_hist = MetricsRegistry::Global().histogram("measure.candidate_us");
+  for (size_t w = 0; w < work.size(); ++w) {
+    const int i = work[w];
+    const WorkerOutcome& o = outcomes[w];
+    results[i].status = o.status;
+    if (o.status.ok()) {
+      results[i].latency_us = o.latency_us;
     }
-    stats_.retries += slot_retries[w];
-    stats_.injected_failures += slot_injected[w];
-    stats_.analysis_cache_hits += slot_analysis_hit[w];
-    stats_.cpu_ms += static_cast<double>(slot_cpu_ns[w]) * 1e-6;
+    results[i].attempts = o.attempts;
+    stats_.retries += o.retries;
+    stats_.injected_failures += o.injected;
+    stats_.cpu_ms += static_cast<double>(o.eval_ns) * 1e-6;
+    candidate_hist.Observe(static_cast<double>(o.eval_ns) * 1e-3);
     {
       std::lock_guard<std::mutex> lock(cache_mu_);
-      if (results[i].status.ok()) {
+      if (o.status.ok()) {
         ++stats_.measured;
-        cache_.emplace(keys[i], results[i].latency_us);
+        cache_.emplace(keys[i], o.latency_us);
       } else {
         ++stats_.failed;
         if (InsertQuarantine(keys[i])) {
@@ -324,8 +263,8 @@ std::vector<MeasureResult> MeasureEngine::Measure(
       // Write-through: persist this measurement so a later run against the
       // same database (and machine) never re-measures the candidate.
       MeasureDatabase::Entry entry;
-      entry.failed = !results[i].status.ok();
-      entry.latency_us = entry.failed ? 0.0 : results[i].latency_us;
+      entry.failed = !o.status.ok();
+      entry.latency_us = entry.failed ? 0.0 : o.latency_us;
       database_->Record(sites[i], entry);
     }
   }
@@ -367,7 +306,6 @@ std::vector<MeasureResult> MeasureEngine::Measure(
   static Counter& c_retries = registry.counter("measure.retries");
   static Counter& c_quarantined = registry.counter("measure.quarantined");
   static Counter& c_injected = registry.counter("measure.injected_failures");
-  static Counter& c_analysis_hits = registry.counter("measure.analysis_cache_hits");
   static Counter& c_db_hits = registry.counter("measure.db_hits");
   static Counter& c_worker_restarts = registry.counter("measure.worker_restarts");
   c_requested.Add(stats_.requested - stats_before.requested);
@@ -377,7 +315,6 @@ std::vector<MeasureResult> MeasureEngine::Measure(
   c_retries.Add(stats_.retries - stats_before.retries);
   c_quarantined.Add(stats_.quarantined - stats_before.quarantined);
   c_injected.Add(stats_.injected_failures - stats_before.injected_failures);
-  c_analysis_hits.Add(stats_.analysis_cache_hits - stats_before.analysis_cache_hits);
   c_db_hits.Add(stats_.db_hits - stats_before.db_hits);
   c_worker_restarts.Add(stats_.worker_restarts - stats_before.worker_restarts);
   registry.gauge("measure.quarantine_size").Set(static_cast<double>(quarantine_size()));

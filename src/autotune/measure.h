@@ -18,9 +18,6 @@
 //     layout sequences of every tensor the group touches, and the serialized
 //     schedule. A candidate revisited across rounds, layout proposals, or the
 //     loop-only stage is returned from the cache and costs zero budget.
-//     Below it, a structure-keyed analysis cache (ir::ProgramStructureKey)
-//     lets fresh candidates whose lowered programs are structurally
-//     identical share one EstimateProgram run.
 //   * FAULT TOLERANCE — an optional FaultInjector simulates transient
 //     measurement failures; a failed attempt is retried at once, and
 //     candidates that fail persistently (transient retries exhausted, or a
@@ -41,10 +38,12 @@
 //     instead of on the thread pool; a candidate that crashes, hangs, or
 //     corrupts its reply costs a worker respawn and a retry, never the tuner
 //     process, and persistent offenders land in the quarantine like any
-//     other persistent failure.
+//     other persistent failure. Both back ends run the same evaluation and
+//     report the same WorkerOutcome record, which one slot-ordered
+//     reduction turns into results and stats.
 //
 // The cache and quarantine set are thread-safe; lookups and inserts happen on
-// the reducing thread, misses are measured on the pool.
+// the reducing thread, misses are measured by a back end.
 
 #ifndef ALT_AUTOTUNE_MEASURE_H_
 #define ALT_AUTOTUNE_MEASURE_H_
@@ -83,13 +82,6 @@ struct MeasureStats {
   // Measurement workers killed and respawned by the isolated path (crash,
   // garbled frame, or missed deadline). 0 unless isolation is enabled.
   int64_t worker_restarts = 0;
-  // Fresh measurements whose lowered program matched an already-analyzed
-  // structure (ir::ProgramStructureKey) and skipped sim::EstimateProgram.
-  // These still count as `measured` — the candidate was lowered — but the
-  // analysis work was served from the structure cache. The count can vary
-  // with thread scheduling (concurrent first-misses race benignly); the
-  // returned latencies never do.
-  int64_t analysis_cache_hits = 0;
   int64_t injected_failures = 0;  // attempts failed by the FaultInjector
   // Wall-clock of Measure() calls, accounted ONCE PER BATCH on the calling
   // thread. The engine's single-caller contract (ParallelFor is not
@@ -158,9 +150,9 @@ struct MeasureEngineConfig {
   // isolate.workers > 0: fresh candidates are evaluated in forked worker
   // processes instead of on the thread pool, so a crashing, hanging, or
   // garbling candidate costs a worker respawn and a retry, never the tuner
-  // process. Results are bit-identical to the in-process path (the isolated
-  // path skips the analysis cache — EstimateProgram is pure, so only
-  // analysis_cache_hits differs, never a latency).
+  // process. Both back ends run one evaluation, so results and every
+  // MeasureStats count are identical; only worker_restarts and the timings
+  // differ.
   IsolateOptions isolate;
 };
 
@@ -197,7 +189,6 @@ class MeasureEngine {
   int threads() const { return pool_.size(); }
   int64_t cache_size() const;
   int64_t quarantine_size() const;
-  int64_t analysis_cache_size() const;
 
  private:
   const sim::Machine& machine_;
@@ -215,11 +206,6 @@ class MeasureEngine {
   std::unordered_map<std::string, double> cache_;  // key -> latency_us (ok only)
   std::unordered_set<std::string> quarantine_;     // keys that fail persistently
   std::deque<std::string> quarantine_order_;       // insertion order, for eviction
-
-  // Structure key -> latency_us. Guarded separately from cache_mu_: lookups
-  // happen on pool threads mid-measurement, not on the reducing thread.
-  mutable std::mutex analysis_mu_;
-  std::unordered_map<std::string, double> analysis_cache_;
 
   MeasureStats stats_;
 };

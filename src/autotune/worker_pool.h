@@ -21,9 +21,9 @@
 // consults the FaultInjector itself (children never see injected faults) and
 // reports per-candidate outcomes positionally, so the isolated path yields
 // bit-identical results and budget accounting to the in-process path — and
-// resuming from the tuning database works unchanged. Evaluation order across
-// workers is nondeterministic; outcome REDUCTION (in measure.cc) is
-// slot-ordered.
+// resuming from the tuning database works unchanged. Both paths run the
+// engine's one evaluation; evaluation order across workers is
+// nondeterministic, but outcome REDUCTION (in measure.cc) is slot-ordered.
 //
 // FORK CONTRACT. Children are forked per measurement batch and inherit the
 // batch context (graph/assignment/group/schedules) by copy-on-write, so no
@@ -87,8 +87,10 @@ struct WorkerEval {
   double latency_us = 0.0;
 };
 
-// Final per-candidate outcome after the retry policy ran its course. Field
-// semantics mirror the in-process per-slot tallies in MeasureEngine::Measure.
+// Final per-candidate outcome after the retry policy ran its course: the one
+// outcome record of both measurement back ends. WorkerPool::Run fills it here,
+// the in-process path fills it on the engine's thread pool, and
+// MeasureEngine::Measure reduces either in slot order.
 struct WorkerOutcome {
   Status status = Status::Ok();
   double latency_us = 0.0;

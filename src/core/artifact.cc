@@ -539,18 +539,12 @@ StatusOr<LoadedArtifact> LoadArtifact(const std::string& path) {
       for (int64_t v : *fused) {
         group.fused_ops.push_back(static_cast<int>(v));
       }
-      loop::LoopSchedule sched;
-      for (size_t t = 2; t < tokens.size(); ++t) {
-        size_t eq = tokens[t].find('=');
-        if (eq == std::string::npos) {
-          return Status::InvalidArgument("bad schedule token: " + tokens[t]);
-        }
-        ALT_RETURN_IF_ERROR(
-            loop::DecodeScheduleToken(tokens[t].substr(0, eq), tokens[t].substr(eq + 1), sched));
+      auto sched = loop::DecodeSchedule({tokens.begin() + 2, tokens.end()});
+      if (!sched.ok()) {
+        return sched.status();
       }
-      ALT_RETURN_IF_ERROR(loop::ValidateSchedule(sched));
       groups.push_back(std::move(group));
-      schedules.push_back(std::move(sched));
+      schedules.push_back(std::move(*sched));
     } else if (*version >= 2 && ConsumePrefix(payload, "kernel ")) {
       std::vector<std::string> tokens = Split(payload, ' ');
       if (tokens.size() != 3 || tokens[0].size() != 16 ||

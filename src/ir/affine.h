@@ -132,8 +132,8 @@ bool ParallelRootWritesDisjoint(const Program& program);
 // referenced buffer — with loop-variable ids and tensor ids normalized to
 // first-appearance order. Two programs with equal keys are structurally
 // identical, so every structure-only analysis (sim::EstimateProgram in
-// particular) produces identical results for them. Used by the measurement
-// engine's analysis cache.
+// particular) produces identical results for them. Keys the native kernel
+// cache (codegen/kernel_cache.h).
 std::string ProgramStructureKey(const Program& program);
 
 }  // namespace alt::ir

@@ -1,5 +1,6 @@
 #include "src/loop/serialization.h"
 
+#include <set>
 #include <sstream>
 
 #include "src/support/string_util.h"
@@ -38,9 +39,6 @@ std::string EncodePrimitive(const Primitive& p) {
 StatusOr<std::vector<int64_t>> ParseInts(const std::string& s) {
   std::vector<int64_t> out;
   for (const auto& part : Split(s, ',')) {
-    if (part.empty()) {
-      continue;
-    }
     auto v = ParseInt64(part);
     if (!v.ok()) {
       return v.status();
@@ -188,61 +186,26 @@ std::string EncodeSchedule(const LoopSchedule& sched) {
   return oss.str();
 }
 
-Status DecodeScheduleToken(const std::string& key, const std::string& value,
-                           LoopSchedule& sched) {
-  if (key == "s") {
-    for (const auto& axis : Split(value, ';')) {
-      if (axis.empty()) {
-        continue;
-      }
-      auto parts = ParseInts(axis);
-      if (!parts.ok()) {
-        return parts.status();
-      }
-      if (parts->size() != 4) {
-        return Status::InvalidArgument("bad spatial axis: " + axis);
-      }
-      sched.spatial.push_back({(*parts)[0], (*parts)[1], (*parts)[2], (*parts)[3]});
+namespace {
+
+// Splits a ';'-separated list of axes into their int lists, each of exactly
+// `arity` entries. An empty value is the empty list.
+StatusOr<std::vector<std::vector<int64_t>>> ParseAxes(const std::string& value, size_t arity) {
+  std::vector<std::vector<int64_t>> axes;
+  if (value.empty()) {
+    return axes;
+  }
+  for (const auto& axis : Split(value, ';')) {
+    auto parts = ParseInts(axis);
+    if (!parts.ok()) {
+      return parts.status();
     }
-    return Status::Ok();
-  }
-  if (key == "r") {
-    for (const auto& axis : Split(value, ';')) {
-      if (axis.empty()) {
-        continue;
-      }
-      auto parts = ParseInts(axis);
-      if (!parts.ok()) {
-        return parts.status();
-      }
-      if (parts->size() != 2) {
-        return Status::InvalidArgument("bad reduction axis: " + axis);
-      }
-      sched.reduction.push_back({(*parts)[0], (*parts)[1]});
+    if (parts->size() != arity) {
+      return Status::InvalidArgument("bad schedule axis: " + axis);
     }
-    return Status::Ok();
+    axes.push_back(std::move(*parts));
   }
-  if (key == "par") {
-    auto v = ParseInt32(value);
-    if (!v.ok()) {
-      return v.status();
-    }
-    sched.parallel_axes = *v;
-    return Status::Ok();
-  }
-  if (key == "rot") {
-    auto v = ParseInt32(value);
-    if (!v.ok()) {
-      return v.status();
-    }
-    sched.inner_order_rotation = *v;
-    return Status::Ok();
-  }
-  if (key == "unroll") {
-    sched.unroll_inner_reduction = value == "1";
-    return Status::Ok();
-  }
-  return Status::Ok();  // unknown keys: ignore
+  return axes;
 }
 
 Status ValidateSchedule(const LoopSchedule& sched) {
@@ -267,6 +230,59 @@ Status ValidateSchedule(const LoopSchedule& sched) {
     return Status::InvalidArgument("inner_order_rotation out of range");
   }
   return Status::Ok();
+}
+
+}  // namespace
+
+StatusOr<LoopSchedule> DecodeSchedule(const std::vector<std::string>& tokens) {
+  LoopSchedule sched;
+  std::set<std::string> seen;
+  for (const std::string& token : tokens) {
+    const size_t eq = token.find('=');
+    if (eq == std::string::npos) {
+      return Status::InvalidArgument("bad schedule token: " + token);
+    }
+    const std::string key = token.substr(0, eq);
+    const std::string value = token.substr(eq + 1);
+    if (!seen.insert(key).second) {
+      return Status::InvalidArgument("repeated schedule token: " + token);
+    }
+    if (key == "s") {
+      auto axes = ParseAxes(value, 4);
+      if (!axes.ok()) {
+        return axes.status();
+      }
+      for (const auto& a : *axes) {
+        sched.spatial.push_back({a[0], a[1], a[2], a[3]});
+      }
+    } else if (key == "r") {
+      auto axes = ParseAxes(value, 2);
+      if (!axes.ok()) {
+        return axes.status();
+      }
+      for (const auto& a : *axes) {
+        sched.reduction.push_back({a[0], a[1]});
+      }
+    } else if (key == "par") {
+      auto v = ParseInt32(value);
+      if (!v.ok()) {
+        return v.status();
+      }
+      sched.parallel_axes = *v;
+    } else if (key == "rot") {
+      auto v = ParseInt32(value);
+      if (!v.ok()) {
+        return v.status();
+      }
+      sched.inner_order_rotation = *v;
+    } else if (key == "unroll" && (value == "0" || value == "1")) {
+      sched.unroll_inner_reduction = value == "1";
+    } else {
+      return Status::InvalidArgument("bad schedule token: " + token);
+    }
+  }
+  ALT_RETURN_IF_ERROR(ValidateSchedule(sched));
+  return sched;
 }
 
 }  // namespace alt::loop

@@ -32,19 +32,17 @@ std::string EncodeLayoutSeq(const layout::LayoutSeq& seq);
 // an artifact group line.
 std::string EncodeSchedule(const LoopSchedule& sched);
 
-// Applies one "key=value" schedule token to `sched`. Unknown keys are
-// ignored (forward compatibility with newer writers).
-Status DecodeScheduleToken(const std::string& key, const std::string& value,
-                           LoopSchedule& sched);
+// Inverse of EncodeSchedule, over its space-separated "key=value" tokens.
+// Rejects what EncodeSchedule never writes: a token without '=', an unknown
+// or repeated key, an unroll other than 0 or 1, and an empty list element.
+// Also rejects structurally unsound schedules (a tile factor below 1,
+// parallel_axes or inner_order_rotation outside [0, 64]), since the token
+// grammar does not know the op signature and the result may be lowered.
+StatusOr<LoopSchedule> DecodeSchedule(const std::vector<std::string>& tokens);
 
-// Comma-separated int64 list; rejects non-numeric or out-of-range entries.
+// Comma-separated int64 list; rejects empty, non-numeric or out-of-range
+// entries.
 StatusOr<std::vector<int64_t>> ParseInts(const std::string& s);
-
-// Structural sanity of a decoded schedule: every tile factor >= 1,
-// parallel_axes and inner_order_rotation within [0, 64]. Decoders accept any
-// integers (the token grammar doesn't know the op signature), so untrusted
-// schedules must pass through this before being lowered or stored.
-Status ValidateSchedule(const LoopSchedule& sched);
 
 }  // namespace alt::loop
 

@@ -189,9 +189,11 @@ TEST(Artifact, MalformedLayoutAndScheduleTokensAreInvalidArgument) {
     return std::string();
   };
   // The first layout line's tensor and the first group line's anchor and
-  // fused ops, kept so only the tokens under test change.
+  // fused ops, kept so only the tokens under test change, and that group's
+  // own schedule tokens.
   std::string layout_head;
   std::string group_head;
+  std::string group_sched;
   for (const auto& line : lines) {
     std::string payload;
     if (!UnframeLine(line, &payload)) {
@@ -203,10 +205,12 @@ TEST(Artifact, MalformedLayoutAndScheduleTokensAreInvalidArgument) {
     if (group_head.empty() && payload.rfind("group ", 0) == 0) {
       const size_t fused_end = payload.find(' ', payload.find(" fused=") + 1);
       group_head = payload.substr(6, fused_end - 6) + " ";
+      group_sched = payload.substr(fused_end + 1);
     }
   }
   ASSERT_FALSE(layout_head.empty()) << "the tuned network assigns no layout";
   ASSERT_FALSE(group_head.empty());
+  ASSERT_EQ(group_sched.rfind("s=", 0), 0u) << group_sched;
   const std::string mutated = TempPath("artifact_tokens_mutated.altart");
 
   for (const char* token : {
@@ -247,6 +251,30 @@ TEST(Artifact, MalformedLayoutAndScheduleTokensAreInvalidArgument) {
            "unroll",                                     // no '='
        }) {
     SCOPED_TRACE(std::string("schedule tokens: ") + tokens);
+    ASSERT_TRUE(WriteFile(mutated, with_line("group ", group_head + tokens)).ok());
+    auto loaded = LoadArtifact(mutated);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+
+  // Tokens the writer never produces, each the group's own schedule with one
+  // change, so only the strictness of the decoder rejects them.
+  auto replace_first = [&](const std::string& from, const std::string& to) {
+    std::string text = group_sched;
+    const size_t pos = text.find(from);
+    EXPECT_NE(pos, std::string::npos) << from << " in " << group_sched;
+    return pos == std::string::npos ? text : text.replace(pos, from.size(), to);
+  };
+  for (const std::string& tokens : {
+           group_sched.substr(0, group_sched.rfind("unroll=")) + "unroll=7",  // not 0/1
+           group_sched + " frob=1",                                      // unknown key
+           replace_first(" par=", " par=0 par="),                        // repeated key
+           replace_first(",", ",,"),                                     // empty element
+           replace_first(" r=", ", r="),                                 // trailing comma
+           replace_first(" r=", "; r="),                                 // empty axis
+       }) {
+    SCOPED_TRACE("schedule tokens: " + tokens);
     ASSERT_TRUE(WriteFile(mutated, with_line("group ", group_head + tokens)).ok());
     auto loaded = LoadArtifact(mutated);
     ASSERT_FALSE(loaded.ok());
