@@ -42,6 +42,18 @@ Fig12Result RunVariant(core::AltVariant variant, const graph::Graph& g,
   return out;
 }
 
+// ALT's total against another variant's: "wins" below 0.95x, "loses" above
+// 1.05x, "ties" within ±5%.
+const char* Verdict(double alt_total, double other_total) {
+  if (alt_total <= 0 || other_total <= 0) {
+    return "loses";  // a failed compile
+  }
+  if (alt_total < other_total * 0.95) {
+    return "wins";
+  }
+  return alt_total > other_total * 1.05 ? "loses" : "ties";
+}
+
 void RunSubgraph(int index, const sim::Machine& machine) {
   graph::Graph g = graph::BuildFig12Subgraph(index);
   char title[128];
@@ -69,8 +81,7 @@ void RunSubgraph(int index, const sim::Machine& machine) {
     std::fflush(stdout);
   }
   std::printf("-> ALT (independent + conversion) vs FP/BP: %s / %s\n",
-              (alt_total > 0 && fp_total > 0 && alt_total <= fp_total * 1.05) ? "wins" : "loses",
-              (alt_total > 0 && bp_total > 0 && alt_total <= bp_total * 1.05) ? "wins" : "loses");
+              Verdict(alt_total, fp_total), Verdict(alt_total, bp_total));
 }
 
 }  // namespace alt

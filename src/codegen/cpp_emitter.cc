@@ -1,6 +1,5 @@
 #include "src/codegen/cpp_emitter.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -36,13 +35,21 @@ std::string DLit(double v) {
   return std::string("alt_imm(") + buf + ")";
 }
 
+// No standard headers: the preamble declares what it uses, which keeps the
+// compile of each small kernel short. exp and tanh are the process's libm
+// functions; kernels are compiled with -fno-builtin-exp -fno-builtin-tanh
+// (jit.cc), so a constant argument is not folded at compile time to a value
+// the host's libm does not return. sqrt stays a builtin: IEEE rounds it
+// exactly.
 const char* kPreamble = R"(// Generated by alt::codegen. Do not edit.
-#include <cstdint>
-#include <cstring>
-typedef int64_t i64;
-static inline double alt_imm(uint64_t bits) {
+typedef __INT64_TYPE__ i64;
+typedef __UINT64_TYPE__ u64;
+extern "C" double exp(double);
+extern "C" double tanh(double);
+extern "C" double sqrt(double);
+static inline double alt_imm(u64 bits) {
   double d;
-  std::memcpy(&d, &bits, sizeof(d));
+  __builtin_memcpy(&d, &bits, sizeof(d));
   return d;
 }
 static inline i64 alt_floordiv(i64 a, i64 b) {
@@ -54,6 +61,28 @@ static inline i64 alt_floordiv(i64 a, i64 b) {
 }
 static inline i64 alt_ceildiv(i64 a, i64 b) { return -alt_floordiv(-a, b); }
 static inline i64 alt_floormod(i64 a, i64 b) { return a - alt_floordiv(a, b) * b; }
+// std::min / std::max, as CompiledExpr and EvalVal call them.
+static inline i64 alt_imin(i64 a, i64 b) { return (b < a) ? b : a; }
+static inline i64 alt_imax(i64 a, i64 b) { return (a < b) ? b : a; }
+static inline double alt_fmin(double a, double b) { return (b < a) ? b : a; }
+static inline double alt_fmax(double a, double b) { return (a < b) ? b : a; }
+// Mirror of EvalVal's select guard: lo <= e < hi and, for modulus > 1,
+// e % modulus == rem with the remainder moved into [0, modulus).
+static inline bool alt_guard(i64 e, i64 lo, i64 hi, i64 modulus, i64 rem) {
+  if (e < lo || e >= hi) {
+    return false;
+  }
+  if (modulus > 1) {
+    i64 m = e % modulus;
+    if (m < 0) {
+      m += modulus;
+    }
+    if (m != rem) {
+      return false;
+    }
+  }
+  return true;
+}
 // Mirror of ir::GuardRange: the contiguous [begin,end) of v in [0,extent)
 // satisfying lo <= c0 + cv*v < hi and c0 + cv*v == rem (mod modulus).
 // Returns false for a periodic (non-contiguous) subset — the planner never
@@ -106,27 +135,19 @@ static inline bool alt_guard_range(i64 c0, i64 cv, i64 lo, i64 hi, i64 modulus, 
 
 class Emitter {
  public:
-  explicit Emitter(const KernelSpec& spec)
-      : spec_(spec),
-        writes_env_(std::any_of(spec.leaves.begin(), spec.leaves.end(), HostRouted)) {}
+  explicit Emitter(const KernelSpec& spec) : spec_(spec) {}
 
   std::string Emit() {
     out_ << kPreamble;
     out_ << "extern \"C\" i64 " << kKernelSymbol
-         << "(float** bufs, i64* env, void* ctx,\n"
-            "                              i64 (*fallback)(void*, i64, i64*),\n"
-            "                              i64 begin, i64 end) {\n"
-            "  (void)bufs; (void)env; (void)ctx; (void)fallback; (void)begin; (void)end;\n";
+         << "(float** bufs, i64 begin, i64 end) {\n"
+            "  (void)bufs; (void)begin; (void)end;\n";
     EmitRange(0, spec_.instrs.size(), 1);
     out_ << "  return 0;\n}\n";
     return out_.str();
   }
 
  private:
-  // Leaves the kernel hands to the host callback, which reads loop state
-  // from `env`: non-affine stores and per-element value trees.
-  static bool HostRouted(const KernelSpec::Leaf& lf) { return lf.bytecode || lf.HasEval(); }
-
   void Indent(int depth) {
     for (int i = 0; i < depth; ++i) {
       out_ << "  ";
@@ -163,10 +184,6 @@ class Emitter {
                << ip << " < " << (sliced_root ? std::string("end") : ILit(ins.extent))
                << "; ++i" << ip
                << ") {\n";
-          if (writes_env_) {
-            Indent(depth + 1);
-            out_ << "env[" << ins.slot << "] = i" << ip << ";\n";
-          }
           active_loops_.push_back(static_cast<int>(ip));
           EmitRange(ip + 1, static_cast<size_t>(ins.match), depth + 1);
           active_loops_.pop_back();
@@ -286,7 +303,7 @@ class Emitter {
         break;
       }
       case KernelSpec::BranchKind::kEval:
-        break;  // unreachable: eval leaves run through the callback
+        break;  // unreachable: eval leaves are store leaves
     }
     Indent(depth + 1);
     out_ << "return 0;\n";
@@ -294,10 +311,162 @@ class Emitter {
     out_ << "};\n";
   }
 
-  void EmitLeaf(const KernelSpec::Leaf& lf, int index, int depth) {
-    if (HostRouted(lf)) {
+  // The C++ name of env slot `slot` inside a store leaf: the leaf variable
+  // `v`, else the innermost enclosing loop bound to it. A slot no enclosing
+  // loop binds (a malformed program reading another loop's variable) names
+  // no variable, so the kernel fails to compile and the program runs on the
+  // affine engine, as the generic engine would run it.
+  std::string SlotName(int64_t slot, const KernelSpec::Leaf& lf) const {
+    if (slot == lf.vslot) {
+      return "v";
+    }
+    for (auto it = active_loops_.rbegin(); it != active_loops_.rend(); ++it) {
+      if (spec_.instrs[*it].slot == slot) {
+        return "i" + std::to_string(*it);
+      }
+    }
+    return "alt_unbound_slot_" + std::to_string(slot);
+  }
+
+  // Index tree `node` as one C++ expression with CompiledExpr's arithmetic.
+  std::string IndexExpr(int node, const KernelSpec::Leaf& lf) const {
+    const KernelSpec::IndexNode& n = spec_.index_nodes[node];
+    auto call = [&](const char* fn) {
+      return std::string(fn) + "(" + IndexExpr(n.a, lf) + ", " + IndexExpr(n.b, lf) + ")";
+    };
+    auto infix = [&](const char* op) {
+      return "(" + IndexExpr(n.a, lf) + " " + op + " " + IndexExpr(n.b, lf) + ")";
+    };
+    switch (n.op) {
+      case ir::ExprKind::kConst:
+        return ILit(n.value);
+      case ir::ExprKind::kVar:
+        return SlotName(n.value, lf);
+      case ir::ExprKind::kAdd:
+        return infix("+");
+      case ir::ExprKind::kSub:
+        return infix("-");
+      case ir::ExprKind::kMul:
+        return infix("*");
+      case ir::ExprKind::kFloorDiv:
+        return call("alt_floordiv");
+      case ir::ExprKind::kMod:
+        return call("alt_floormod");
+      case ir::ExprKind::kMin:
+        return call("alt_imin");
+      case ir::ExprKind::kMax:
+        return call("alt_imax");
+    }
+    return "0";
+  }
+
+  // Emits the statements that evaluate value tree `node` as EvalVal does —
+  // a load's offset is bounds-checked before it is read, and a select
+  // evaluates only the branch its guards take — and returns the C++
+  // expression that holds the value.
+  std::string EmitValue(int node, const KernelSpec::Leaf& lf, int depth) {
+    const KernelSpec::ValueNode& n = spec_.value_nodes[node];
+    if (n.kind == ir::ValKind::kImm) {
+      return DLit(n.imm);
+    }
+    const std::string t = "t" + std::to_string(temps_++);
+    if (n.kind == ir::ValKind::kLoad) {
+      const std::string o = "o" + t;
       Indent(depth);
-      out_ << "{ const i64 rc = fallback(ctx, " << index << ", env); if (rc != 0) return rc; }\n";
+      out_ << "const i64 " << o << " = " << IndexExpr(n.offset, lf) << ";\n";
+      Indent(depth);
+      out_ << "if (" << o << " < 0 || " << o << " >= " << ILit(n.size) << ") return 2;\n";
+      Indent(depth);
+      out_ << "const double " << t << " = (double)bufs[" << n.buffer << "][" << o << "];\n";
+      return t;
+    }
+    if (n.kind == ir::ValKind::kSelect) {
+      Indent(depth);
+      out_ << "double " << t << ";\n";
+      Indent(depth);
+      out_ << "if (";
+      for (size_t g = 0; g < n.guards.size(); ++g) {
+        const KernelSpec::Guard& c = n.guards[g];
+        out_ << (g > 0 ? " && " : "") << "alt_guard(" << IndexExpr(c.expr, lf) << ", "
+             << ILit(c.lo) << ", " << ILit(c.hi) << ", " << ILit(c.modulus) << ", "
+             << ILit(c.rem) << ")";
+      }
+      out_ << (n.guards.empty() ? "true" : "") << ") {\n";
+      const std::string then_v = EmitValue(n.a, lf, depth + 1);
+      Indent(depth + 1);
+      out_ << t << " = " << then_v << ";\n";
+      Indent(depth);
+      out_ << "} else {\n";
+      const std::string else_v = EmitValue(n.b, lf, depth + 1);
+      Indent(depth + 1);
+      out_ << t << " = " << else_v << ";\n";
+      Indent(depth);
+      out_ << "}\n";
+      return t;
+    }
+    const std::string a = EmitValue(n.a, lf, depth);
+    std::string expr;
+    switch (n.kind) {
+      case ir::ValKind::kExp:
+        expr = "exp(" + a + ")";
+        break;
+      case ir::ValKind::kTanh:
+        expr = "tanh(" + a + ")";
+        break;
+      case ir::ValKind::kSqrt:
+        expr = "sqrt(" + a + ")";
+        break;
+      default: {
+        const std::string b = EmitValue(n.b, lf, depth);
+        switch (n.kind) {
+          case ir::ValKind::kAdd:
+            expr = "(" + a + " + " + b + ")";
+            break;
+          case ir::ValKind::kSub:
+            expr = "(" + a + " - " + b + ")";
+            break;
+          case ir::ValKind::kMul:
+            expr = "(" + a + " * " + b + ")";
+            break;
+          case ir::ValKind::kDiv:
+            expr = "(" + a + " / " + b + ")";
+            break;
+          case ir::ValKind::kMax:
+            expr = "alt_fmax(" + a + ", " + b + ")";
+            break;
+          default:  // kMin; the other kinds returned above
+            expr = "alt_fmin(" + a + ", " + b + ")";
+            break;
+        }
+      }
+    }
+    Indent(depth);
+    out_ << "const double " << t << " = " << expr << ";\n";
+    return t;
+  }
+
+  // A store leaf, run as RunStoreLoop runs a compiled store: per element,
+  // the offset, its bounds check, the value, then the conversion to float.
+  void EmitStoreLeaf(const KernelSpec::Leaf& lf, int index, int depth) {
+    Indent(depth);
+    out_ << "for (i64 v = 0; v < " << ILit(lf.extent) << "; ++v) {  // leaf " << index
+         << "\n";
+    Indent(depth + 1);
+    out_ << "const i64 so = " << IndexExpr(lf.store_offset, lf) << ";\n";
+    Indent(depth + 1);
+    out_ << "if (so < 0 || so >= " << ILit(lf.out_size) << ") return 1;\n";
+    temps_ = 0;
+    const std::string value = EmitValue(lf.value, lf, depth + 1);
+    Indent(depth + 1);
+    out_ << "bufs[" << lf.out_buffer << "][so] " << (lf.accumulate ? "+=" : "=")
+         << " (float)" << value << ";\n";
+    Indent(depth);
+    out_ << "}\n";
+  }
+
+  void EmitLeaf(const KernelSpec::Leaf& lf, int index, int depth) {
+    if (lf.IsStoreLeaf()) {
+      EmitStoreLeaf(lf, index, depth);
       return;
     }
     Indent(depth);
@@ -349,8 +518,8 @@ class Emitter {
   }
 
   const KernelSpec& spec_;
-  const bool writes_env_;  // loops maintain `env` only for the callback
   std::vector<int> active_loops_;  // instr indices of enclosing loops
+  int temps_ = 0;  // value temporaries of the current store leaf
   std::ostringstream out_;
 };
 

@@ -122,10 +122,13 @@ StatusOr<std::shared_ptr<NativeKernel>> CompileAndLoad(const std::string& source
 
   // -ffp-contract=off: the generated bodies round double products to float
   // exactly where the interpreter does; FMA contraction would skip that
-  // rounding and break bit-identity.
-  const std::string command = ResolveCompiler(options) +
-                              " -std=c++17 -O2 -fPIC -shared -ffp-contract=off -o '" +
-                              so_path + "' '" + src_path + "' 2>'" + err_path + "'";
+  // rounding and break bit-identity. -fno-builtin-exp/-tanh: the compiler
+  // folds exp and tanh of a constant with correctly rounded arithmetic,
+  // which can differ by an ulp from the libm the interpreter calls.
+  const std::string command =
+      ResolveCompiler(options) +
+      " -std=c++17 -O2 -fPIC -shared -ffp-contract=off -fno-builtin-exp -fno-builtin-tanh -o '" +
+      so_path + "' '" + src_path + "' 2>'" + err_path + "'";
   const int rc = std::system(command.c_str());
   if (rc != 0) {
     std::string diag;

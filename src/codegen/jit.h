@@ -2,8 +2,10 @@
 //
 // CompileAndLoad writes the generated translation unit into a private
 // mkdtemp directory, invokes the host C++ compiler (`$ALT_CXX`, else `c++`)
-// with -O2 -fPIC -shared and -ffp-contract=off (bit-identity: no FMA
-// contraction the interpreter wouldn't perform), dlopens the result, and
+// with -O2 -fPIC -shared, -ffp-contract=off (bit-identity: no FMA
+// contraction the interpreter wouldn't perform) and -fno-builtin-exp
+// -fno-builtin-tanh (no compile-time folding that could disagree with the
+// host's libm by an ulp), dlopens the result, and
 // ALWAYS removes the temp directory — on success the mapping keeps the code
 // alive without the file, and on failure nothing is left behind. Every
 // failure path (missing compiler, diagnostics, dlopen/dlsym errors) returns

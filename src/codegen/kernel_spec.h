@@ -5,23 +5,26 @@
 // straight from the statement tree: loops become begin/end instructions that
 // bump offset accumulators, and each innermost store becomes a leaf. For the
 // generic engine it skips the affine analysis, so loops carry no bumps and
-// every leaf is a bytecode leaf; such a spec is never compiled. The
-// spec holds no pointers: buffers are ids into a table the caller passes at
-// run time, numbered in the order the builder commits accesses, and the
-// per-element values of kEval branches and bytecode leaves stay with the
-// host, keyed by leaf index. That makes the spec a pure function of the
-// program's STRUCTURE — two programs with equal `ir::ProgramStructureKey`
-// build byte-identical specs — which is what lets compiled kernels be cached
-// and shared across sessions, artifacts, and hot-swaps (kernel_cache.h).
+// every leaf is a bytecode leaf; such a spec is never compiled. The spec
+// holds no pointers: buffers are ids into a table the caller passes at run
+// time, numbered in the order the builder commits accesses, and loop
+// variables are env slots numbered in statement pre-order. A leaf the
+// kernels cannot run (a bytecode leaf, or one with a kEval branch) is a
+// store leaf: it also carries its store offset as an integer tree and its
+// value as a value tree, both over those ids and slots. That makes the spec a
+// pure function of the program's STRUCTURE — two programs with equal
+// `ir::ProgramStructureKey` build byte-identical specs — which is what lets
+// compiled kernels be cached and shared across sessions, artifacts, and
+// hot-swaps (kernel_cache.h).
 //
 // The affine engine executes the spec directly. The generated function
 // (cpp_emitter.h) executes it with the same arithmetic: the same
 // double→float conversion sequences, the same element order, the same
-// guard-range splitting, and the same segment-endpoint bounds checks, and it
-// hands every bytecode or eval leaf back to the host through a callback.
-// Bit-identity between the two is a contract, not an aspiration — the
-// randomized differential corpus in tests/affine_exec_test.cc enforces it
-// three ways.
+// guard-range splitting, and the same segment-endpoint bounds checks; it
+// runs every store leaf element by element from its trees, exactly as the
+// generic engine runs a compiled store. Bit-identity between the two is a
+// contract, not an aspiration — the randomized differential corpora in
+// tests/affine_exec_test.cc enforce it three ways.
 
 #ifndef ALT_CODEGEN_KERNEL_SPEC_H_
 #define ALT_CODEGEN_KERNEL_SPEC_H_
@@ -30,31 +33,24 @@
 #include <utility>
 #include <vector>
 
+#include "src/ir/value.h"
+
 namespace alt::codegen {
 
 // The generated entry point.
-//   bufs     — float* per spec buffer id.
-//   env      — loop-variable environment (spec.env_size slots), zeroed by the
-//              caller; maintained by the kernel only when some leaf runs
-//              through the callback.
-//   ctx      — opaque host state threaded through to `fallback`.
-//   fallback — runs leaf `leaf` on the host at the loop state in `env` (every
-//              bytecode leaf and every leaf with a kEval branch); returns 0
-//              on success, nonzero to abort the kernel.
+//   bufs      — float* per spec buffer id.
 //   begin/end — iteration slice [begin, end) of the outermost loop when the
-//              spec was built `sliced` (a kParallel root with proven
-//              write-disjointness — ir::ParallelRootWritesDisjoint): the
-//              runtime dispatches one invocation per shard, each on its own
-//              env array. Non-sliced kernels ignore both (callers pass 0, 0);
-//              sliced kernels run the full program when called with
-//              (0, root extent).
-// Returns 0 on success or one of the KernelError codes below.
-using KernelFn = int64_t (*)(float** bufs, int64_t* env, void* ctx,
-                             int64_t (*fallback)(void* ctx, int64_t leaf, int64_t* env),
-                             int64_t begin, int64_t end);
+//               spec was built `sliced` (a kParallel root with proven
+//               write-disjointness — ir::ParallelRootWritesDisjoint): the
+//               runtime dispatches one invocation per shard. Non-sliced
+//               kernels ignore both (callers pass 0, 0); sliced kernels run
+//               the full program when called with (0, root extent).
+// Returns 0 on success or one of the KernelError codes below. The kernel
+// keeps its loop variables in locals: it reads and writes nothing but
+// `bufs`.
+using KernelFn = int64_t (*)(float** bufs, int64_t begin, int64_t end);
 
-// Nonzero return codes of a generated kernel. Fallback-leaf codes pass
-// through verbatim, so hosts must keep their own codes out of this range.
+// Nonzero return codes of a generated kernel.
 enum KernelError : int64_t {
   kOk = 0,
   kStoreOutOfBounds = 1,
@@ -76,7 +72,7 @@ struct KernelSpec {
     kFill,    // splat an immediate
     kCopy,    // copy one affine load
     kMulAcc,  // load*load, load*imm or imm*load
-    kEval,    // any other value, evaluated per element by the host
+    kEval,    // any other value, evaluated per element from the value tree
   };
 
   struct Branch {
@@ -94,15 +90,47 @@ struct KernelSpec {
     int64_t cv = 0, lo = 0, hi = 0, modulus = 1, rem = 0;
   };
 
+  // One node of an integer offset tree, evaluated as ir::CompiledExpr
+  // evaluates the expression: floor-div and mod round toward negative
+  // infinity. A kVar node reads an env slot.
+  struct IndexNode {
+    ir::ExprKind op = ir::ExprKind::kConst;
+    int64_t value = 0;  // kConst: the constant; kVar: the env slot
+    int a = -1, b = -1;  // operands (index_nodes) of the binary ops
+  };
+
+  // One ANDed select guard, as the generic engine evaluates it: the offset
+  // tree e must satisfy lo <= e < hi and (when modulus > 1) e ≡ rem
+  // (mod modulus).
+  struct Guard {
+    int expr = -1;  // root in index_nodes
+    int64_t lo = 0, hi = 0, modulus = 1, rem = 0;
+  };
+
+  // One node of a store leaf's value tree, evaluated in double.
+  struct ValueNode {
+    ir::ValKind kind = ir::ValKind::kImm;
+    double imm = 0.0;    // kImm
+    int buffer = -1;     // kLoad: buffer id
+    int64_t size = 0;    // kLoad: element count, for the bounds check
+    int offset = -1;     // kLoad: root in index_nodes
+    std::vector<Guard> guards;  // kSelect: all must hold to take `a`
+    int a = -1, b = -1;  // operands (value_nodes); a select's then / else
+  };
+
   struct Leaf {
     int64_t extent = 1;  // leaf loop trip count (1 for singleton stores)
     int vslot = -1;      // env slot of the consumed loop (-1: singleton)
     // True when the store offset is not affine, or the spec is the generic
     // engine's: the host runs the leaf's generic compiled store per element,
-    // and the fields below are unused.
+    // and the kernel fields below are unused.
     bool bytecode = false;
     int out_buffer = -1;
     int64_t out_size = 0;
+    // Store leaves only (IsStoreLeaf): roots of the linearized store offset
+    // in index_nodes and of the store value in value_nodes.
+    int store_offset = -1;
+    int value = -1;
     int store_acc = -1;
     int64_t store_inner = 0;
     bool accumulate = false;
@@ -115,6 +143,10 @@ struct KernelSpec {
       return then_k.kind == BranchKind::kEval ||
              (guarded && else_k.kind == BranchKind::kEval);
     }
+
+    // True when no kernel runs the leaf: the native kernel evaluates its
+    // trees per element, as the generic engine runs a compiled store.
+    bool IsStoreLeaf() const { return bytecode || HasEval(); }
   };
 
   // Flattened loop program.
@@ -140,6 +172,9 @@ struct KernelSpec {
   std::vector<int64_t> acc_init;  // accumulator base values
   std::vector<Instr> instrs;
   std::vector<Leaf> leaves;
+  // The store leaves' trees; nodes are numbered children first.
+  std::vector<IndexNode> index_nodes;
+  std::vector<ValueNode> value_nodes;
 };
 
 }  // namespace alt::codegen

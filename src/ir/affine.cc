@@ -409,14 +409,72 @@ std::optional<std::pair<int64_t, int64_t>> GuardRange(int64_t c0, int64_t cv, in
 
 namespace {
 
-// Per-tensor union footprint of every access, expressed relative to the root
-// loop: offset(i0, inner...) = root_coeff * i0 + r with r in [lo, hi].
+// Union of one index expression's values over every access, relative to
+// the root loop: value(i0, inner...) = coeff * i0 + r with r in [lo, hi].
+struct RootFootprint {
+  bool provable = true;  // every access decomposed with one root coefficient
+  bool any = false;
+  int64_t coeff = 0;
+  int64_t lo = 0, hi = 0;  // inclusive residual range at root iteration 0
+
+  void Add(const std::optional<AffineForm>& form, const std::vector<AffineLoop>& loops) {
+    if (!provable) {
+      return;
+    }
+    if (!form) {
+      provable = false;
+      return;
+    }
+    // Residual range over every loop but the root (coeff index 0).
+    int64_t flo = form->base;
+    int64_t fhi = form->base;
+    for (size_t i = 1; i < form->coeffs.size(); ++i) {
+      int64_t span = form->coeffs[i] * std::max<int64_t>(loops[i].extent - 1, 0);
+      if (span < 0) {
+        flo += span;
+      } else {
+        fhi += span;
+      }
+    }
+    if (!any) {
+      any = true;
+      coeff = form->coeffs[0];
+      lo = flo;
+      hi = fhi;
+      return;
+    }
+    if (form->coeffs[0] != coeff) {
+      provable = false;  // mixed root strides: footprints shear apart
+      return;
+    }
+    lo = std::min(lo, flo);
+    hi = std::max(hi, fhi);
+  }
+
+  // True when the footprint translates by a nonzero coeff per root
+  // iteration and spans fewer than |coeff| values, so it never overlaps
+  // itself.
+  bool Disjoint() const {
+    const int64_t step = coeff < 0 ? -coeff : coeff;
+    return provable && any && coeff != 0 && hi - lo < step;
+  }
+};
+
+// Per-tensor footprints of every access: of the flat offset, and of each
+// dimension index.
 struct TensorFootprint {
   bool written = false;
-  bool provable = true;     // all accesses decomposed with one root stride
-  bool any = false;
-  int64_t root_coeff = 0;
-  int64_t lo = 0, hi = 0;   // inclusive residual range at root iteration 0
+  RootFootprint flat;
+  std::vector<RootFootprint> dims;
+  // Every dimension index of every access stays inside [0, shape_d) over
+  // the domain, so distinct multi-indices are distinct elements.
+  bool dims_in_bounds = true;
+
+  bool Disjoint() const {
+    return flat.Disjoint() ||
+           (dims_in_bounds && std::any_of(dims.begin(), dims.end(),
+                                          [](const RootFootprint& d) { return d.Disjoint(); }));
+  }
 };
 
 struct FootprintScan {
@@ -427,53 +485,26 @@ struct FootprintScan {
   void AddAccess(int tensor_id, const std::vector<Expr>& indices, bool is_write) {
     TensorFootprint& fp = tensors[tensor_id];
     fp.written = fp.written || is_write;
-    if (!fp.provable) {
-      return;
-    }
     const BufferDecl* decl = program->FindBuffer(tensor_id);
-    if (decl == nullptr) {
-      fp.provable = false;
+    if (decl == nullptr || indices.size() != decl->tensor.shape.size()) {
+      fp.flat.provable = false;
+      fp.dims_in_bounds = false;
       return;
     }
-    auto strides = RowMajorStrides(decl->tensor.shape);
-    if (indices.size() != strides.size()) {
-      fp.provable = false;
-      return;
-    }
+    const auto strides = RowMajorStrides(decl->tensor.shape);
     Expr linear = Const(0);
     for (size_t d = 0; d < indices.size(); ++d) {
       linear = Add(linear, Mul(indices[d], strides[d]));
     }
     AffineAnalyzer az(loops);
-    auto form = az.Decompose(linear);
-    if (!form) {
-      fp.provable = false;
-      return;
+    fp.flat.Add(az.Decompose(linear), loops);
+    fp.dims.resize(indices.size());
+    for (size_t d = 0; d < indices.size(); ++d) {
+      auto form = az.Decompose(indices[d]);
+      fp.dims[d].Add(form, loops);
+      fp.dims_in_bounds = fp.dims_in_bounds && form && form->MinValue(loops) >= 0 &&
+                          form->MaxValue(loops) < decl->tensor.shape[d];
     }
-    // Residual range over every loop but the root (coeff index 0).
-    int64_t lo = form->base;
-    int64_t hi = form->base;
-    for (size_t i = 1; i < form->coeffs.size(); ++i) {
-      int64_t span = form->coeffs[i] * std::max<int64_t>(loops[i].extent - 1, 0);
-      if (span < 0) {
-        lo += span;
-      } else {
-        hi += span;
-      }
-    }
-    if (!fp.any) {
-      fp.any = true;
-      fp.root_coeff = form->coeffs[0];
-      fp.lo = lo;
-      fp.hi = hi;
-      return;
-    }
-    if (form->coeffs[0] != fp.root_coeff) {
-      fp.provable = false;  // mixed root strides: footprints shear apart
-      return;
-    }
-    fp.lo = std::min(fp.lo, lo);
-    fp.hi = std::max(fp.hi, hi);
   }
 
   void ScanVal(const Val& v) {
@@ -522,16 +553,8 @@ bool ParallelRootWritesDisjoint(const Program& program) {
   scan.loops.push_back({root->loop_var->var_id, root->extent});
   scan.Scan(root->body);
   for (const auto& [tensor_id, fp] : scan.tensors) {
-    if (!fp.written) {
-      continue;  // read-only tensors never conflict
-    }
-    if (!fp.provable || !fp.any || fp.root_coeff == 0) {
-      return false;
-    }
-    const int64_t width = fp.hi - fp.lo;  // footprint spans width + 1 elements
-    const int64_t step = fp.root_coeff < 0 ? -fp.root_coeff : fp.root_coeff;
-    if (width >= step) {
-      return false;
+    if (fp.written && !fp.Disjoint()) {
+      return false;  // read-only tensors never conflict
     }
   }
   return true;

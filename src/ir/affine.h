@@ -114,17 +114,25 @@ std::optional<std::pair<int64_t, int64_t>> GuardRange(int64_t c0, int64_t cv, in
 // ForKind::kParallel root (runtime/interpreter.cc, codegen sliced kernels).
 //
 // Returns true when distinct iterations of the root loop provably touch
-// disjoint element ranges of every tensor the program WRITES, so contiguous
-// iteration shards may execute concurrently with bit-identical results. The
-// proof: every access (store or load — fused consumers re-read what the
-// iteration wrote) of a written tensor must decompose affinely over its
-// enclosing loops, all such accesses must share one nonzero root-loop
-// coefficient c0, and the union of their footprints over the non-root loops
-// must span fewer than |c0| + 1 elements — the footprint then translates
-// uniformly by c0 per iteration and never overlaps itself. Reads of tensors
-// the program never writes (inputs, constants) are unconstrained. Anything
-// unprovable — non-affine residue, mixed root strides, a root-invariant
-// write — returns false and the caller degrades the loop to serial.
+// disjoint elements of every tensor the program WRITES, so contiguous
+// iteration shards may execute concurrently with bit-identical results.
+// Every access (store or load — fused consumers re-read what the iteration
+// wrote) of a written tensor counts, and either of two proofs suffices:
+//   - flat: every access's linearized offset decomposes affinely over its
+//     enclosing loops with one shared nonzero root-loop coefficient c0, and
+//     the union of the footprints over the non-root loops spans fewer than
+//     |c0| + 1 elements — the footprint then translates uniformly by c0 per
+//     iteration and never overlaps itself;
+//   - per dimension: some dimension d has index_d = c·i0 + r in every
+//     access, with one shared nonzero c and max r − min r < |c|, and every
+//     dimension index of every access stays inside [0, shape_d) over the
+//     domain, so distinct multi-indices are distinct elements. This proves
+//     tiled writes such as T[m][o*2 + i][..] under a parallel o, whose flat
+//     residual spans far more than the flat root stride.
+// Reads of tensors the program never writes (inputs, constants) are
+// unconstrained. Anything unprovable — non-affine residue, mixed root
+// strides, a root-invariant write — returns false and the caller degrades
+// the loop to serial.
 bool ParallelRootWritesDisjoint(const Program& program);
 
 // Structural signature of a Program: loop kinds/extents, store modes, index

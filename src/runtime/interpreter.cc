@@ -235,8 +235,10 @@ double EvalVal(const CompiledVal& v, const int64_t* env, ExecContext& ctx) {
 // still bumped; top-level pad/unfold Selects whose guards are affine in the
 // leaf variable are split into contiguous [else)[then)[else) ranges so the
 // condition check leaves the inner loop. Stores with a non-affine offset
-// become bytecode leaves that run the generic CompiledStore. The spec holds
-// only indices; the HostTable beside it holds what they name in this process.
+// become bytecode leaves that run the generic CompiledStore. A bytecode or
+// eval leaf also carries its store as offset and value trees, which the
+// native kernel runs per element. The spec holds only indices; the HostTable
+// beside it holds what they name in this process.
 // The affine engine runs the spec below and the native engine compiles the
 // same spec, and every kernel performs the exact double→float conversion
 // sequence of the generic evaluator, in the same element order, so the three
@@ -252,12 +254,12 @@ double EvalVal(const CompiledVal& v, const int64_t* env, ExecContext& ctx) {
 using Spec = codegen::KernelSpec;
 
 struct HostLeaf {
-  // The leaf's generic compiled store, compiled for bytecode and eval leaves
-  // only. Bytecode leaves run it on every engine; the native kernel's
-  // callback runs it for eval leaves too.
+  // The leaf's generic compiled store, compiled for bytecode leaves only;
+  // the affine and generic engines run it per element.
   std::unique_ptr<CompiledStore> store;
-  // Per-element values of the leaf's kEval branches (null for other kinds):
-  // the store's own value, or a split select branch owned by HostTable::evals.
+  // Per-element values of the leaf's kEval branches (null for other kinds),
+  // owned by HostTable::evals: the store's whole value, or a split select
+  // branch.
   const CompiledVal* then_eval = nullptr;
   const CompiledVal* else_eval = nullptr;
 };
@@ -265,7 +267,7 @@ struct HostLeaf {
 struct HostTable {
   std::vector<float*> bufs;      // by spec buffer id; the native kernel's `bufs`
   std::vector<HostLeaf> leaves;  // by spec leaf index
-  std::vector<std::unique_ptr<CompiledVal>> evals;  // split select branches run as kEval
+  std::vector<std::unique_ptr<CompiledVal>> evals;  // values run as kEval
 };
 
 // The top-level Select (if any) of a store value, with the value rewritten so
@@ -358,8 +360,15 @@ struct AffineBuilder {
     int64_t size = 0;
   };
 
-  std::optional<Pending> Analyze(int tensor_id, const std::vector<ir::Expr>& indices,
-                                 const ir::AffineAnalyzer& az) {
+  // An access's row-major linearized offset and its binding; nullopt when
+  // the program declares or binds no such buffer, or the rank is wrong.
+  struct Linear {
+    ir::Expr offset;
+    float* data = nullptr;
+    int64_t size = 0;
+  };
+
+  std::optional<Linear> Linearize(int tensor_id, const std::vector<ir::Expr>& indices) const {
     const ir::BufferDecl* decl = compiler->program->FindBuffer(tensor_id);
     if (decl == nullptr) {
       return std::nullopt;
@@ -368,37 +377,39 @@ struct AffineBuilder {
     if (indices.size() != strides.size()) {
       return std::nullopt;
     }
-    auto f = az.Decompose(LinearIndexExpr(indices, strides));
-    if (!f) {
-      return std::nullopt;
-    }
     auto it = compiler->bindings->find(tensor_id);
     if (it == compiler->bindings->end()) {
       return std::nullopt;
     }
-    return Pending{std::move(*f), it->second.buffer->data(), it->second.size};
+    return Linear{LinearIndexExpr(indices, strides), it->second.buffer->data(),
+                  it->second.size};
+  }
+
+  std::optional<Pending> Analyze(int tensor_id, const std::vector<ir::Expr>& indices,
+                                 const ir::AffineAnalyzer& az) const {
+    auto lin = Linearize(tensor_id, indices);
+    if (!lin) {
+      return std::nullopt;
+    }
+    auto f = az.Decompose(lin->offset);
+    if (!f) {
+      return std::nullopt;
+    }
+    return Pending{std::move(*f), lin->data, lin->size};
   }
 
   std::optional<ClampedPending> AnalyzeClamped(int tensor_id,
                                                const std::vector<ir::Expr>& indices,
-                                               const ir::AffineAnalyzer& az) {
-    const ir::BufferDecl* decl = compiler->program->FindBuffer(tensor_id);
-    if (decl == nullptr) {
+                                               const ir::AffineAnalyzer& az) const {
+    auto lin = Linearize(tensor_id, indices);
+    if (!lin) {
       return std::nullopt;
     }
-    auto strides = ir::RowMajorStrides(decl->tensor.shape);
-    if (indices.size() != strides.size()) {
-      return std::nullopt;
-    }
-    auto cf = az.DecomposeClamped(LinearIndexExpr(indices, strides));
+    auto cf = az.DecomposeClamped(lin->offset);
     if (!cf) {
       return std::nullopt;
     }
-    auto it = compiler->bindings->find(tensor_id);
-    if (it == compiler->bindings->end()) {
-      return std::nullopt;
-    }
-    return ClampedPending{std::move(*cf), it->second.buffer->data(), it->second.size};
+    return ClampedPending{std::move(*cf), lin->data, lin->size};
   }
 
   Spec::Access Commit(const Pending& p, bool consumed) {
@@ -590,13 +601,75 @@ struct AffineBuilder {
     // Unanalyzed, or a non-affine store offset: the host runs the generic
     // compiled store.
     leaf.bytecode = !analyze || !ClassifyLeaf(st, consumed, leaf, hl);
-    if (leaf.bytecode || leaf.HasEval()) {
+    if (leaf.bytecode) {
       hl.store = std::make_unique<CompiledStore>(compiler->CompileStore(*st));
-      if (leaf.then_k.kind == Spec::BranchKind::kEval && hl.then_eval == nullptr) {
-        hl.then_eval = &hl.store->value;  // the whole store value, per element
-      }
+    } else if (leaf.then_k.kind == Spec::BranchKind::kEval && hl.then_eval == nullptr) {
+      // The whole store value, per element.
+      host.evals.push_back(std::make_unique<CompiledVal>(compiler->CompileVal(st->value)));
+      hl.then_eval = host.evals.back().get();
+    }
+    // After the compile above, so a malformed store reports the compiler's
+    // error first.
+    if (leaf.IsStoreLeaf()) {
+      BuildStoreTrees(*st, leaf);
     }
     EmitLeaf(std::move(leaf), std::move(hl));
+  }
+
+  // The spec's pointer-free copy of a store leaf: its linearized offset and
+  // its value as trees over spec buffer ids and env slots.
+  void BuildStoreTrees(const ir::StmtNode& st, Spec::Leaf& leaf) {
+    auto lin = Linearize(st.tensor_id, st.indices);
+    if (!lin) {
+      return;  // reported by CompileStore
+    }
+    leaf.out_buffer = BufferId(lin->data);
+    leaf.out_size = lin->size;
+    leaf.store_offset = IndexTree(lin->offset);
+    leaf.value = ValueTree(st.value);
+  }
+
+  int IndexTree(const ir::Expr& e) {
+    const ir::ExprNode* n = e.get();
+    Spec::IndexNode node;
+    node.op = n->kind;
+    if (n->kind == ir::ExprKind::kConst) {
+      node.value = n->value;
+    } else if (n->kind == ir::ExprKind::kVar) {
+      node.value = compiler->slots.SlotOf(n->var_id);
+    } else {
+      node.a = IndexTree(n->a);
+      node.b = IndexTree(n->b);
+    }
+    spec.index_nodes.push_back(node);
+    return static_cast<int>(spec.index_nodes.size()) - 1;
+  }
+
+  // Mirrors CompileVal: a load's access, a select's guards, and every
+  // operand present.
+  int ValueTree(const ir::Val& v) {
+    Spec::ValueNode node;
+    node.kind = v->kind;
+    node.imm = v->imm;
+    if (v->kind == ir::ValKind::kLoad) {
+      if (auto lin = Linearize(v->tensor_id, v->indices)) {
+        node.buffer = BufferId(lin->data);
+        node.size = lin->size;
+        node.offset = IndexTree(lin->offset);
+      }  // else reported by CompileVal
+    } else if (v->kind == ir::ValKind::kSelect) {
+      for (const ir::IntervalCond& c : v->conds) {
+        node.guards.push_back({IndexTree(c.expr), c.lo, c.hi, c.modulus, c.rem});
+      }
+    }
+    if (v->a) {
+      node.a = ValueTree(v->a);
+    }
+    if (v->b) {
+      node.b = ValueTree(v->b);
+    }
+    spec.value_nodes.push_back(std::move(node));
+    return static_cast<int>(spec.value_nodes.size()) - 1;
   }
 
   // Fills the kernel fields of `leaf` (and `hl`'s split-branch values) from
@@ -882,8 +955,8 @@ void RunBranch(const Spec::Leaf& lf, const Spec::Branch& k, float* const* bufs,
 }
 
 // Env-only store loop: evaluates `st` for every leaf position. Runs every
-// bytecode leaf (all of the generic engine's) and every host-routed leaf of a
-// native kernel.
+// bytecode leaf (all of the generic engine's); the native kernel emits the
+// same loop for its store leaves (codegen/cpp_emitter.h).
 void RunStoreLoop(const CompiledStore& st, int64_t extent, int vslot, int64_t* env,
                   ExecContext& ctx) {
   for (int64_t v = 0; v < extent && !ctx.failed; ++v) {
@@ -909,29 +982,10 @@ void RunStoreLoop(const CompiledStore& st, int64_t extent, int vslot, int64_t* e
   }
 }
 
-struct NativeThunkCtx {
-  ExecContext* ctx = nullptr;
-  const Spec* spec = nullptr;
-  const HostTable* host = nullptr;
-};
-
-// The callback a generated kernel invokes for host-routed leaves. Returns the
-// host-reserved code 3 on failure; the kernel propagates it verbatim and the
-// real Status is already recorded in the ExecContext.
-int64_t NativeFallbackThunk(void* p, int64_t leaf, int64_t* env) {
-  auto* t = static_cast<NativeThunkCtx*>(p);
-  const Spec::Leaf& lf = t->spec->leaves[static_cast<size_t>(leaf)];
-  RunStoreLoop(*t->host->leaves[static_cast<size_t>(leaf)].store, lf.extent, lf.vslot, env,
-               *t->ctx);
-  return t->ctx->failed ? 3 : 0;
-}
-
-// Translates a native kernel return code into the ExecContext. Code 3 is the
-// host-reserved fallback-failure code: the Status is already in the context.
+// Translates a native kernel return code into the ExecContext.
 void ApplyNativeRc(int64_t rc, ExecContext& ctx) {
   switch (rc) {
     case codegen::kOk:
-    case 3:
       break;
     case codegen::kStoreOutOfBounds:
       ctx.Fail("store out of bounds (native kernel)");
@@ -1315,7 +1369,6 @@ Status PreparedProgram::Run() {
     return Status::Ok();
   }
   impl.runs->Add();
-  std::vector<int64_t> env(static_cast<size_t>(impl.spec.env_size), 0);
   ExecContext ctx;
   // Shard dispatch: split [0, root_extent) into one contiguous slice per
   // pool member and run each with private acc/env/error state. The zero
@@ -1352,17 +1405,11 @@ Status PreparedProgram::Run() {
   if (impl.native) {
     if (lease.threads != nullptr) {
       run_sharded(*lease.threads, [&](int64_t b, int64_t e, ExecContext& sc) {
-        std::vector<int64_t> shard_env(static_cast<size_t>(impl.spec.env_size), 0);
-        NativeThunkCtx thunk_ctx{&sc, &impl.spec, &impl.host};
-        ApplyNativeRc(impl.native->fn()(impl.host.bufs.data(), shard_env.data(), &thunk_ctx,
-                                        &NativeFallbackThunk, b, e),
-                      sc);
+        ApplyNativeRc(impl.native->fn()(impl.host.bufs.data(), b, e), sc);
       });
     } else {
       // A sliced kernel runs the whole root loop as the slice (0, extent).
-      NativeThunkCtx thunk_ctx{&ctx, &impl.spec, &impl.host};
-      ApplyNativeRc(impl.native->fn()(impl.host.bufs.data(), env.data(), &thunk_ctx,
-                                      &NativeFallbackThunk, 0,
+      ApplyNativeRc(impl.native->fn()(impl.host.bufs.data(), 0,
                                       impl.shardable ? impl.root_extent : 0),
                     ctx);
     }
@@ -1374,6 +1421,7 @@ Status PreparedProgram::Run() {
     });
   } else {
     std::vector<int64_t> acc = impl.spec.acc_init;
+    std::vector<int64_t> env(static_cast<size_t>(impl.spec.env_size), 0);
     RunAffine(impl.spec, impl.host, acc, env.data(), ctx);
   }
   return ctx.error;

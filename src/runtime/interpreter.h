@@ -18,9 +18,11 @@
 //     evaluated per element — kept as the oracle for differential testing.
 //   - kNative: the affine spec emitted as C++ (src/codegen), JIT-compiled
 //     into a dlopened shared object and cached process-wide by program
-//     structure. Eval and bytecode leaves call back into the interpreter per
-//     leaf; if the kernel cannot be compiled at all (no host compiler),
-//     Prepare degrades to the affine engine and still succeeds.
+//     structure. The kernel runs every leaf itself: eval and bytecode leaves
+//     become per-element loops over the spec's offset and value trees, with
+//     the generic engine's arithmetic. If the kernel cannot be compiled at
+//     all (no host compiler), Prepare degrades to the affine engine and
+//     still succeeds.
 // All engines produce bit-identical buffers.
 
 #ifndef ALT_RUNTIME_INTERPRETER_H_
@@ -56,8 +58,8 @@ class BufferStore {
 enum class ExecEngine {
   kAffine,   // affine engine with per-store generic fallback (the default)
   kGeneric,  // every store evaluated per element, without the affine analysis
-  kNative,   // JIT-compiled kernels with per-leaf interpreter fallback;
-             // degrades to kAffine when compilation is unavailable
+  kNative,   // JIT-compiled kernels that run every leaf; degrades to
+             // kAffine when compilation is unavailable
 };
 
 // Intra-op worker pool with a built-in thread budget. One pool is shared by

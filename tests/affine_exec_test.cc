@@ -2,8 +2,13 @@
 // guard-range rules (ir/affine.h), a randomized differential corpus proving
 // the fast path and the generic fallback produce bit-identical buffers across
 // layout-primitive + schedule combinations, hand-built bytecode and guarded
-// eval leaves with the per-kind leaf counters, zero-init-skip semantics, and
-// equal measurements of structurally identical programs.
+// eval leaves with the per-kind leaf counters, a randomized corpus of value
+// trees and index forms that native kernels run as store leaves (with pinned
+// libm, select and structure-key cases), zero-init-skip semantics, and equal
+// measurements of structurally identical programs.
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <array>
 #include <cmath>
@@ -16,12 +21,14 @@
 
 #include "src/autotune/layout_templates.h"
 #include "src/autotune/measure.h"
+#include "src/codegen/kernel_cache.h"
 #include "src/graph/layout_assignment.h"
 #include "src/graph/networks.h"
 #include "src/ir/affine.h"
 #include "src/ir/eval.h"
 #include "src/loop/lowering.h"
 #include "src/runtime/session.h"
+#include "src/support/fileio.h"
 #include "src/support/metrics.h"
 
 namespace alt {
@@ -542,6 +549,87 @@ TEST(ParallelRootWritesDisjoint, RejectsParallelReduction) {
   EXPECT_FALSE(ir::ParallelRootWritesDisjoint(ParallelReductionProgram(4, 8)));
 }
 
+// A tiled write under a kParallel root o, as tuned BERT-tiny's FFN writes
+// T[m][o*2 + i][..]: out[m][o*2 + i][j] = in[m][o*2 + i][j] * 2 over
+// out of shape {rows, outer*2, cols}. The flat root stride is 2*cols but
+// the flat residual spans (rows - 1) rows of the tensor, so only dimension
+// 1 — stride 2, residual span 1 — separates the iterations.
+ir::Program DimensionSeparatedProgram(int64_t rows, int64_t outer, int64_t cols) {
+  ir::Program program;
+  ir::BufferDecl in;
+  in.tensor.id = 0;
+  in.tensor.name = "in";
+  in.tensor.shape = {rows, outer * 2, cols};
+  in.role = ir::BufferRole::kInput;
+  ir::BufferDecl out = in;
+  out.tensor.id = 1;
+  out.tensor.name = "out";
+  out.role = ir::BufferRole::kOutput;
+  program.buffers = {in, out};
+  ir::Expr o = ir::MakeVar("o");
+  ir::Expr m = ir::MakeVar("m");
+  ir::Expr i = ir::MakeVar("i");
+  ir::Expr j = ir::MakeVar("j");
+  const std::vector<ir::Expr> idx = {m, ir::Add(ir::Mul(o, 2), i), j};
+  ir::Stmt store = ir::MakeStore(1, idx, ir::VMul(ir::Load(0, idx), ir::Imm(2.0)),
+                                 ir::StoreMode::kAssign);
+  ir::Stmt body = ir::MakeFor(
+      m, rows, ir::ForKind::kSerial,
+      ir::MakeFor(i, 2, ir::ForKind::kSerial,
+                  ir::MakeFor(j, cols, ir::ForKind::kSerial, std::move(store))));
+  program.root = ir::MakeFor(o, outer, ir::ForKind::kParallel, std::move(body));
+  return program;
+}
+
+// out[j][o*2 + i] += 1 over out of shape {4, 2}, o in [0, 3), i and j in
+// [0, 2): dimension 1 has stride 2 and residual span 1, but its index runs to
+// 5, past the dimension, so out[j][2] is out[j + 1][0] and iterations o and
+// o + 1 write the same elements.
+ir::Program IndexLeavesItsDimensionProgram() {
+  ir::Program program;
+  ir::BufferDecl out;
+  out.tensor.id = 0;
+  out.tensor.name = "out";
+  out.tensor.shape = {4, 2};
+  out.role = ir::BufferRole::kOutput;
+  program.buffers = {out};
+  ir::Expr o = ir::MakeVar("o");
+  ir::Expr i = ir::MakeVar("i");
+  ir::Expr j = ir::MakeVar("j");
+  ir::Stmt store = ir::MakeStore(0, {j, ir::Add(ir::Mul(o, 2), i)}, ir::Imm(1.0),
+                                 ir::StoreMode::kAccumulate);
+  program.root = ir::MakeFor(
+      o, 3, ir::ForKind::kParallel,
+      ir::MakeFor(i, 2, ir::ForKind::kSerial,
+                  ir::MakeFor(j, 2, ir::ForKind::kSerial, std::move(store))));
+  return program;
+}
+
+TEST(ParallelRootWritesDisjoint, ProvesDimensionSeparatedWrites) {
+  EXPECT_TRUE(ir::ParallelRootWritesDisjoint(DimensionSeparatedProgram(8, 16, 4)));
+}
+
+TEST(ParallelRootWritesDisjoint, RejectsSeparatingIndexThatLeavesItsDimension) {
+  EXPECT_FALSE(ir::ParallelRootWritesDisjoint(IndexLeavesItsDimensionProgram()));
+}
+
+TEST(ParallelRootWritesDisjoint, DimensionSeparatedRootShardsBitIdentically) {
+  ir::Program program = DimensionSeparatedProgram(8, 16, 4);
+  runtime::BufferStore inputs;
+  auto& in = inputs.Get(0);
+  in.resize(8 * 32 * 4);
+  for (size_t k = 0; k < in.size(); ++k) {
+    in[k] = static_cast<float>(k % 23) * 0.125f - 1.0f;
+  }
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  ExpectProgramsBitIdentical({program}, inputs, "dimension-separated root");
+  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+  // affine and native, at 2 and 8 threads
+  EXPECT_EQ(after.counter("interp.parallel_programs") -
+                before.counter("interp.parallel_programs"),
+            4);
+}
+
 void FillParallelInput(runtime::BufferStore& store, int64_t n) {
   auto& in = store.Get(0);
   in.resize(static_cast<size_t>(n));
@@ -769,6 +857,385 @@ TEST(AffineDifferential, GuardedLeafWithEvalThenAndFillElse) {
                          : 0.0f;
     EXPECT_EQ(store.Get(1)[i], expected) << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Store leaves: every value kind and index form the native kernel emits.
+// ---------------------------------------------------------------------------
+
+// Seeded random programs over two inputs, `a` (kFlat elements) and `b`
+// (kRows x kCols), and two outputs: `out` (kRows x kCols), written through
+// affine offsets, and `tiles` (kFlatOut / 4 x 4), written through the
+// non-affine (i*kCols + j) / 4, (i*kCols + j) % 4 — bytecode leaves. Each
+// program is a root loop i, serial or kParallel, over one or two leaves in j
+// and sometimes a singleton store, each storing a random value tree in assign
+// or accumulate mode. Loads read through affine, floor-div/mod and clamped
+// offsets, all inside their buffers.
+class StoreLeafCorpus {
+ public:
+  static constexpr int64_t kRows = 6;
+  static constexpr int64_t kCols = 10;
+  static constexpr int64_t kFlat = 64;
+  static constexpr int kA = 0, kB = 1, kOut = 2, kTiles = 3;
+
+  explicit StoreLeafCorpus(uint64_t seed) : rng_(seed) {}
+
+  ir::Program Next() {
+    ir::Program program;
+    auto decl = [](int id, const char* name, std::vector<int64_t> shape, ir::BufferRole role) {
+      ir::BufferDecl d;
+      d.tensor.id = id;
+      d.tensor.name = name;
+      d.tensor.shape = std::move(shape);
+      d.role = role;
+      return d;
+    };
+    program.buffers = {decl(kA, "a", {kFlat}, ir::BufferRole::kInput),
+                       decl(kB, "b", {kRows, kCols}, ir::BufferRole::kInput),
+                       decl(kOut, "out", {kRows, kCols}, ir::BufferRole::kOutput),
+                       decl(kTiles, "tiles", {kRows * kCols / 4, 4}, ir::BufferRole::kOutput)};
+    ir::Expr i = ir::MakeVar("i");
+    std::vector<ir::Stmt> body;
+    const int leaves = Pick(2) + 1;
+    for (int l = 0; l < leaves; ++l) {
+      ir::Expr j = ir::MakeVar("j");
+      body.push_back(ir::MakeFor(j, kCols, ir::ForKind::kSerial, Store(i, j)));
+    }
+    if (Pick(3) == 0) {
+      // A singleton store: only i is bound, so j is a constant column.
+      body.insert(body.begin(), Store(i, ir::Const(Pick(kCols))));
+    }
+    program.root = ir::MakeFor(i, kRows, Pick(2) ? ir::ForKind::kParallel : ir::ForKind::kSerial,
+                               ir::MakeBlock(std::move(body)));
+    return program;
+  }
+
+  // Inputs for every program of the corpus.
+  runtime::BufferStore Inputs() {
+    runtime::BufferStore store;
+    std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
+    for (auto [id, n] : {std::pair<int, int64_t>{kA, kFlat}, {kB, kRows * kCols}}) {
+      auto& buf = store.Get(id);
+      buf.resize(static_cast<size_t>(n));
+      for (float& x : buf) {
+        x = dist(rng_);
+      }
+    }
+    return store;
+  }
+
+  // Value kinds generated so far, by ir::ValKind.
+  const std::array<int, 12>& kinds() const { return kinds_; }
+
+ private:
+  int64_t Pick(int64_t n) { return static_cast<int64_t>(rng_() % static_cast<uint64_t>(n)); }
+
+  ir::Stmt Store(const ir::Expr& i, const ir::Expr& j) {
+    const ir::StoreMode mode = Pick(2) ? ir::StoreMode::kAccumulate : ir::StoreMode::kAssign;
+    ir::Val value;
+    switch (Pick(4)) {
+      case 0:  // a kernel shape: copy, or a product with a load
+        value = Pick(2) ? Load(i, j) : Note(ir::VMul(Load(i, j), Pick(2) ? Load(i, j) : Imm()));
+        break;
+      case 1:  // a top-level select the affine engine splits
+        value = Note(ir::Select({Guard(i, j)}, Tree(i, j, 3), Tree(i, j, 3)));
+        break;
+      default:
+        value = Tree(i, j, 4);
+        break;
+    }
+    if (Pick(3) == 0) {
+      const ir::Expr flat = ir::Add(ir::Mul(i, kCols), j);
+      return ir::MakeStore(kTiles, {ir::FloorDiv(flat, 4), ir::Mod(flat, 4)}, value, mode);
+    }
+    return ir::MakeStore(kOut, {i, j}, value, mode);
+  }
+
+  ir::Val Note(ir::Val v) {
+    ++kinds_[static_cast<size_t>(v->kind)];
+    return v;
+  }
+
+  ir::Val Imm() {
+    static constexpr double kImms[] = {0.5, -1.25, 3.0, 0.7978845608, 0.044715, -0.0, 1e-3, 2.0};
+    if (Pick(4) == 0) {
+      return Note(ir::Imm(std::uniform_real_distribution<double>(-4.0, 4.0)(rng_)));
+    }
+    return Note(ir::Imm(kImms[Pick(8)]));
+  }
+
+  // A load of `a` or `b` through one of the offset forms, always in bounds.
+  ir::Val Load(const ir::Expr& i, const ir::Expr& j) {
+    const ir::Expr row = ir::Add(ir::Mul(i, kCols), j);  // in [0, 60)
+    if (Pick(3) == 0) {
+      switch (Pick(3)) {
+        case 0:
+          return Note(ir::Load(kB, {i, j}));
+        case 1:
+          return Note(ir::Load(kB, {ir::Mod(ir::Add(i, j), kRows), j}));
+        default:
+          return Note(ir::Load(kB, {i, ir::Min(ir::Add(j, 3), ir::Const(kCols - 1))}));
+      }
+    }
+    ir::Expr off;
+    switch (Pick(9)) {
+      case 0:  // affine
+        off = row;
+        break;
+      case 1:  // affine, transposed
+        off = ir::Add(ir::Mul(j, kRows), i);
+        break;
+      case 2:  // mod whose range exceeds its modulus
+        off = ir::Mul(ir::Mod(row, 7), 9);
+        break;
+      case 3:  // floor-div that does not divide the strides
+        off = ir::FloorDiv(ir::Add(ir::Mul(i, 13), ir::Mul(j, 5)), 3);
+        break;
+      case 4:  // div and mod mixed
+        off = ir::Add(ir::FloorDiv(row, 2), ir::Mod(j, 3));
+        break;
+      case 5:  // wrapped
+        off = ir::Mod(ir::Add(ir::Mul(j, 7), i), kFlat);
+        break;
+      case 6:  // the unfold clamp: min(affine, constant)
+        off = ir::Min(row, ir::Const(40));
+        break;
+      case 7:  // floor-div and mod of negative operands
+        off = ir::Add(ir::Add(ir::FloorDiv(ir::Sub(row, 5), 3), ir::Const(2)),
+                      ir::Mod(ir::Sub(j, 4), 7));
+        break;
+      default:  // a max clamp
+        off = ir::Max(ir::Sub(ir::Mul(j, 7), ir::Const(5)), ir::Const(0));
+        break;
+    }
+    return Note(ir::Load(kA, {off}));
+  }
+
+  ir::IntervalCond Guard(const ir::Expr& i, const ir::Expr& j) {
+    ir::IntervalCond c;
+    switch (Pick(5)) {
+      case 0:
+        c.expr = j;
+        break;
+      case 4:  // negative values, whose residues move into [0, modulus)
+        c.expr = ir::Sub(j, 5);
+        break;
+      case 1:
+        c.expr = ir::Add(ir::Mul(i, kCols), j);
+        break;
+      case 2:
+        c.expr = ir::Add(i, j);
+        break;
+      default:
+        c.expr = ir::Mod(ir::Add(ir::Mul(i, 3), j), 7);
+        break;
+    }
+    c.lo = Pick(9) - 4;
+    c.hi = c.lo + 1 + Pick(12);
+    c.modulus = Pick(2) ? 1 : 2 + Pick(2);
+    c.rem = Pick(c.modulus);
+    return c;
+  }
+
+  ir::Val Tree(const ir::Expr& i, const ir::Expr& j, int depth) {
+    if (depth == 0 || Pick(5) == 0) {
+      return Pick(4) == 0 ? Imm() : Load(i, j);
+    }
+    auto sub = [&] { return Tree(i, j, depth - 1); };
+    switch (Pick(10)) {
+      case 0:
+        return Note(ir::VAdd(sub(), sub()));
+      case 1:
+        return Note(ir::VSub(sub(), sub()));
+      case 2:
+        return Note(ir::VMul(sub(), sub()));
+      case 3:
+        return Note(ir::VDiv(sub(), sub()));
+      case 4:
+        return Note(ir::VMax(sub(), sub()));
+      case 5:
+        return Note(ir::VMin(sub(), sub()));
+      case 6:
+        return Note(ir::VExp(sub()));
+      case 7:
+        return Note(ir::VTanh(sub()));
+      case 8:
+        return Note(ir::VSqrt(sub()));
+      default: {
+        std::vector<ir::IntervalCond> conds = {Guard(i, j)};
+        if (Pick(2) == 0) {
+          conds.push_back(Guard(i, j));
+        }
+        return Note(ir::Select(std::move(conds), sub(), sub()));
+      }
+    }
+  }
+
+  std::mt19937_64 rng_;
+  std::array<int, 12> kinds_{};
+};
+
+TEST(StoreLeaves, RandomValueTreesAndIndexFormsAreBitIdentical) {
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  StoreLeafCorpus corpus(20251);
+  const runtime::BufferStore inputs = corpus.Inputs();
+  for (int n = 0; n < 48; ++n) {
+    ExpectProgramsBitIdentical({corpus.Next()}, inputs, "store leaf #" + std::to_string(n));
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+  for (size_t k = 0; k < corpus.kinds().size(); ++k) {
+    EXPECT_GT(corpus.kinds()[k], 0) << "value kind " << k << " never generated";
+  }
+  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+  for (const char* c : {"interp.kernel_leaves", "interp.eval_leaves", "interp.bytecode_leaves",
+                        "interp.parallel_programs"}) {
+    EXPECT_GT(after.counter(c) - before.counter(c), 0) << c;
+  }
+}
+
+// Restores the kernel cache's default toolchain and empties it however the
+// test exits.
+struct KernelCacheSandbox {
+  KernelCacheSandbox() { Reset(); }
+  ~KernelCacheSandbox() { Reset(); }
+  static void Reset() {
+    codegen::KernelCache::Global().SetJitOptionsForTest(codegen::JitOptions());
+    codegen::KernelCache::Global().ClearForTest();
+  }
+};
+
+// out[k] = (tanh(c_k) - t_k) * 2^60 for GELU's two constants c_k, where t_k
+// is this process's libm tanh(c_k): exactly 0 when the kernel calls the same
+// libm. A compiler that folds tanh of a constant rounds correctly, one ulp
+// away from glibc's result for both constants, and stores a multiple of 128.
+ir::Program TanhFoldingProgram() {
+  ir::Program program = UnaryProgram(1, {2});
+  const double consts[] = {0.7978845608, 0.044715};
+  std::vector<ir::Stmt> stores;
+  for (int64_t k = 0; k < 2; ++k) {
+    volatile double c = consts[k];  // computed at run time, by libm
+    const double libm_tanh = std::tanh(c);
+    stores.push_back(ir::MakeStore(
+        1, {ir::Const(k)},
+        ir::VMul(ir::VSub(ir::VTanh(ir::Imm(consts[k])), ir::Imm(libm_tanh)),
+                 ir::Imm(std::ldexp(1.0, 60))),
+        ir::StoreMode::kAssign));
+  }
+  program.root = ir::MakeBlock(std::move(stores));
+  return program;
+}
+
+TEST(StoreLeaves, KernelsCallLibmInsteadOfFoldingConstants) {
+  KernelCacheSandbox sandbox;
+  runtime::BufferStore inputs;
+  inputs.Get(0).assign(1, 0.0f);
+  ExpectProgramsBitIdentical({TanhFoldingProgram()}, inputs, "tanh folding");
+  runtime::BufferStore affine = inputs;
+  ASSERT_TRUE(runtime::Execute(TanhFoldingProgram(), affine).ok());
+  EXPECT_EQ(affine.Get(1), std::vector<float>({0.0f, 0.0f}));
+
+  // The same kernel compiled without -fno-builtin-exp -fno-builtin-tanh:
+  // the compiler folds tanh(c_k) and the stored values move off zero.
+  const std::string dir = testing::TempDir() + "/alt-nofold-" + std::to_string(getpid());
+  ASSERT_EQ(mkdir(dir.c_str(), 0700), 0) << dir;
+  const std::string wrapper = dir + "/cxx";
+  ASSERT_TRUE(WriteFile(wrapper,
+                        "#!/bin/sh\n"
+                        "for a do\n"
+                        "  shift\n"
+                        "  case \"$a\" in\n"
+                        "    -fno-builtin-exp|-fno-builtin-tanh) ;;\n"
+                        "    *) set -- \"$@\" \"$a\" ;;\n"
+                        "  esac\n"
+                        "done\n"
+                        "exec \"${ALT_CXX:-c++}\" \"$@\"\n")
+                  .ok());
+  ASSERT_EQ(chmod(wrapper.c_str(), 0700), 0);
+  codegen::JitOptions folding;
+  folding.compiler = wrapper;
+  codegen::KernelCache::Global().SetJitOptionsForTest(folding);
+  codegen::KernelCache::Global().ClearForTest();
+  runtime::BufferStore native = inputs;
+  runtime::ExecOptions options;
+  options.engine = runtime::ExecEngine::kNative;
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  ASSERT_TRUE(runtime::Execute(TanhFoldingProgram(), native, options).ok());
+  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+  unlink(wrapper.c_str());
+  rmdir(dir.c_str());
+  if (after.counter("codegen.native_programs") == before.counter("codegen.native_programs")) {
+    GTEST_SKIP() << "no host C++ toolchain";
+  }
+  EXPECT_NE(native.Get(1), affine.Get(1));
+}
+
+// out[i] = s(select(i < then_hi, exp(in[i]), exp(in[i + 100]))) for i in
+// [0, 4), with s the identity (a top-level select the affine engine splits)
+// or x + 1 (a select inside an eval leaf's value): the else branch reads past
+// `in` exactly where it is taken.
+ir::Program SelectOutOfBoundsProgram(int64_t then_hi, bool split) {
+  ir::Program program = UnaryProgram(4, {4});
+  ir::Expr i = ir::MakeVar("i");
+  ir::IntervalCond c;
+  c.expr = i;
+  c.lo = 0;
+  c.hi = then_hi;
+  ir::Val sel = ir::Select({c}, ir::VExp(ir::Load(0, {i})),
+                           ir::VExp(ir::Load(0, {ir::Add(i, 100)})));
+  ir::Val value = split ? sel : ir::VAdd(sel, ir::Imm(1.0));
+  program.root = ir::MakeFor(i, 4, ir::ForKind::kSerial,
+                             ir::MakeStore(1, {i}, value, ir::StoreMode::kAssign));
+  return program;
+}
+
+TEST(StoreLeaves, OnlyTheTakenSelectBranchIsBoundsChecked) {
+  runtime::BufferStore inputs;
+  FillParallelInput(inputs, 4);
+  for (bool split : {true, false}) {
+    // The else branch is never taken: every engine succeeds, bit-identically.
+    ExpectProgramsBitIdentical({SelectOutOfBoundsProgram(4, split)}, inputs,
+                               split ? "split select" : "eval select");
+    // Taken at i = 2, 3: every engine fails.
+    for (runtime::ExecEngine engine : {runtime::ExecEngine::kAffine, runtime::ExecEngine::kGeneric,
+                                       runtime::ExecEngine::kNative}) {
+      runtime::BufferStore store = inputs;
+      runtime::ExecOptions options;
+      options.engine = engine;
+      const Status s = runtime::Execute(SelectOutOfBoundsProgram(2, split), store, options);
+      EXPECT_FALSE(s.ok()) << "engine " << static_cast<int>(engine) << " split " << split;
+      EXPECT_NE(s.message().find("load out of bounds"), std::string::npos) << s.ToString();
+    }
+  }
+}
+
+// out[i] = tanh(in[i] * scale) for i in [0, 16).
+ir::Program TanhScaleProgram(double scale) {
+  ir::Program program = UnaryProgram(16, {16});
+  ir::Expr i = ir::MakeVar("i");
+  program.root = ir::MakeFor(
+      i, 16, ir::ForKind::kSerial,
+      ir::MakeStore(1, {i}, ir::VTanh(ir::VMul(ir::Load(0, {i}), ir::Imm(scale))),
+                    ir::StoreMode::kAssign));
+  return program;
+}
+
+TEST(StoreLeaves, ImmediatesUnderTanhKeyDistinctKernels) {
+  const ir::Program half = TanhScaleProgram(0.5);
+  const ir::Program most = TanhScaleProgram(0.75);
+  EXPECT_NE(ir::ProgramStructureKey(half), ir::ProgramStructureKey(most));
+  runtime::BufferStore inputs;
+  FillParallelInput(inputs, 16);
+  ExpectProgramsBitIdentical({half}, inputs, "tanh * 0.5");
+  ExpectProgramsBitIdentical({most}, inputs, "tanh * 0.75");
+  runtime::ExecOptions options;
+  options.engine = runtime::ExecEngine::kNative;
+  runtime::BufferStore a = inputs;
+  runtime::BufferStore b = inputs;
+  ASSERT_TRUE(runtime::Execute(half, a, options).ok());
+  ASSERT_TRUE(runtime::Execute(most, b, options).ok());
+  EXPECT_NE(a.Get(1), b.Get(1));
 }
 
 // ---------------------------------------------------------------------------

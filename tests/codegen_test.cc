@@ -77,8 +77,7 @@ bool ToolchainAvailable() {
 int64_t RunFill(const std::shared_ptr<codegen::NativeKernel>& kernel,
                 std::vector<float>& out) {
   float* bufs[] = {out.data()};
-  int64_t env[] = {0};
-  return kernel->fn()(bufs, env, nullptr, nullptr, 0, 0);
+  return kernel->fn()(bufs, 0, 0);
 }
 
 graph::Graph SmallWorkload() {
