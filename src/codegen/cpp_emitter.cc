@@ -36,7 +36,9 @@ std::string DLit(double v) {
 }
 
 // No standard headers: the preamble declares what it uses, which keeps the
-// compile of each small kernel short. exp and tanh are the process's libm
+// compile of each small kernel short. Its text, comments included, is part of
+// every kernel's source and so of every cache key: editing it recompiles
+// every kernel. exp and tanh are the process's libm
 // functions; kernels are compiled with -fno-builtin-exp -fno-builtin-tanh
 // (jit.cc), so a constant argument is not folded at compile time to a value
 // the host's libm does not return. sqrt stays a builtin: IEEE rounds it
@@ -239,7 +241,7 @@ class Emitter {
     out_ << "{ const i64 last = so + " << si << "*(n - 1);\n";
     Indent(depth + 2);
     out_ << "if (so < 0 || so >= " << ILit(lf.out_size) << " || last < 0 || last >= "
-         << ILit(lf.out_size) << ") return 1; }\n";
+         << ILit(lf.out_size) << ") return " << kStoreOutOfBounds << "; }\n";
     Indent(depth + 1);
     out_ << "float*" << (NoAlias(lf, br) ? " __restrict" : "") << " out = bufs["
          << lf.out_buffer << "];\n";
@@ -253,7 +255,8 @@ class Emitter {
       out_ << "{ const i64 last = " << base << " + " << ILit(a.inner) << "*(n - 1);\n";
       Indent(depth + 2);
       out_ << "if (" << base << " < 0 || " << base << " >= " << ILit(a.size)
-           << " || last < 0 || last >= " << ILit(a.size) << ") return 2; }\n";
+           << " || last < 0 || last >= " << ILit(a.size) << ") return " << kLoadOutOfBounds
+           << "; }\n";
       Indent(depth + 1);
       out_ << "const float* __restrict " << ptr << " = bufs[" << a.buffer << "];\n";
     };
@@ -302,8 +305,6 @@ class Emitter {
         out_ << "}\n";
         break;
       }
-      case KernelSpec::BranchKind::kEval:
-        break;  // unreachable: eval leaves are store leaves
     }
     Indent(depth + 1);
     out_ << "return 0;\n";
@@ -328,42 +329,56 @@ class Emitter {
     return "alt_unbound_slot_" + std::to_string(slot);
   }
 
-  // Index tree `node` as one C++ expression with CompiledExpr's arithmetic.
-  std::string IndexExpr(int node, const KernelSpec::Leaf& lf) const {
-    const KernelSpec::IndexNode& n = spec_.index_nodes[node];
-    auto call = [&](const char* fn) {
-      return std::string(fn) + "(" + IndexExpr(n.a, lf) + ", " + IndexExpr(n.b, lf) + ")";
-    };
-    auto infix = [&](const char* op) {
-      return "(" + IndexExpr(n.a, lf) + " " + op + " " + IndexExpr(n.b, lf) + ")";
-    };
-    switch (n.op) {
-      case ir::ExprKind::kConst:
-        return ILit(n.value);
-      case ir::ExprKind::kVar:
-        return SlotName(n.value, lf);
-      case ir::ExprKind::kAdd:
-        return infix("+");
-      case ir::ExprKind::kSub:
-        return infix("-");
-      case ir::ExprKind::kMul:
-        return infix("*");
-      case ir::ExprKind::kFloorDiv:
-        return call("alt_floordiv");
-      case ir::ExprKind::kMod:
-        return call("alt_floormod");
-      case ir::ExprKind::kMin:
-        return call("alt_imin");
-      case ir::ExprKind::kMax:
-        return call("alt_imax");
+  // Index program `e` as one C++ expression with CompiledExpr's arithmetic,
+  // rebuilt infix from its postfix ops.
+  std::string IndexExpr(const ir::CompiledExpr& e, const KernelSpec::Leaf& lf) const {
+    using Code = ir::CompiledExpr::OpCode;
+    std::vector<std::string> stack;
+    for (const ir::CompiledExpr::Op& op : e.ops()) {
+      if (op.code == Code::kPushConst) {
+        stack.push_back(ILit(op.imm));
+        continue;
+      }
+      if (op.code == Code::kPushVar) {
+        stack.push_back(SlotName(op.imm, lf));
+        continue;
+      }
+      std::string b = std::move(stack.back());
+      stack.pop_back();
+      std::string& a = stack.back();
+      auto call = [&](const char* fn) { a = std::string(fn) + "(" + a + ", " + b + ")"; };
+      auto infix = [&](const char* sym) { a = "(" + a + " " + sym + " " + b + ")"; };
+      switch (op.code) {
+        case Code::kAdd:
+          infix("+");
+          break;
+        case Code::kSub:
+          infix("-");
+          break;
+        case Code::kMul:
+          infix("*");
+          break;
+        case Code::kFloorDiv:
+          call("alt_floordiv");
+          break;
+        case Code::kMod:
+          call("alt_floormod");
+          break;
+        case Code::kMin:
+          call("alt_imin");
+          break;
+        default:  // kMax; the pushes continued above
+          call("alt_imax");
+          break;
+      }
     }
-    return "0";
+    return stack.back();
   }
 
-  // Emits the statements that evaluate value tree `node` as EvalVal does —
-  // a load's offset is bounds-checked before it is read, and a select
-  // evaluates only the branch its guards take — and returns the C++
-  // expression that holds the value.
+  // Emits the statements that evaluate value tree `node` as the host's
+  // EvalValue does — a load's offset is bounds-checked before it is read,
+  // and a select evaluates only the branch its guards take — and returns the
+  // C++ expression that holds the value.
   std::string EmitValue(int node, const KernelSpec::Leaf& lf, int depth) {
     const KernelSpec::ValueNode& n = spec_.value_nodes[node];
     if (n.kind == ir::ValKind::kImm) {
@@ -375,7 +390,8 @@ class Emitter {
       Indent(depth);
       out_ << "const i64 " << o << " = " << IndexExpr(n.offset, lf) << ";\n";
       Indent(depth);
-      out_ << "if (" << o << " < 0 || " << o << " >= " << ILit(n.size) << ") return 2;\n";
+      out_ << "if (" << o << " < 0 || " << o << " >= " << ILit(n.size) << ") return "
+           << kLoadOutOfBounds << ";\n";
       Indent(depth);
       out_ << "const double " << t << " = (double)bufs[" << n.buffer << "][" << o << "];\n";
       return t;
@@ -445,8 +461,8 @@ class Emitter {
     return t;
   }
 
-  // A store leaf, run as RunStoreLoop runs a compiled store: per element,
-  // the offset, its bounds check, the value, then the conversion to float.
+  // A store leaf, run as the host's RunStoreLeaf runs it: per element, the
+  // offset, its bounds check, the value, then the conversion to float.
   void EmitStoreLeaf(const KernelSpec::Leaf& lf, int index, int depth) {
     Indent(depth);
     out_ << "for (i64 v = 0; v < " << ILit(lf.extent) << "; ++v) {  // leaf " << index
@@ -454,7 +470,8 @@ class Emitter {
     Indent(depth + 1);
     out_ << "const i64 so = " << IndexExpr(lf.store_offset, lf) << ";\n";
     Indent(depth + 1);
-    out_ << "if (so < 0 || so >= " << ILit(lf.out_size) << ") return 1;\n";
+    out_ << "if (so < 0 || so >= " << ILit(lf.out_size) << ") return " << kStoreOutOfBounds
+         << ";\n";
     temps_ = 0;
     const std::string value = EmitValue(lf.value, lf, depth + 1);
     Indent(depth + 1);
@@ -488,7 +505,8 @@ class Emitter {
         Indent(depth + 2);
         out_ << "if (!alt_guard_range(" << AccExpr(c.acc) << ", " << ILit(c.cv) << ", "
              << ILit(c.lo) << ", " << ILit(c.hi) << ", " << ILit(c.modulus) << ", "
-             << ILit(c.rem) << ", " << ILit(lf.extent) << ", &gb, &ge)) return 4;\n";
+             << ILit(c.rem) << ", " << ILit(lf.extent) << ", &gb, &ge)) return "
+             << kInternalGuard << ";\n";
         Indent(depth + 2);
         out_ << "if (gb > tb) tb = gb;\n";
         Indent(depth + 2);

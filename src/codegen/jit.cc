@@ -126,9 +126,8 @@ StatusOr<std::shared_ptr<NativeKernel>> CompileAndLoad(const std::string& source
   // folds exp and tanh of a constant with correctly rounded arithmetic,
   // which can differ by an ulp from the libm the interpreter calls.
   const std::string command =
-      ResolveCompiler(options) +
-      " -std=c++17 -O2 -fPIC -shared -ffp-contract=off -fno-builtin-exp -fno-builtin-tanh -o '" +
-      so_path + "' '" + src_path + "' 2>'" + err_path + "'";
+      ResolveCompiler(options) + " " + kJitFlags + " -o '" + so_path + "' '" + src_path +
+      "' 2>'" + err_path + "'";
   const int rc = std::system(command.c_str());
   if (rc != 0) {
     std::string diag;

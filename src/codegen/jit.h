@@ -28,6 +28,12 @@
 
 namespace alt::codegen {
 
+// Flags every kernel is compiled with, after the compiler driver. They are
+// part of every kernel-cache key (kernel_cache.h), so an object built with
+// other flags is never reused.
+inline constexpr const char* kJitFlags =
+    "-std=c++17 -O2 -fPIC -shared -ffp-contract=off -fno-builtin-exp -fno-builtin-tanh";
+
 struct JitOptions {
   // Compiler driver; empty resolves $ALT_CXX, then "c++".
   std::string compiler;

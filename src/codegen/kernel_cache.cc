@@ -1,6 +1,5 @@
 #include "src/codegen/kernel_cache.h"
 
-#include "src/codegen/cpp_emitter.h"
 #include "src/support/crc32.h"
 #include "src/support/metrics.h"
 #include "src/support/string_util.h"
@@ -12,21 +11,22 @@ KernelCache& KernelCache::Global() {
   return *cache;
 }
 
-std::string KernelCache::KeyForStructure(const std::string& structure_key) {
-  const std::string salted =
-      "cg" + std::to_string(kCodegenVersion) + "|" + structure_key;
-  return FormatU64Hex(Fnv1a64(salted));
+std::string KernelCache::KeyOf(const std::string& source) {
+  // FNV-1a is streaming: hashing the source from the flags' hash equals
+  // hashing the concatenation, without copying the source.
+  static const uint64_t flags = Fnv1a64(std::string(kJitFlags) + "|");
+  return FormatU64Hex(Fnv1a64(source, flags));
 }
 
-StatusOr<std::shared_ptr<NativeKernel>> KernelCache::GetOrCompile(const std::string& key,
-                                                                 const KernelSpec& spec) {
+StatusOr<std::shared_ptr<NativeKernel>> KernelCache::GetOrCompile(const std::string& source) {
   static Counter& hits = MetricsRegistry::Global().counter("codegen.cache_hits");
   static Counter& compiles = MetricsRegistry::Global().counter("codegen.compiles");
   static Counter& failures = MetricsRegistry::Global().counter("codegen.compile_failures");
 
-  // The lock covers the compile: concurrent Prepares of the same structure
-  // must not race the toolchain, and distinct structures compiling serially
-  // is an accepted cost (compiles are rare and cached forever).
+  const std::string key = KeyOf(source);
+  // The lock covers the compile: concurrent Prepares of the same source
+  // must not race the toolchain, and distinct sources compiling serially is
+  // an accepted cost (compiles are rare and cached forever).
   std::lock_guard<std::mutex> lock(mu_);
   if (auto it = kernels_.find(key); it != kernels_.end()) {
     hits.Add();
@@ -36,7 +36,7 @@ StatusOr<std::shared_ptr<NativeKernel>> KernelCache::GetOrCompile(const std::str
     return it->second;
   }
   compiles.Add();
-  auto kernel = CompileAndLoad(EmitKernelSource(spec), jit_);
+  auto kernel = CompileAndLoad(source, jit_);
   if (!kernel.ok()) {
     failures.Add();
     failures_.emplace(key, kernel.status());
@@ -44,12 +44,6 @@ StatusOr<std::shared_ptr<NativeKernel>> KernelCache::GetOrCompile(const std::str
   }
   kernels_.emplace(key, *kernel);
   return *kernel;
-}
-
-std::shared_ptr<NativeKernel> KernelCache::Find(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = kernels_.find(key);
-  return it == kernels_.end() ? nullptr : it->second;
 }
 
 Status KernelCache::RegisterObject(const std::string& key,

@@ -1,14 +1,14 @@
 // Process-global cache of compiled native kernels.
 //
-// Keyed by KeyForStructure(ir::ProgramStructureKey(program)) — a salted
-// 64-bit FNV-1a of the normalized program structure plus the codegen
-// version. Equal keys mean structurally identical programs, which build
-// byte-identical KernelSpecs and therefore byte-identical generated source
-// (kernel_spec.h), so one compiled object serves every session, prepared
-// program, and hot-swapped model that shares the structure. Compile results
-// are cached both ways: successes as loaded kernels, failures as their
-// Status, so a missing host compiler costs one shell-out per structure, not
-// one per Prepare.
+// Keyed by KeyOf(source) — a 64-bit FNV-1a of the JIT flags (jit.h) and the
+// kernel's generated source. Equal keys mean the same source compiled the
+// same way, so one compiled object serves every session, prepared program,
+// and hot-swapped model that emits it: programs that differ only in tensor
+// or loop-variable ids emit identical source and share a kernel, while a
+// changed emitter or changed flags can never reuse an object built from
+// anything else. Compile results are cached both ways: successes as loaded
+// kernels, failures as their Status, so a missing host compiler costs one
+// shell-out per source, not one per Prepare.
 //
 // RegisterObject is the artifact path: a loaded artifact re-registers its
 // embedded .so bytes under their saved keys, and the next Prepare hits the
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/codegen/jit.h"
-#include "src/codegen/kernel_spec.h"
 #include "src/support/status.h"
 
 namespace alt::codegen {
@@ -35,19 +34,15 @@ class KernelCache {
  public:
   static KernelCache& Global();
 
-  // The cache/artifact key for a program structure key: 16 lowercase hex
-  // chars of Fnv1a64 over "cg<version>|<structure_key>".
-  static std::string KeyForStructure(const std::string& structure_key);
+  // The cache/artifact key of a kernel: 16 lowercase hex chars of Fnv1a64
+  // over the JIT flags, "|", and `source`.
+  static std::string KeyOf(const std::string& source);
 
-  // Returns the cached kernel for `key`, compiling `spec` on a miss. A
-  // failed compile is remembered and returned as the same Status on every
-  // subsequent call (the caller falls back to the interpreter each time
-  // without paying the shell-out again).
-  StatusOr<std::shared_ptr<NativeKernel>> GetOrCompile(const std::string& key,
-                                                       const KernelSpec& spec);
-
-  // Cached kernel for `key`, or nullptr.
-  std::shared_ptr<NativeKernel> Find(const std::string& key);
+  // Returns the cached kernel for KeyOf(source), compiling `source` on a
+  // miss. A failed compile is remembered and returned as the same Status on
+  // every subsequent call (the caller falls back to the interpreter each
+  // time without paying the shell-out again).
+  StatusOr<std::shared_ptr<NativeKernel>> GetOrCompile(const std::string& source);
 
   // Installs a precompiled object (artifact load). A key that is already
   // resident is left untouched — the resident kernel is equivalent by key

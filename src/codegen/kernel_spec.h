@@ -8,21 +8,17 @@
 // every leaf is a bytecode leaf; such a spec is never compiled. The spec
 // holds no pointers: buffers are ids into a table the caller passes at run
 // time, numbered in the order the builder commits accesses, and loop
-// variables are env slots numbered in statement pre-order. A leaf the
-// kernels cannot run (a bytecode leaf, or one with a kEval branch) is a
-// store leaf: it also carries its store offset as an integer tree and its
-// value as a value tree, both over those ids and slots. That makes the spec a
-// pure function of the program's STRUCTURE — two programs with equal
-// `ir::ProgramStructureKey` build byte-identical specs — which is what lets
-// compiled kernels be cached and shared across sessions, artifacts, and
-// hot-swaps (kernel_cache.h).
+// variables are env slots numbered in statement pre-order. A leaf is either a
+// kernel leaf, whose every branch is a fill, copy or mul-acc kernel, or a
+// store leaf, which carries its store offset as an index program and its
+// value as a value tree, both over those ids and slots.
 //
-// The affine engine executes the spec directly. The generated function
-// (cpp_emitter.h) executes it with the same arithmetic: the same
-// double→float conversion sequences, the same element order, the same
-// guard-range splitting, and the same segment-endpoint bounds checks; it
-// runs every store leaf element by element from its trees, exactly as the
-// generic engine runs a compiled store. Bit-identity between the two is a
+// The spec is the only description of what runs. The affine and generic
+// engines execute it directly, and the generated function (cpp_emitter.h)
+// executes it with the same arithmetic: the same double→float conversion
+// sequences, the same element order, the same guard-range splitting, and the
+// same segment-endpoint bounds checks; every engine runs a store leaf
+// element by element from its trees. Bit-identity between them is a
 // contract, not an aspiration — the randomized differential corpora in
 // tests/affine_exec_test.cc enforce it three ways.
 
@@ -33,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/ir/eval.h"
 #include "src/ir/value.h"
 
 namespace alt::codegen {
@@ -72,7 +69,6 @@ struct KernelSpec {
     kFill,    // splat an immediate
     kCopy,    // copy one affine load
     kMulAcc,  // load*load, load*imm or imm*load
-    kEval,    // any other value, evaluated per element from the value tree
   };
 
   struct Branch {
@@ -90,31 +86,21 @@ struct KernelSpec {
     int64_t cv = 0, lo = 0, hi = 0, modulus = 1, rem = 0;
   };
 
-  // One node of an integer offset tree, evaluated as ir::CompiledExpr
-  // evaluates the expression: floor-div and mod round toward negative
-  // infinity. A kVar node reads an env slot.
-  struct IndexNode {
-    ir::ExprKind op = ir::ExprKind::kConst;
-    int64_t value = 0;  // kConst: the constant; kVar: the env slot
-    int a = -1, b = -1;  // operands (index_nodes) of the binary ops
-  };
-
-  // One ANDed select guard, as the generic engine evaluates it: the offset
-  // tree e must satisfy lo <= e < hi and (when modulus > 1) e ≡ rem
-  // (mod modulus).
+  // One ANDed select guard of a value tree: the index program e must satisfy
+  // lo <= e < hi and (when modulus > 1) e ≡ rem (mod modulus).
   struct Guard {
-    int expr = -1;  // root in index_nodes
+    ir::CompiledExpr expr;
     int64_t lo = 0, hi = 0, modulus = 1, rem = 0;
   };
 
   // One node of a store leaf's value tree, evaluated in double.
   struct ValueNode {
     ir::ValKind kind = ir::ValKind::kImm;
-    double imm = 0.0;    // kImm
-    int buffer = -1;     // kLoad: buffer id
-    int64_t size = 0;    // kLoad: element count, for the bounds check
-    int offset = -1;     // kLoad: root in index_nodes
-    std::vector<Guard> guards;  // kSelect: all must hold to take `a`
+    double imm = 0.0;            // kImm
+    int buffer = -1;             // kLoad: buffer id
+    int64_t size = 0;            // kLoad: element count, for the bounds check
+    ir::CompiledExpr offset;     // kLoad: linearized element offset
+    std::vector<Guard> guards;   // kSelect: all must hold to take `a`
     int a = -1, b = -1;  // operands (value_nodes); a select's then / else
   };
 
@@ -122,31 +108,26 @@ struct KernelSpec {
     int64_t extent = 1;  // leaf loop trip count (1 for singleton stores)
     int vslot = -1;      // env slot of the consumed loop (-1: singleton)
     // True when the store offset is not affine, or the spec is the generic
-    // engine's: the host runs the leaf's generic compiled store per element,
-    // and the kernel fields below are unused.
+    // engine's: a store leaf with no store accumulator.
     bool bytecode = false;
     int out_buffer = -1;
     int64_t out_size = 0;
-    // Store leaves only (IsStoreLeaf): roots of the linearized store offset
-    // in index_nodes and of the store value in value_nodes.
-    int store_offset = -1;
+    // Store leaves only: the linearized store offset, and the root of the
+    // store value in value_nodes.
+    ir::CompiledExpr store_offset;
     int value = -1;
+    // Every leaf but a bytecode one: the store offset's accumulator.
     int store_acc = -1;
     int64_t store_inner = 0;
     bool accumulate = false;
+    // Kernel leaves only: the guard split and the branch kernels.
     bool guarded = false;
     std::vector<Cond> conds;
     Branch then_k, else_k;  // else_k only when guarded
 
-    // True for an eval leaf: some branch is a per-element value tree.
-    bool HasEval() const {
-      return then_k.kind == BranchKind::kEval ||
-             (guarded && else_k.kind == BranchKind::kEval);
-    }
-
-    // True when no kernel runs the leaf: the native kernel evaluates its
-    // trees per element, as the generic engine runs a compiled store.
-    bool IsStoreLeaf() const { return bytecode || HasEval(); }
+    // True when no kernel runs the leaf: every engine evaluates its trees
+    // per element.
+    bool IsStoreLeaf() const { return value >= 0; }
   };
 
   // Flattened loop program.
@@ -165,15 +146,13 @@ struct KernelSpec {
   // True when instrs[0] is the program's outermost loop AND that loop is a
   // kParallel root with proven cross-iteration write-disjointness: the
   // emitted outer loop then runs `for (i = begin; i < end; ++i)` so the
-  // runtime can shard it. Pure function of program structure (the proof
-  // consults only extents/strides/guards, all part of ProgramStructureKey),
-  // so cache sharing by structure key stays sound.
+  // runtime can shard it. Independent of thread options, so serial and
+  // sharded sessions emit one source and share one kernel.
   bool sliced = false;
   std::vector<int64_t> acc_init;  // accumulator base values
   std::vector<Instr> instrs;
   std::vector<Leaf> leaves;
-  // The store leaves' trees; nodes are numbered children first.
-  std::vector<IndexNode> index_nodes;
+  // The store leaves' value trees; nodes are numbered children first.
   std::vector<ValueNode> value_nodes;
 };
 

@@ -1,7 +1,6 @@
 #include "src/ir/affine.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "src/ir/value.h"
 
@@ -558,137 +557,6 @@ bool ParallelRootWritesDisjoint(const Program& program) {
     }
   }
   return true;
-}
-
-namespace {
-
-// Normalizing serializer for ProgramStructureKey.
-struct KeyBuilder {
-  std::ostringstream oss;
-  std::unordered_map<int, int> var_norm;
-  std::unordered_map<int, int> tensor_norm;
-  std::vector<int> tensor_order;  // original ids, in first-appearance order
-
-  int NormVar(int id) {
-    auto [it, inserted] = var_norm.try_emplace(id, static_cast<int>(var_norm.size()));
-    return it->second;
-  }
-  int NormTensor(int id) {
-    auto [it, inserted] = tensor_norm.try_emplace(id, static_cast<int>(tensor_norm.size()));
-    if (inserted) {
-      tensor_order.push_back(id);
-    }
-    return it->second;
-  }
-
-  void Emit(const Expr& e) {
-    const ExprNode* n = e.get();
-    switch (n->kind) {
-      case ExprKind::kConst:
-        oss << n->value;
-        return;
-      case ExprKind::kVar:
-        oss << "v" << NormVar(n->var_id);
-        return;
-      default:
-        oss << static_cast<int>(n->kind) << "(";
-        Emit(n->a);
-        oss << ",";
-        Emit(n->b);
-        oss << ")";
-        return;
-    }
-  }
-
-  void Emit(const Val& v) {
-    oss << "V" << static_cast<int>(v->kind);
-    switch (v->kind) {
-      case ValKind::kImm: {
-        // Exact bit pattern (imm values do not change structure-only analyses,
-        // but including them keeps equal keys strictly stronger than needed).
-        oss << std::hexfloat << v->imm << std::defaultfloat;
-        return;
-      }
-      case ValKind::kLoad: {
-        oss << "t" << NormTensor(v->tensor_id) << "[";
-        for (const auto& idx : v->indices) {
-          Emit(idx);
-          oss << ";";
-        }
-        oss << "]";
-        return;
-      }
-      default:
-        break;
-    }
-    for (const auto& c : v->conds) {
-      oss << "?";
-      Emit(c.expr);
-      oss << ":" << c.lo << "," << c.hi << "," << c.modulus << "," << c.rem;
-    }
-    if (v->a) {
-      oss << "{";
-      Emit(v->a);
-      oss << "}";
-    }
-    if (v->b) {
-      oss << "{";
-      Emit(v->b);
-      oss << "}";
-    }
-  }
-
-  void Emit(const Stmt& s) {
-    switch (s->kind) {
-      case StmtKind::kFor:
-        oss << "F" << static_cast<int>(s->for_kind) << "x" << s->extent << "v"
-            << NormVar(s->loop_var->var_id) << "{";
-        Emit(s->body);
-        oss << "}";
-        return;
-      case StmtKind::kBlock:
-        oss << "B{";
-        for (const auto& child : s->stmts) {
-          Emit(child);
-        }
-        oss << "}";
-        return;
-      case StmtKind::kStore:
-        oss << "S" << static_cast<int>(s->mode) << "t" << NormTensor(s->tensor_id) << "[";
-        for (const auto& idx : s->indices) {
-          Emit(idx);
-          oss << ";";
-        }
-        oss << "]=";
-        Emit(s->value);
-        return;
-    }
-  }
-};
-
-}  // namespace
-
-std::string ProgramStructureKey(const Program& program) {
-  KeyBuilder kb;
-  if (program.root) {
-    kb.Emit(program.root);
-  }
-  // Referenced buffer shapes, in normalized order: shapes determine row-major
-  // strides and element counts, the only buffer facts structure-only analyses
-  // consult.
-  for (size_t i = 0; i < kb.tensor_order.size(); ++i) {
-    kb.oss << "|T" << i << ":";
-    const BufferDecl* decl = program.FindBuffer(kb.tensor_order[i]);
-    if (decl == nullptr) {
-      kb.oss << "?";
-      continue;
-    }
-    for (int64_t d : decl->tensor.shape) {
-      kb.oss << d << "x";
-    }
-    kb.oss << "r" << static_cast<int>(decl->role);
-  }
-  return kb.oss.str();
 }
 
 }  // namespace alt::ir

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -134,15 +133,6 @@ std::optional<std::pair<int64_t, int64_t>> GuardRange(int64_t c0, int64_t cv, in
 // strides, a root-invariant write — returns false and the caller degrades
 // the loop to serial.
 bool ParallelRootWritesDisjoint(const Program& program);
-
-// Structural signature of a Program: loop kinds/extents, store modes, index
-// and value expression shapes, guard constants, and the shapes of every
-// referenced buffer — with loop-variable ids and tensor ids normalized to
-// first-appearance order. Two programs with equal keys are structurally
-// identical, so every structure-only analysis (sim::EstimateProgram in
-// particular) produces identical results for them. Keys the native kernel
-// cache (codegen/kernel_cache.h).
-std::string ProgramStructureKey(const Program& program);
 
 }  // namespace alt::ir
 

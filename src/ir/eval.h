@@ -45,6 +45,22 @@ class VarSlotMap {
 
 class CompiledExpr {
  public:
+  enum class OpCode : uint8_t {
+    kPushConst,
+    kPushVar,
+    kAdd,
+    kSub,
+    kMul,
+    kFloorDiv,
+    kMod,
+    kMin,
+    kMax,
+  };
+  struct Op {
+    OpCode code;
+    int64_t imm = 0;  // const value or slot index
+  };
+
   // Compiles `e`. A var without a slot in `slots` is a malformed program
   // (e.g. a corrupt artifact lowered to IR referencing a loop variable
   // that no loop binds) — it returns InvalidArgument rather than aborting, so
@@ -63,23 +79,11 @@ class CompiledExpr {
   // True when the expression is a constant (no ops besides one push-const).
   bool IsConstant() const { return ops_.size() == 1 && ops_[0].code == OpCode::kPushConst; }
 
- private:
-  enum class OpCode : uint8_t {
-    kPushConst,
-    kPushVar,
-    kAdd,
-    kSub,
-    kMul,
-    kFloorDiv,
-    kMod,
-    kMin,
-    kMax,
-  };
-  struct Op {
-    OpCode code;
-    int64_t imm = 0;  // const value or slot index
-  };
+  // The postfix program, read-only: the native emitter prints it back as C++
+  // (codegen/cpp_emitter.h).
+  const std::vector<Op>& ops() const { return ops_; }
 
+ private:
   // Operand slots Eval keeps inline on its own stack; expressions needing
   // more (never seen from real lowerings) spill to a per-call heap buffer.
   static constexpr size_t kInlineStack = 64;

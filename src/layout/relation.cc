@@ -562,8 +562,8 @@ std::string LayoutRelation::ToString() const {
 // cannot stand in for it — relations it cannot express (fuse then a
 // misaligned split, unfold or pad, as in the §4.1.1 spatial-packing
 // example) still lower here. Every emitted expression feeds the programs'
-// structural keys, kernel-cache keys and perf estimates, so a change to
-// these walks is a change to every tuned program.
+// kernel sources, and so their kernel-cache keys, and their perf estimates,
+// so a change to these walks is a change to every tuned program.
 // ---------------------------------------------------------------------------
 
 StatusOr<std::vector<Expr>> LayoutRelation::MapRead(

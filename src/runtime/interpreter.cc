@@ -8,6 +8,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/codegen/cpp_emitter.h"
 #include "src/codegen/kernel_cache.h"
 #include "src/codegen/kernel_spec.h"
 #include "src/ir/affine.h"
@@ -30,30 +31,6 @@ struct BufferBinding {
   int64_t size = 0;
 };
 using BindingMap = std::unordered_map<int, BufferBinding>;
-
-// A value expression compiled against buffer pointers and var slots.
-struct CompiledVal {
-  ir::ValKind kind;
-  double imm = 0.0;
-  const std::vector<float>* buffer = nullptr;  // kLoad
-  CompiledExpr offset;                         // kLoad: linearized element offset
-  int64_t buffer_size = 0;
-  std::unique_ptr<CompiledVal> a;
-  std::unique_ptr<CompiledVal> b;
-  struct Cond {
-    CompiledExpr expr;
-    int64_t lo, hi, modulus, rem;
-  };
-  std::vector<Cond> conds;
-};
-
-struct CompiledStore {
-  std::vector<float>* buffer = nullptr;
-  int64_t buffer_size = 0;
-  CompiledExpr offset;
-  CompiledVal value;
-  ir::StoreMode mode;
-};
 
 // Execution-time error state. A malformed program (e.g. loaded from a
 // corrupt artifact) may compute an out-of-range element offset; the
@@ -80,147 +57,6 @@ ir::Expr LinearIndexExpr(const std::vector<ir::Expr>& indices,
   return linear;
 }
 
-struct Compiler {
-  // Loop-variable slots, numbered by AffineBuilder::Build.
-  VarSlotMap slots;
-  const BindingMap* bindings = nullptr;
-  const ir::Program* program = nullptr;
-  // First compile error; what is compiled after that is a safe placeholder.
-  Status status = Status::Ok();
-
-  void Fail(const std::string& msg) {
-    if (status.ok()) {
-      status = Status::InvalidArgument(msg);
-    }
-  }
-
-  CompiledExpr CompileExpr(const ir::Expr& e) {
-    auto compiled = CompiledExpr::Compile(e, slots);
-    if (!compiled.ok()) {
-      Fail(compiled.status().message());
-      return CompiledExpr();
-    }
-    return std::move(*compiled);
-  }
-
-  std::vector<float>* Binding(int tensor_id, int64_t* size_out) {
-    auto it = bindings->find(tensor_id);
-    if (it == bindings->end()) {
-      Fail("no buffer binding for tensor " + std::to_string(tensor_id));
-      *size_out = 0;
-      return nullptr;
-    }
-    *size_out = it->second.size;
-    return it->second.buffer;
-  }
-
-  CompiledExpr LinearOffset(int tensor_id, const std::vector<ir::Expr>& indices,
-                            int64_t* size_out) {
-    *size_out = 0;
-    const ir::BufferDecl* decl = program->FindBuffer(tensor_id);
-    if (decl == nullptr) {
-      Fail("no buffer decl for tensor " + std::to_string(tensor_id));
-      return CompiledExpr();
-    }
-    auto strides = ir::RowMajorStrides(decl->tensor.shape);
-    if (indices.size() != strides.size()) {
-      std::ostringstream oss;
-      oss << "index rank mismatch on tensor " << tensor_id << ": " << indices.size()
-          << " vs " << strides.size();
-      Fail(oss.str());
-      return CompiledExpr();
-    }
-    *size_out = decl->tensor.NumElements();
-    return CompileExpr(LinearIndexExpr(indices, strides));
-  }
-
-  CompiledVal CompileVal(const ir::Val& v) {
-    CompiledVal out;
-    out.kind = v->kind;
-    out.imm = v->imm;
-    if (v->kind == ir::ValKind::kLoad) {
-      int64_t size = 0;
-      out.buffer = Binding(v->tensor_id, &size);
-      out.offset = LinearOffset(v->tensor_id, v->indices, &out.buffer_size);
-      return out;
-    }
-    for (const auto& c : v->conds) {
-      out.conds.push_back({CompileExpr(c.expr), c.lo, c.hi, c.modulus, c.rem});
-    }
-    if (v->a) {
-      out.a = std::make_unique<CompiledVal>(CompileVal(v->a));
-    }
-    if (v->b) {
-      out.b = std::make_unique<CompiledVal>(CompileVal(v->b));
-    }
-    return out;
-  }
-
-  CompiledStore CompileStore(const ir::StmtNode& st) {
-    CompiledStore out;
-    int64_t size = 0;
-    out.buffer = Binding(st.tensor_id, &size);
-    out.offset = LinearOffset(st.tensor_id, st.indices, &out.buffer_size);
-    out.value = CompileVal(st.value);
-    out.mode = st.mode;
-    return out;
-  }
-};
-
-double EvalVal(const CompiledVal& v, const int64_t* env, ExecContext& ctx) {
-  switch (v.kind) {
-    case ir::ValKind::kImm:
-      return v.imm;
-    case ir::ValKind::kLoad: {
-      int64_t off = v.offset.Eval(env);
-      if (off < 0 || off >= v.buffer_size) {
-        std::ostringstream oss;
-        oss << "load out of bounds: " << off << " size " << v.buffer_size;
-        ctx.Fail(oss.str());
-        return 0.0;
-      }
-      return (*v.buffer)[off];
-    }
-    case ir::ValKind::kAdd:
-      return EvalVal(*v.a, env, ctx) + EvalVal(*v.b, env, ctx);
-    case ir::ValKind::kSub:
-      return EvalVal(*v.a, env, ctx) - EvalVal(*v.b, env, ctx);
-    case ir::ValKind::kMul:
-      return EvalVal(*v.a, env, ctx) * EvalVal(*v.b, env, ctx);
-    case ir::ValKind::kDiv:
-      return EvalVal(*v.a, env, ctx) / EvalVal(*v.b, env, ctx);
-    case ir::ValKind::kMax:
-      return std::max(EvalVal(*v.a, env, ctx), EvalVal(*v.b, env, ctx));
-    case ir::ValKind::kMin:
-      return std::min(EvalVal(*v.a, env, ctx), EvalVal(*v.b, env, ctx));
-    case ir::ValKind::kExp:
-      return std::exp(EvalVal(*v.a, env, ctx));
-    case ir::ValKind::kTanh:
-      return std::tanh(EvalVal(*v.a, env, ctx));
-    case ir::ValKind::kSqrt:
-      return std::sqrt(EvalVal(*v.a, env, ctx));
-    case ir::ValKind::kSelect: {
-      for (const auto& c : v.conds) {
-        int64_t e = c.expr.Eval(env);
-        if (e < c.lo || e >= c.hi) {
-          return EvalVal(*v.b, env, ctx);
-        }
-        if (c.modulus > 1) {
-          int64_t m = e % c.modulus;
-          if (m < 0) {
-            m += c.modulus;
-          }
-          if (m != c.rem) {
-            return EvalVal(*v.b, env, ctx);
-          }
-        }
-      }
-      return EvalVal(*v.a, env, ctx);
-    }
-  }
-  return 0.0;
-}
-
 // ===========================================================================
 // The execution plan.
 //
@@ -230,45 +66,29 @@ double EvalVal(const CompiledVal& v, const int64_t* env, ExecContext& ctx) {
 // enclosing loop carries a bump list of (accumulator, stride) pairs applied on
 // every iteration advance — strength reduction that removes offset bytecode
 // from execution entirely. A For whose body is a single Store is consumed into
-// a leaf that runs the innermost loop as a tight kernel (fill / copy /
-// mul-accumulate) or evaluates a general value per element (kEval), offsets
-// still bumped; top-level pad/unfold Selects whose guards are affine in the
-// leaf variable are split into contiguous [else)[then)[else) ranges so the
-// condition check leaves the inner loop. Stores with a non-affine offset
-// become bytecode leaves that run the generic CompiledStore. A bytecode or
-// eval leaf also carries its store as offset and value trees, which the
-// native kernel runs per element. The spec holds only indices; the HostTable
-// beside it holds what they name in this process.
+// a leaf. When every branch of its value is a fill, copy or mul-accumulate,
+// the leaf is a kernel leaf that runs the innermost loop as a tight kernel,
+// offsets still bumped; top-level pad/unfold Selects whose guards are affine
+// in the leaf variable are split into contiguous [else)[then)[else) ranges so
+// the condition check leaves the inner loop. Any other leaf is a store leaf
+// that evaluates its value tree per element: an eval leaf when its store
+// offset is affine (taken from its accumulator), a bytecode leaf when it is
+// not (evaluated from its index program). The spec holds only indices; the
+// `bufs` table beside it holds what they name in this process.
 // The affine engine runs the spec below and the native engine compiles the
 // same spec, and every kernel performs the exact double→float conversion
-// sequence of the generic evaluator, in the same element order, so the three
-// engines are bit-identical by construction.
+// sequence of the per-element evaluator, in the same element order, so the
+// three engines are bit-identical by construction.
 //
 // The generic engine builds its spec with the analysis off: plain loops with
-// no bumps, and every store a bytecode leaf. Its offsets come from
-// CompiledExpr and its values from EvalVal, with no accumulator, guard or
-// clamp split, kernel or shard, so it stays an independent oracle for the
-// other two.
+// no bumps, and every store a bytecode leaf. It shares the index programs and
+// the value-tree builder with the other engines — runtime::ExecuteReference
+// checks those — but none of the accumulators, guard or clamp splits,
+// kernels or shards, so it stays an independent oracle for the affine
+// analysis.
 // ===========================================================================
 
 using Spec = codegen::KernelSpec;
-
-struct HostLeaf {
-  // The leaf's generic compiled store, compiled for bytecode leaves only;
-  // the affine and generic engines run it per element.
-  std::unique_ptr<CompiledStore> store;
-  // Per-element values of the leaf's kEval branches (null for other kinds),
-  // owned by HostTable::evals: the store's whole value, or a split select
-  // branch.
-  const CompiledVal* then_eval = nullptr;
-  const CompiledVal* else_eval = nullptr;
-};
-
-struct HostTable {
-  std::vector<float*> bufs;      // by spec buffer id; the native kernel's `bufs`
-  std::vector<HostLeaf> leaves;  // by spec leaf index
-  std::vector<std::unique_ptr<CompiledVal>> evals;  // values run as kEval
-};
 
 // The top-level Select (if any) of a store value, with the value rewritten so
 // the select is outermost. A product with one select operand is hoisted:
@@ -309,16 +129,38 @@ std::optional<SelParts> ExtractSelect(const ir::Val& v) {
 }
 
 struct AffineBuilder {
-  Compiler* compiler = nullptr;
+  const ir::Program* program = nullptr;
+  const BindingMap* bindings = nullptr;
   // Off for the generic engine: no access is analyzed, so every leaf is a
   // bytecode leaf and no loop carries bumps.
   bool analyze = true;
   Spec spec;
-  HostTable host;
+  // float* per spec buffer id: the array the native kernel receives.
+  std::vector<float*> bufs;
+  // Loop-variable slots, numbered in statement pre-order.
+  VarSlotMap slots;
+  // First error of a malformed program; what is built after it is a safe
+  // placeholder that never runs.
+  Status status = Status::Ok();
   // Enclosing loops, outermost first. When building a consumed leaf the leaf
   // loop is the last entry (with no loop instruction of its own).
   std::vector<ir::AffineLoop> loops;
   std::vector<int> loop_instrs;
+
+  void Fail(const Status& s) {
+    if (status.ok()) {
+      status = s;
+    }
+  }
+
+  CompiledExpr Compile(const ir::Expr& e) {
+    auto compiled = CompiledExpr::Compile(e, slots);
+    if (!compiled.ok()) {
+      Fail(compiled.status());
+      return CompiledExpr();
+    }
+    return std::move(*compiled);
+  }
 
   // Analysis result not yet committed to an accumulator: classification may
   // abandon it (e.g. a sibling operand turns out non-affine).
@@ -343,12 +185,12 @@ struct AffineBuilder {
   // A tensor's buffer id is the next free one when an access to it is first
   // committed; abandoned analyses number nothing.
   int BufferId(float* data) {
-    auto it = std::find(host.bufs.begin(), host.bufs.end(), data);
-    if (it == host.bufs.end()) {
-      host.bufs.push_back(data);
-      return static_cast<int>(host.bufs.size()) - 1;
+    auto it = std::find(bufs.begin(), bufs.end(), data);
+    if (it == bufs.end()) {
+      bufs.push_back(data);
+      return static_cast<int>(bufs.size()) - 1;
     }
-    return static_cast<int>(it - host.bufs.begin());
+    return static_cast<int>(it - bufs.begin());
   }
 
   // A load whose offset needs the unfold clamp split (ir::DecomposeClamped):
@@ -360,35 +202,35 @@ struct AffineBuilder {
     int64_t size = 0;
   };
 
-  // An access's row-major linearized offset and its binding; nullopt when
-  // the program declares or binds no such buffer, or the rank is wrong.
+  // An access's row-major linearized offset and its binding.
   struct Linear {
     ir::Expr offset;
     float* data = nullptr;
     int64_t size = 0;
   };
 
-  std::optional<Linear> Linearize(int tensor_id, const std::vector<ir::Expr>& indices) const {
-    const ir::BufferDecl* decl = compiler->program->FindBuffer(tensor_id);
+  // InvalidArgument when the program declares no such buffer or the rank is
+  // wrong. Every declared buffer is bound.
+  StatusOr<Linear> Linearize(int tensor_id, const std::vector<ir::Expr>& indices) const {
+    const ir::BufferDecl* decl = program->FindBuffer(tensor_id);
     if (decl == nullptr) {
-      return std::nullopt;
+      return Status::InvalidArgument("no buffer decl for tensor " + std::to_string(tensor_id));
     }
     auto strides = ir::RowMajorStrides(decl->tensor.shape);
     if (indices.size() != strides.size()) {
-      return std::nullopt;
+      std::ostringstream oss;
+      oss << "index rank mismatch on tensor " << tensor_id << ": " << indices.size()
+          << " vs " << strides.size();
+      return Status::InvalidArgument(oss.str());
     }
-    auto it = compiler->bindings->find(tensor_id);
-    if (it == compiler->bindings->end()) {
-      return std::nullopt;
-    }
-    return Linear{LinearIndexExpr(indices, strides), it->second.buffer->data(),
-                  it->second.size};
+    const BufferBinding& b = bindings->at(tensor_id);
+    return Linear{LinearIndexExpr(indices, strides), b.buffer->data(), b.size};
   }
 
   std::optional<Pending> Analyze(int tensor_id, const std::vector<ir::Expr>& indices,
                                  const ir::AffineAnalyzer& az) const {
     auto lin = Linearize(tensor_id, indices);
-    if (!lin) {
+    if (!lin.ok()) {
       return std::nullopt;
     }
     auto f = az.Decompose(lin->offset);
@@ -402,7 +244,7 @@ struct AffineBuilder {
                                                const std::vector<ir::Expr>& indices,
                                                const ir::AffineAnalyzer& az) const {
     auto lin = Linearize(tensor_id, indices);
-    if (!lin) {
+    if (!lin.ok()) {
       return std::nullopt;
     }
     auto cf = az.DecomposeClamped(lin->offset);
@@ -481,46 +323,50 @@ struct AffineBuilder {
     }
   }
 
-  // Classification of a store value whose only obstruction is one clamped
-  // load: yields the exact then/else kernel pair plus the clamp guard. Covers
-  // the shapes a clamped unfold read appears in — a bare copy and a product
-  // with an immediate or affine co-operand.
-  struct PendingClamp {
+  // A kernel leaf, classified but not committed: its guards (each complete
+  // but for its accumulator) and branches. Unguarded leaves have no conds
+  // and no else branch.
+  struct PendingKernel {
+    std::vector<std::pair<ir::AffineForm, Spec::Cond>> conds;
     PendingBranch then_b, else_b;
-    ir::AffineForm guard;
-    int64_t bound = 0;
   };
 
-  std::optional<PendingClamp> ClassifyClamped(const ir::Val& v,
-                                              const ir::AffineAnalyzer& az) {
+  // Classification of a store value whose only obstruction is one clamped
+  // load: the exact then/else kernel pair plus the clamp guard g <= bound,
+  // with the guard interval [min(g), bound + 1) — then where the clamp is
+  // slack, else where it binds (both agree at g == bound). Covers the shapes
+  // a clamped unfold read appears in — a bare copy and a product with an
+  // immediate or affine co-operand.
+  std::optional<PendingKernel> ClassifyClamped(const ir::Val& v, bool consumed,
+                                               const ir::AffineAnalyzer& az) {
     auto split_load = [&](const ir::Val& o) -> std::optional<ClampedPending> {
       if (o->kind != ir::ValKind::kLoad || Analyze(o->tensor_id, o->indices, az)) {
         return std::nullopt;
       }
       return AnalyzeClamped(o->tensor_id, o->indices, az);
     };
+    PendingKernel pk;
+    PendingBranch& then_b = pk.then_b;
+    PendingBranch& else_b = pk.else_b;
+    std::optional<ir::ClampedForm> clamp;
     switch (v->kind) {
       case ir::ValKind::kLoad: {
         auto cp = split_load(v);
         if (!cp) {
           return std::nullopt;
         }
-        PendingClamp pc;
-        pc.guard = cp->cf.guard;
-        pc.bound = cp->cf.bound;
-        pc.then_b.k.kind = Spec::BranchKind::kCopy;
-        pc.then_b.a = Pending{cp->cf.then_form, cp->data, cp->size};
-        pc.else_b.k.kind = Spec::BranchKind::kCopy;
-        pc.else_b.a = Pending{cp->cf.else_form, cp->data, cp->size};
-        return pc;
+        clamp = cp->cf;
+        then_b.k.kind = Spec::BranchKind::kCopy;
+        then_b.a = Pending{cp->cf.then_form, cp->data, cp->size};
+        else_b.k.kind = Spec::BranchKind::kCopy;
+        else_b.a = Pending{cp->cf.else_form, cp->data, cp->size};
+        break;
       }
       case ir::ValKind::kMul: {
         if (!v->a || !v->b) {
           return std::nullopt;
         }
-        PendingClamp pc;
-        pc.then_b.k.kind = pc.else_b.k.kind = Spec::BranchKind::kMulAcc;
-        bool have_clamp = false;
+        then_b.k.kind = else_b.k.kind = Spec::BranchKind::kMulAcc;
         auto operand = [&](const ir::Val& o, bool* is_imm, double* imm_t, double* imm_e,
                            std::optional<Pending>* then_acc,
                            std::optional<Pending>* else_acc) {
@@ -538,30 +384,73 @@ struct AffineBuilder {
             return true;
           }
           auto cp = split_load(o);
-          if (!cp || have_clamp) {
+          if (!cp || clamp) {
             return false;  // unresolved residue, or a second clamp
           }
-          have_clamp = true;
-          pc.guard = cp->cf.guard;
-          pc.bound = cp->cf.bound;
+          clamp = cp->cf;
           *then_acc = Pending{cp->cf.then_form, cp->data, cp->size};
           *else_acc = Pending{cp->cf.else_form, cp->data, cp->size};
           return true;
         };
-        if (!operand(v->a, &pc.then_b.k.a_is_imm, &pc.then_b.k.imm_a, &pc.else_b.k.imm_a,
-                     &pc.then_b.a, &pc.else_b.a) ||
-            !operand(v->b, &pc.then_b.k.b_is_imm, &pc.then_b.k.imm_b, &pc.else_b.k.imm_b,
-                     &pc.then_b.b, &pc.else_b.b) ||
-            !have_clamp) {
+        if (!operand(v->a, &then_b.k.a_is_imm, &then_b.k.imm_a, &else_b.k.imm_a, &then_b.a,
+                     &else_b.a) ||
+            !operand(v->b, &then_b.k.b_is_imm, &then_b.k.imm_b, &else_b.k.imm_b, &then_b.b,
+                     &else_b.b) ||
+            !clamp) {
           return std::nullopt;
         }
-        pc.else_b.k.a_is_imm = pc.then_b.k.a_is_imm;
-        pc.else_b.k.b_is_imm = pc.then_b.k.b_is_imm;
-        return pc;
+        else_b.k.a_is_imm = then_b.k.a_is_imm;
+        else_b.k.b_is_imm = then_b.k.b_is_imm;
+        break;
       }
       default:
         return std::nullopt;
     }
+    const int64_t cv = consumed ? clamp->guard.coeffs.back() : 0;
+    pk.conds.push_back({clamp->guard,
+                        {-1, cv, clamp->guard.MinValue(az.loops()), clamp->bound + 1,
+                         /*modulus=*/1, /*rem=*/0}});
+    return pk;
+  }
+
+  // The whole store value as kernels, or nullopt when some branch is not a
+  // fill, copy or mul-acc.
+  std::optional<PendingKernel> ClassifyValue(const ir::Val& value, bool consumed,
+                                             const ir::AffineAnalyzer& az) {
+    auto sel = ExtractSelect(value);
+    if (!sel) {
+      if (auto k = Classify(value, az)) {
+        PendingKernel pk;
+        pk.then_b = std::move(*k);
+        return pk;
+      }
+      return ClassifyClamped(value, consumed, az);
+    }
+    // A split select: every guard contiguous along the leaf, and both sides
+    // kernels.
+    PendingKernel pk;
+    for (const ir::IntervalCond& c : *sel->conds) {
+      auto f = az.Decompose(c.expr);
+      if (!f) {
+        return std::nullopt;
+      }
+      const int64_t cv = consumed ? f->coeffs.back() : 0;
+      if (c.modulus > 1 && cv % c.modulus != 0) {
+        // The guard selects a periodic subset of the leaf range (transposed
+        // conv stride-divisibility with the guard var in the inner loop):
+        // not a contiguous split.
+        return std::nullopt;
+      }
+      pk.conds.push_back({std::move(*f), {-1, cv, c.lo, c.hi, c.modulus, c.rem}});
+    }
+    auto then_b = Classify(sel->then_v, az);
+    auto else_b = Classify(sel->else_v, az);
+    if (!then_b || !else_b) {
+      return std::nullopt;
+    }
+    pk.then_b = std::move(*then_b);
+    pk.else_b = std::move(*else_b);
+    return pk;
   }
 
   Spec::Branch CommitBranch(PendingBranch&& p, bool consumed) {
@@ -574,92 +463,50 @@ struct AffineBuilder {
     return p.k;
   }
 
-  // A value no kernel covers: the host evaluates it per element.
-  static Spec::Branch EvalBranch() {
-    Spec::Branch k;
-    k.kind = Spec::BranchKind::kEval;
-    return k;
-  }
-
-  // One side of a split select: a kernel, or else the side compiled for eval.
-  Spec::Branch BranchFor(const ir::Val& v, const ir::AffineAnalyzer& az, bool consumed,
-                         const CompiledVal** eval) {
-    if (auto k = Classify(v, az)) {
-      return CommitBranch(std::move(*k), consumed);
-    }
-    host.evals.push_back(std::make_unique<CompiledVal>(compiler->CompileVal(v)));
-    *eval = host.evals.back().get();
-    return EvalBranch();
-  }
-
   void BuildLeaf(const ir::StmtNode* st, bool consumed, int vslot) {
     Spec::Leaf leaf;
-    HostLeaf hl;
     leaf.extent = consumed ? loops.back().extent : 1;
     leaf.vslot = consumed ? vslot : -1;
     leaf.accumulate = st->mode == ir::StoreMode::kAccumulate;
-    // Unanalyzed, or a non-affine store offset: the host runs the generic
-    // compiled store.
-    leaf.bytecode = !analyze || !ClassifyLeaf(st, consumed, leaf, hl);
-    if (leaf.bytecode) {
-      hl.store = std::make_unique<CompiledStore>(compiler->CompileStore(*st));
-    } else if (leaf.then_k.kind == Spec::BranchKind::kEval && hl.then_eval == nullptr) {
-      // The whole store value, per element.
-      host.evals.push_back(std::make_unique<CompiledVal>(compiler->CompileVal(st->value)));
-      hl.then_eval = host.evals.back().get();
-    }
-    // After the compile above, so a malformed store reports the compiler's
-    // error first.
-    if (leaf.IsStoreLeaf()) {
+    leaf.bytecode = !analyze;
+    if (leaf.bytecode || !ClassifyLeaf(st, consumed, leaf)) {
       BuildStoreTrees(*st, leaf);
     }
-    EmitLeaf(std::move(leaf), std::move(hl));
+    EmitLeaf(std::move(leaf));
   }
 
-  // The spec's pointer-free copy of a store leaf: its linearized offset and
-  // its value as trees over spec buffer ids and env slots.
+  // A store leaf's pointer-free trees: its linearized store offset as an
+  // index program, and its value as a value tree over spec buffer ids and
+  // env slots.
   void BuildStoreTrees(const ir::StmtNode& st, Spec::Leaf& leaf) {
     auto lin = Linearize(st.tensor_id, st.indices);
-    if (!lin) {
-      return;  // reported by CompileStore
+    if (!lin.ok()) {
+      Fail(lin.status());
+      return;
     }
     leaf.out_buffer = BufferId(lin->data);
     leaf.out_size = lin->size;
-    leaf.store_offset = IndexTree(lin->offset);
+    leaf.store_offset = Compile(lin->offset);
     leaf.value = ValueTree(st.value);
   }
 
-  int IndexTree(const ir::Expr& e) {
-    const ir::ExprNode* n = e.get();
-    Spec::IndexNode node;
-    node.op = n->kind;
-    if (n->kind == ir::ExprKind::kConst) {
-      node.value = n->value;
-    } else if (n->kind == ir::ExprKind::kVar) {
-      node.value = compiler->slots.SlotOf(n->var_id);
-    } else {
-      node.a = IndexTree(n->a);
-      node.b = IndexTree(n->b);
-    }
-    spec.index_nodes.push_back(node);
-    return static_cast<int>(spec.index_nodes.size()) - 1;
-  }
-
-  // Mirrors CompileVal: a load's access, a select's guards, and every
-  // operand present.
+  // A load's access, a select's guards, and every operand present.
   int ValueTree(const ir::Val& v) {
     Spec::ValueNode node;
     node.kind = v->kind;
     node.imm = v->imm;
     if (v->kind == ir::ValKind::kLoad) {
-      if (auto lin = Linearize(v->tensor_id, v->indices)) {
+      auto lin = Linearize(v->tensor_id, v->indices);
+      if (lin.ok()) {
         node.buffer = BufferId(lin->data);
         node.size = lin->size;
-        node.offset = IndexTree(lin->offset);
-      }  // else reported by CompileVal
+        node.offset = Compile(lin->offset);
+      } else {
+        Fail(lin.status());
+      }
     } else if (v->kind == ir::ValKind::kSelect) {
       for (const ir::IntervalCond& c : v->conds) {
-        node.guards.push_back({IndexTree(c.expr), c.lo, c.hi, c.modulus, c.rem});
+        node.guards.push_back({Compile(c.expr), c.lo, c.hi, c.modulus, c.rem});
       }
     }
     if (v->a) {
@@ -672,89 +519,54 @@ struct AffineBuilder {
     return static_cast<int>(spec.value_nodes.size()) - 1;
   }
 
-  // Fills the kernel fields of `leaf` (and `hl`'s split-branch values) from
-  // the affine analysis. False, committing nothing, when the store offset is
-  // not affine.
-  bool ClassifyLeaf(const ir::StmtNode* st, bool consumed, Spec::Leaf& leaf, HostLeaf& hl) {
+  // Classifies the whole leaf from the affine analysis before committing
+  // anything. False, committing nothing, when the store offset is not affine
+  // (a bytecode leaf). Otherwise commits the store accumulator and returns
+  // whether every branch is a kernel; only then are the guard accumulators
+  // and the branches' loads committed, in that order. A leaf with an affine
+  // store but no kernel is an eval leaf.
+  bool ClassifyLeaf(const ir::StmtNode* st, bool consumed, Spec::Leaf& leaf) {
     ir::AffineAnalyzer az(loops);
     auto sp = Analyze(st->tensor_id, st->indices, az);
     if (!sp) {
+      leaf.bytecode = true;
       return false;
     }
+    auto kernel = ClassifyValue(st->value, consumed, az);
     const Spec::Access out = Commit(*sp, consumed);
     leaf.out_buffer = out.buffer;
     leaf.out_size = out.size;
     leaf.store_acc = out.acc;
     leaf.store_inner = out.inner;
-
-    auto sel = ExtractSelect(st->value);
-    struct PendingCond {
-      ir::AffineForm form;
-      Spec::Cond cond;  // complete but for the accumulator
-    };
-    std::vector<PendingCond> pconds;
-    bool split = sel.has_value();
-    if (split) {
-      for (const ir::IntervalCond& c : *sel->conds) {
-        auto f = az.Decompose(c.expr);
-        if (!f) {
-          split = false;
-          break;
-        }
-        int64_t cv = consumed ? f->coeffs.back() : 0;
-        if (c.modulus > 1 && cv % c.modulus != 0) {
-          // The guard selects a periodic subset of the leaf range (transposed
-          // conv stride-divisibility with the guard var in the inner loop):
-          // not a contiguous split — evaluate per element instead.
-          split = false;
-          break;
-        }
-        pconds.push_back({std::move(*f), {-1, cv, c.lo, c.hi, c.modulus, c.rem}});
-      }
+    if (!kernel) {
+      return false;
     }
-    if (split) {
-      leaf.guarded = true;
-      for (auto& pc : pconds) {
-        pc.cond.acc = NewAcc(pc.form, consumed);
-        leaf.conds.push_back(pc.cond);
-      }
-      leaf.then_k = BranchFor(sel->then_v, az, consumed, &hl.then_eval);
-      leaf.else_k = BranchFor(sel->else_v, az, consumed, &hl.else_eval);
-    } else if (auto k = Classify(st->value, az)) {
-      leaf.then_k = CommitBranch(std::move(*k), consumed);
-    } else if (auto ck = ClassifyClamped(st->value, az)) {
-      // Unfold clamp split: the load is affine on each side of the boundary
-      // g <= bound, so run it as a guarded two-branch kernel with the guard
-      // interval [min(g), bound + 1) — then where the clamp is slack, else
-      // where it binds (both agree at g == bound).
-      leaf.guarded = true;
-      int64_t cv = consumed ? ck->guard.coeffs.back() : 0;
-      leaf.conds.push_back({NewAcc(ck->guard, consumed), cv,
-                            ck->guard.MinValue(az.loops()), ck->bound + 1,
-                            /*modulus=*/1, /*rem=*/0});
-      leaf.then_k = CommitBranch(std::move(ck->then_b), consumed);
-      leaf.else_k = CommitBranch(std::move(ck->else_b), consumed);
-    } else {
-      leaf.then_k = EvalBranch();
+    for (auto& [form, cond] : kernel->conds) {
+      cond.acc = NewAcc(form, consumed);
+      leaf.conds.push_back(cond);
+    }
+    leaf.guarded = !leaf.conds.empty();
+    leaf.then_k = CommitBranch(std::move(kernel->then_b), consumed);
+    if (leaf.guarded) {
+      leaf.else_k = CommitBranch(std::move(kernel->else_b), consumed);
     }
     return true;
   }
 
-  void EmitLeaf(Spec::Leaf&& leaf, HostLeaf&& hl) {
+  void EmitLeaf(Spec::Leaf&& leaf) {
     Spec::Instr ins;
     ins.kind = Spec::Instr::kLeaf;
     ins.leaf = static_cast<int>(spec.leaves.size());
     spec.leaves.push_back(std::move(leaf));
-    host.leaves.push_back(std::move(hl));
     spec.instrs.push_back(std::move(ins));
   }
 
   // Loop slots are numbered in statement pre-order, at each loop before its
-  // body compiles, so a spec's env slots are a function of program structure.
+  // body builds.
   void Build(const ir::Stmt& s) {
     switch (s->kind) {
       case ir::StmtKind::kFor: {
-        const int slot = compiler->slots.AddVar(s->loop_var->var_id);
+        const int slot = slots.AddVar(s->loop_var->var_id);
         // Unwrap single-statement blocks to see whether this loop's body is
         // exactly one store — if so, consume the loop into a leaf.
         const ir::StmtNode* body = s->body.get();
@@ -819,14 +631,12 @@ bool SegmentInBounds(int64_t o0, int64_t stride, int64_t n, int64_t size) {
   ctx.Fail(oss.str());
 }
 
-// Runs one branch of a leaf over leaf positions [v0, v1). `eval` is the
-// branch's value when it is kEval. Leaves are often a few elements long, so
-// this call's fixed cost is the engine's per-leaf overhead: the arguments
-// every kernel reads come first, where they travel in registers, and the
-// bounds-failure path is out of line.
+// Runs one kernel branch of a leaf over leaf positions [v0, v1). Leaves are
+// often a few elements long, so this call's fixed cost is the engine's
+// per-leaf overhead: the arguments every kernel reads come first, where they
+// travel in registers, and the bounds-failure path is out of line.
 void RunBranch(const Spec::Leaf& lf, const Spec::Branch& k, float* const* bufs,
-               const int64_t* acc, int64_t v0, int64_t v1, const CompiledVal* eval,
-               int64_t* env, ExecContext& ctx) {
+               const int64_t* acc, int64_t v0, int64_t v1, ExecContext& ctx) {
   const int64_t n = v1 - v0;
   if (n <= 0 || ctx.failed) {
     return;
@@ -933,51 +743,93 @@ void RunBranch(const Spec::Leaf& lf, const Spec::Branch& k, float* const* bufs,
       }
       return;
     }
-    case Spec::BranchKind::kEval: {
-      int64_t o = so;
-      for (int64_t i = 0; i < n; ++i, o += si) {
-        if (lf.vslot >= 0) {
-          env[lf.vslot] = v0 + i;
-        }
-        double v = EvalVal(*eval, env, ctx);
-        if (ctx.failed) {
-          return;
-        }
-        if (accumulate) {
-          out[o] += static_cast<float>(v);
-        } else {
-          out[o] = static_cast<float>(v);
-        }
-      }
-      return;
-    }
   }
 }
 
-// Env-only store loop: evaluates `st` for every leaf position. Runs every
-// bytecode leaf (all of the generic engine's); the native kernel emits the
-// same loop for its store leaves (codegen/cpp_emitter.h).
-void RunStoreLoop(const CompiledStore& st, int64_t extent, int vslot, int64_t* env,
-                  ExecContext& ctx) {
-  for (int64_t v = 0; v < extent && !ctx.failed; ++v) {
-    if (vslot >= 0) {
-      env[vslot] = v;
+// Value-tree node `n` of one element, in double. A load is bounds-checked
+// before it is read, and a select evaluates only the branch its guards take.
+double EvalValue(const Spec::ValueNode* nodes, int n, float* const* bufs, const int64_t* env,
+                 ExecContext& ctx) {
+  const Spec::ValueNode& v = nodes[n];
+  switch (v.kind) {
+    case ir::ValKind::kImm:
+      return v.imm;
+    case ir::ValKind::kLoad: {
+      const int64_t off = v.offset.Eval(env);
+      if (off < 0 || off >= v.size) {
+        FailBounds("load", off, 0, 1, v.size, ctx);
+        return 0.0;
+      }
+      return bufs[v.buffer][off];
     }
-    int64_t off = st.offset.Eval(env);
-    if (off < 0 || off >= st.buffer_size) {
-      std::ostringstream oss;
-      oss << "store out of bounds: " << off << " size " << st.buffer_size;
-      ctx.Fail(oss.str());
+    case ir::ValKind::kAdd:
+      return EvalValue(nodes, v.a, bufs, env, ctx) + EvalValue(nodes, v.b, bufs, env, ctx);
+    case ir::ValKind::kSub:
+      return EvalValue(nodes, v.a, bufs, env, ctx) - EvalValue(nodes, v.b, bufs, env, ctx);
+    case ir::ValKind::kMul:
+      return EvalValue(nodes, v.a, bufs, env, ctx) * EvalValue(nodes, v.b, bufs, env, ctx);
+    case ir::ValKind::kDiv:
+      return EvalValue(nodes, v.a, bufs, env, ctx) / EvalValue(nodes, v.b, bufs, env, ctx);
+    case ir::ValKind::kMax:
+      return std::max(EvalValue(nodes, v.a, bufs, env, ctx),
+                      EvalValue(nodes, v.b, bufs, env, ctx));
+    case ir::ValKind::kMin:
+      return std::min(EvalValue(nodes, v.a, bufs, env, ctx),
+                      EvalValue(nodes, v.b, bufs, env, ctx));
+    case ir::ValKind::kExp:
+      return std::exp(EvalValue(nodes, v.a, bufs, env, ctx));
+    case ir::ValKind::kTanh:
+      return std::tanh(EvalValue(nodes, v.a, bufs, env, ctx));
+    case ir::ValKind::kSqrt:
+      return std::sqrt(EvalValue(nodes, v.a, bufs, env, ctx));
+    case ir::ValKind::kSelect: {
+      for (const Spec::Guard& g : v.guards) {
+        const int64_t e = g.expr.Eval(env);
+        if (e < g.lo || e >= g.hi) {
+          return EvalValue(nodes, v.b, bufs, env, ctx);
+        }
+        if (g.modulus > 1) {
+          int64_t m = e % g.modulus;
+          if (m < 0) {
+            m += g.modulus;
+          }
+          if (m != g.rem) {
+            return EvalValue(nodes, v.b, bufs, env, ctx);
+          }
+        }
+      }
+      return EvalValue(nodes, v.a, bufs, env, ctx);
+    }
+  }
+  return 0.0;
+}
+
+// Runs a store leaf: per element, the store offset — an eval leaf's from its
+// accumulator, a bytecode leaf's from its index program — its bounds check,
+// the value, then the conversion to float. The native kernel emits the same
+// loop (codegen/cpp_emitter.h).
+void RunStoreLeaf(const Spec& spec, const Spec::Leaf& lf, float* const* bufs,
+                  const int64_t* acc, int64_t* env, ExecContext& ctx) {
+  const Spec::ValueNode* nodes = spec.value_nodes.data();
+  float* out = bufs[lf.out_buffer];
+  int64_t so = lf.bytecode ? 0 : acc[lf.store_acc];
+  for (int64_t v = 0; v < lf.extent; ++v, so += lf.store_inner) {
+    if (lf.vslot >= 0) {
+      env[lf.vslot] = v;
+    }
+    const int64_t off = lf.bytecode ? lf.store_offset.Eval(env) : so;
+    if (off < 0 || off >= lf.out_size) {
+      FailBounds("store", off, 0, 1, lf.out_size, ctx);
       return;
     }
-    double val = EvalVal(st.value, env, ctx);
+    const double val = EvalValue(nodes, lf.value, bufs, env, ctx);
     if (ctx.failed) {
       return;
     }
-    if (st.mode == ir::StoreMode::kAssign) {
-      (*st.buffer)[off] = static_cast<float>(val);
+    if (lf.accumulate) {
+      out[off] += static_cast<float>(val);
     } else {
-      (*st.buffer)[off] += static_cast<float>(val);
+      out[off] = static_cast<float>(val);
     }
   }
 }
@@ -1021,19 +873,18 @@ struct PoolLease {
   PoolLease& operator=(const PoolLease&) = delete;
 };
 
-void RunLeaf(const Spec& spec, const HostTable& host, int li,
-             const std::vector<int64_t>& acc, int64_t* env, ExecContext& ctx) {
+void RunLeaf(const Spec& spec, float* const* bufs, int li, const int64_t* acc, int64_t* env,
+             ExecContext& ctx) {
   const Spec::Leaf& lf = spec.leaves[li];
-  const HostLeaf& hl = host.leaves[li];
-  if (lf.bytecode) {
-    RunStoreLoop(*hl.store, lf.extent, lf.vslot, env, ctx);
+  if (lf.IsStoreLeaf()) {
+    RunStoreLeaf(spec, lf, bufs, acc, env, ctx);
     return;
   }
   auto run_then = [&](int64_t v0, int64_t v1) {
-    RunBranch(lf, lf.then_k, host.bufs.data(), acc.data(), v0, v1, hl.then_eval, env, ctx);
+    RunBranch(lf, lf.then_k, bufs, acc, v0, v1, ctx);
   };
   auto run_else = [&](int64_t v0, int64_t v1) {
-    RunBranch(lf, lf.else_k, host.bufs.data(), acc.data(), v0, v1, hl.else_eval, env, ctx);
+    RunBranch(lf, lf.else_k, bufs, acc, v0, v1, ctx);
   };
   if (!lf.guarded) {
     run_then(0, lf.extent);
@@ -1064,9 +915,8 @@ void RunLeaf(const Spec& spec, const HostTable& host, int li,
 // entry values — every kLoopEnd un-bumps its accumulators on exit — so a
 // range can be re-entered with fresh loop state. `iters` is caller-owned
 // scratch (one slot per instruction) so shard loops don't reallocate it.
-void RunAffineRange(const Spec& spec, const HostTable& host, size_t from, size_t to,
-                    std::vector<int64_t>& acc, int64_t* env, std::vector<int64_t>& iters,
-                    ExecContext& ctx) {
+void RunAffineRange(const Spec& spec, float* const* bufs, size_t from, size_t to,
+                    int64_t* acc, int64_t* env, int64_t* iters, ExecContext& ctx) {
   size_t ip = from;
   while (ip < to && !ctx.failed) {
     const Spec::Instr& ins = spec.instrs[ip];
@@ -1099,7 +949,7 @@ void RunAffineRange(const Spec& spec, const HostTable& host, size_t from, size_t
         break;
       }
       case Spec::Instr::kLeaf: {
-        RunLeaf(spec, host, ins.leaf, acc, env, ctx);
+        RunLeaf(spec, bufs, ins.leaf, acc, env, ctx);
         ++ip;
         break;
       }
@@ -1107,10 +957,10 @@ void RunAffineRange(const Spec& spec, const HostTable& host, size_t from, size_t
   }
 }
 
-void RunAffine(const Spec& spec, const HostTable& host, std::vector<int64_t>& acc,
+void RunAffine(const Spec& spec, float* const* bufs, std::vector<int64_t>& acc,
                int64_t* env, ExecContext& ctx) {
   std::vector<int64_t> iters(spec.instrs.size(), 0);
-  RunAffineRange(spec, host, 0, spec.instrs.size(), acc, env, iters, ctx);
+  RunAffineRange(spec, bufs, 0, spec.instrs.size(), acc.data(), env, iters.data(), ctx);
 }
 
 // Executes iterations [begin, end) of the root loop of `spec` with private
@@ -1120,19 +970,29 @@ void RunAffine(const Spec& spec, const HostTable& host, std::vector<int64_t>& ac
 // offset state is re-based in closed form — acc = acc_init + stride·begin —
 // so a shard starts with exactly the accumulator values serial execution
 // would have reached, and the body range restores them after each iteration.
-void RunAffineShard(const Spec& spec, const HostTable& host, int64_t begin, int64_t end,
+void RunAffineShard(const Spec& spec, float* const* bufs, int64_t begin, int64_t end,
                     ExecContext& ctx) {
   const Spec::Instr& root = spec.instrs[0];
-  std::vector<int64_t> acc = spec.acc_init;
+  // The shard's loop state, written on every iteration, in one allocation
+  // with a cache line of padding at each end, so no other allocation shares
+  // a line with it. Without the padding, where the allocator happened to put
+  // these vectors decided whether gmm/canonical scaled at all at 4 threads
+  // (bench_interpreter_throughput).
+  constexpr size_t kPad = 64 / sizeof(int64_t);
+  const size_t n_acc = spec.acc_init.size();
+  const size_t n_env = static_cast<size_t>(spec.env_size);
+  std::vector<int64_t> state(kPad + n_acc + n_env + spec.instrs.size() + kPad, 0);
+  int64_t* acc = state.data() + kPad;
+  int64_t* env = acc + n_acc;
+  int64_t* iters = env + n_env;
+  std::copy(spec.acc_init.begin(), spec.acc_init.end(), acc);
   for (const auto& [a, s] : root.bumps) {
     acc[a] += s * begin;
   }
-  std::vector<int64_t> env(static_cast<size_t>(spec.env_size), 0);
-  std::vector<int64_t> iters(spec.instrs.size(), 0);
   const size_t body_end = static_cast<size_t>(root.match);
   for (int64_t i = begin; i < end && !ctx.failed; ++i) {
     env[root.slot] = i;
-    RunAffineRange(spec, host, 1, body_end, acc, env.data(), iters, ctx);
+    RunAffineRange(spec, bufs, 1, body_end, acc, env, iters, ctx);
     for (const auto& [a, s] : root.bumps) {
       acc[a] += s;
     }
@@ -1200,13 +1060,16 @@ struct PreparedProgram::Impl {
   // Accumulate-first outputs/intermediates re-zeroed on every Run.
   std::vector<ZeroFill> zero_fills;
   bool has_root = false;
-  // The plan and what its indices name; analyzed unless kGeneric.
+  // The plan, analyzed unless kGeneric, and float* per spec buffer id: the
+  // array every engine, the native kernel included, runs it on.
   codegen::KernelSpec spec;
-  HostTable host;
+  std::vector<float*> bufs;
   // The compiled `spec`: set when the program was prepared with kNative AND
   // its kernel compiled (or was already cached); otherwise Run executes the
   // spec on the host.
   std::shared_ptr<codegen::NativeKernel> native;
+  // kNative: the kernel-cache key of the spec's emitted source.
+  std::string kernel_key;
   // Counts Runs under the engine that executes them.
   Counter* runs = nullptr;
   // Intra-op sharding: set when the root loop is kParallel, spans the whole
@@ -1269,30 +1132,28 @@ StatusOr<PreparedProgram> PreparedProgram::Prepare(const ir::Program& program,
   if (!program.root) {
     return prepared;
   }
-  Compiler compiler;
-  compiler.bindings = &bindings;
-  compiler.program = &program;
   AffineBuilder builder;
-  builder.compiler = &compiler;
+  builder.program = &program;
+  builder.bindings = &bindings;
   builder.analyze = options.engine != ExecEngine::kGeneric;
   builder.Build(program.root);
-  if (!compiler.status.ok()) {
-    return compiler.status;
+  if (!builder.status.ok()) {
+    return builder.status;
   }
   impl.has_root = true;
   impl.spec = std::move(builder.spec);
-  impl.spec.env_size = compiler.slots.size();
-  impl.host = std::move(builder.host);
-  // Each leaf counts once, by what runs it: a kernel (every branch fill,
-  // copy or mul-acc — exactly what the native kernel compiles), a
-  // per-element value tree, or the generic store.
+  impl.spec.env_size = builder.slots.size();
+  impl.bufs = std::move(builder.bufs);
+  // Each leaf counts once, by what runs it: kernels (every branch fill, copy
+  // or mul-acc), or a per-element value tree whose store offset comes from
+  // an accumulator (eval) or from an index program (bytecode).
   static Counter& kernel_leaves = MetricsRegistry::Global().counter("interp.kernel_leaves");
   static Counter& eval_leaves = MetricsRegistry::Global().counter("interp.eval_leaves");
   static Counter& bytecode_leaves = MetricsRegistry::Global().counter("interp.bytecode_leaves");
   for (const Spec::Leaf& lf : impl.spec.leaves) {
     if (lf.bytecode) {
       bytecode_leaves.Add();
-    } else if (lf.HasEval()) {
+    } else if (lf.IsStoreLeaf()) {
       eval_leaves.Add();
     } else {
       kernel_leaves.Add();
@@ -1317,10 +1178,9 @@ StatusOr<PreparedProgram> PreparedProgram::Prepare(const ir::Program& program,
         degraded.Add();
       }
     }
-    // Slice the emitted root loop iff the structure proof allows sharding.
-    // Deliberately independent of the thread options: the flag — like the
-    // proof it reflects — is a pure function of ProgramStructureKey, so
-    // cached kernels stay shareable across sessions with different budgets.
+    // Slice the emitted root loop iff the proof allows sharding.
+    // Deliberately independent of the thread options, so sessions with
+    // different budgets emit one source and share one cached kernel.
     impl.spec.sliced = impl.shardable;
     if (impl.shardable && options.intra_pool && options.intra_pool->threads() > 1) {
       impl.intra = options.intra_pool;
@@ -1331,9 +1191,9 @@ StatusOr<PreparedProgram> PreparedProgram::Prepare(const ir::Program& program,
         MetricsRegistry::Global().counter("codegen.native_programs");
     static Counter& fallback_programs =
         MetricsRegistry::Global().counter("codegen.fallback_programs");
-    const std::string key =
-        codegen::KernelCache::KeyForStructure(ir::ProgramStructureKey(program));
-    auto kernel = codegen::KernelCache::Global().GetOrCompile(key, impl.spec);
+    const std::string source = codegen::EmitKernelSource(impl.spec);
+    impl.kernel_key = codegen::KernelCache::KeyOf(source);
+    auto kernel = codegen::KernelCache::Global().GetOrCompile(source);
     if (kernel.ok()) {
       impl.native = std::move(*kernel);
       native_programs.Add();
@@ -1405,11 +1265,11 @@ Status PreparedProgram::Run() {
   if (impl.native) {
     if (lease.threads != nullptr) {
       run_sharded(*lease.threads, [&](int64_t b, int64_t e, ExecContext& sc) {
-        ApplyNativeRc(impl.native->fn()(impl.host.bufs.data(), b, e), sc);
+        ApplyNativeRc(impl.native->fn()(impl.bufs.data(), b, e), sc);
       });
     } else {
       // A sliced kernel runs the whole root loop as the slice (0, extent).
-      ApplyNativeRc(impl.native->fn()(impl.host.bufs.data(), 0,
+      ApplyNativeRc(impl.native->fn()(impl.bufs.data(), 0,
                                       impl.shardable ? impl.root_extent : 0),
                     ctx);
     }
@@ -1417,12 +1277,12 @@ Status PreparedProgram::Run() {
   }
   if (lease.threads != nullptr) {
     run_sharded(*lease.threads, [&](int64_t b, int64_t e, ExecContext& sc) {
-      RunAffineShard(impl.spec, impl.host, b, e, sc);
+      RunAffineShard(impl.spec, impl.bufs.data(), b, e, sc);
     });
   } else {
     std::vector<int64_t> acc = impl.spec.acc_init;
     std::vector<int64_t> env(static_cast<size_t>(impl.spec.env_size), 0);
-    RunAffine(impl.spec, impl.host, acc, env.data(), ctx);
+    RunAffine(impl.spec, impl.bufs.data(), acc, env.data(), ctx);
   }
   return ctx.error;
 }
@@ -1441,7 +1301,7 @@ StatusOr<std::string> EnsureNativeKernel(const ir::Program& program) {
   if (!prepared.ok()) {
     return prepared.status();
   }
-  return codegen::KernelCache::KeyForStructure(ir::ProgramStructureKey(program));
+  return prepared->impl_->kernel_key;
 }
 
 Status Execute(const ir::Program& program, BufferStore& store, const ExecOptions& options) {

@@ -6,23 +6,23 @@
 // schedules were applied.
 //
 // Every engine flattens the program into one codegen::KernelSpec (loop
-// begin/end instructions and leaves) and runs it one of three ways:
+// begin/end instructions and leaves), the only description of what runs,
+// and runs it one of three ways:
 //   - kAffine (default): loads/stores get offsets base + Σ stride_i · loop_i
 //     (ir/affine.h), run by the iterative loop-nest executor with incremental
 //     offset bumping, guard-range splitting and tight inner-loop kernels. A
-//     value no kernel covers is evaluated per element (an eval leaf); a store
-//     with a non-affine offset runs the generic compiled store (a bytecode
-//     leaf).
+//     leaf no kernel covers is a store leaf, run per element from the spec's
+//     value tree: an eval leaf takes its store offset from its accumulator, a
+//     bytecode leaf (non-affine store offset) from its index program.
 //   - kGeneric: the same executor on a spec built without the affine
 //     analysis — every store a bytecode leaf, every offset and value
 //     evaluated per element — kept as the oracle for differential testing.
 //   - kNative: the affine spec emitted as C++ (src/codegen), JIT-compiled
-//     into a dlopened shared object and cached process-wide by program
-//     structure. The kernel runs every leaf itself: eval and bytecode leaves
-//     become per-element loops over the spec's offset and value trees, with
-//     the generic engine's arithmetic. If the kernel cannot be compiled at
-//     all (no host compiler), Prepare degrades to the affine engine and
-//     still succeeds.
+//     into a dlopened shared object and cached process-wide by its source.
+//     The kernel runs every leaf itself: store leaves become per-element
+//     loops over the spec's index programs and value trees, with the host
+//     engines' arithmetic. If the kernel cannot be compiled at all (no host
+//     compiler), Prepare degrades to the affine engine and still succeeds.
 // All engines produce bit-identical buffers.
 
 #ifndef ALT_RUNTIME_INTERPRETER_H_
@@ -31,6 +31,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -128,6 +129,8 @@ class PreparedProgram {
   Status Run();
 
  private:
+  friend StatusOr<std::string> EnsureNativeKernel(const ir::Program& program);
+
   PreparedProgram();
 
   struct Impl;
@@ -143,9 +146,10 @@ Status Execute(const ir::Program& program, BufferStore& store,
 
 // Compiles (or fetches from the process-wide codegen::KernelCache) the
 // native kernel for `program` against scratch buffers and returns its cache
-// key. Used by artifact save to embed kernels without a live session; the
-// key's object bytes are then available via KernelCache::ObjectBytes (which
-// reports the compile failure when the toolchain was unavailable).
+// key, the KernelCache::KeyOf its emitted source. Used by artifact save to
+// embed kernels without a live session; the key's object bytes are then
+// available via KernelCache::ObjectBytes (which reports the compile failure
+// when the toolchain was unavailable).
 StatusOr<std::string> EnsureNativeKernel(const ir::Program& program);
 
 }  // namespace alt::runtime

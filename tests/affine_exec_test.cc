@@ -1224,7 +1224,11 @@ ir::Program TanhScaleProgram(double scale) {
 TEST(StoreLeaves, ImmediatesUnderTanhKeyDistinctKernels) {
   const ir::Program half = TanhScaleProgram(0.5);
   const ir::Program most = TanhScaleProgram(0.75);
-  EXPECT_NE(ir::ProgramStructureKey(half), ir::ProgramStructureKey(most));
+  auto half_key = runtime::EnsureNativeKernel(half);
+  auto most_key = runtime::EnsureNativeKernel(most);
+  ASSERT_TRUE(half_key.ok()) << half_key.status().ToString();
+  ASSERT_TRUE(most_key.ok()) << most_key.status().ToString();
+  EXPECT_NE(*half_key, *most_key);
   runtime::BufferStore inputs;
   FillParallelInput(inputs, 16);
   ExpectProgramsBitIdentical({half}, inputs, "tanh * 0.5");
@@ -1265,7 +1269,7 @@ TEST(MeasureEngine, StructurallyIdenticalProgramsMeasureEqualLatencies) {
   };
   // s=12,1,1,1;1,20,1,1 and s=12,1,1,1;20,1,1,1 differ only in which tile
   // level carries the second axis; both lower to the same loop nest up to
-  // omitted unit loops, so they share one ir::ProgramStructureKey.
+  // omitted unit loops, so the two programs are structurally identical.
   loop::LoopSchedule s1;
   s1.spatial = {mk(e0, 1, 1, 1), mk(1, e1, 1, 1)};
   s1.reduction = {{er, 1}};

@@ -355,21 +355,36 @@ TEST(Interpreter, OutOfBoundsLoadReturnsStatus) {
 }
 
 TEST(Interpreter, UnboundVariableReturnsStatus) {
-  // The store index references a loop variable that no loop binds.
   ir::Program program;
+  ir::BufferDecl in;
+  in.tensor.id = 1;
+  in.tensor.name = "in";
+  in.tensor.shape = {4};
+  in.role = ir::BufferRole::kInput;
   ir::BufferDecl out;
   out.tensor.id = 0;
   out.tensor.name = "out";
   out.tensor.shape = {4};
   out.role = ir::BufferRole::kOutput;
-  program.buffers = {out};
+  program.buffers = {in, out};
   ir::Expr i = ir::MakeVar("i");
   ir::Expr ghost = ir::MakeVar("never_bound");
+  BufferStore inputs;
+  inputs.Get(1) = {1, 2, 3, 4};
+
+  // The store index references a loop variable that no loop binds.
   program.root = ir::MakeFor(
       i, 4, ir::ForKind::kSerial,
       ir::MakeStore(0, {ghost}, ir::Imm(1.0), ir::StoreMode::kAssign));
+  Status s = ExpectSameFailureOnEveryEngine(program, inputs);
+  EXPECT_NE(s.ToString().find("never_bound"), std::string::npos);
 
-  Status s = ExpectSameFailureOnEveryEngine(program, BufferStore());
+  // out[i] = exp(in[never_bound]): a load index this time, in an eval leaf
+  // on the affine and native engines and a bytecode leaf on the generic one.
+  program.root = ir::MakeFor(
+      i, 4, ir::ForKind::kSerial,
+      ir::MakeStore(0, {i}, ir::VExp(ir::Load(1, {ghost})), ir::StoreMode::kAssign));
+  s = ExpectSameFailureOnEveryEngine(program, inputs);
   EXPECT_NE(s.ToString().find("never_bound"), std::string::npos);
 }
 
